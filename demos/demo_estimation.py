@@ -12,20 +12,13 @@ Run:  python demos/demo_estimation.py
 import numpy as np
 
 from pilotopt import (
-    RandomStream,
+    ExperimentConfig,
     SystemConfig,
-    analytic_wsmse,
-    conventional_analytic_wsmse,
-    conventional_estimate,
-    design_reuse_pilots,
-    draw_cn,
-    generate_channel,
-    init_pilots,
-    optimize_pilots,
-    proposed_estimate,
-    received_pilot_signal,
+    design_pilots,
     reference_gains,
+    reuse_map,
     sigma2_from_snr,
+    trial_errors,
 )
 
 SNR_DB = 10.0
@@ -40,24 +33,19 @@ cfg = SystemConfig(
     gains=reference_gains()[:8],
 )
 
-# one shared realization for both estimators
-h = generate_channel(cfg, RandomStream(SEED, 0))
-noise = np.sqrt(cfg.sigma2) * draw_cn(RandomStream(SEED, 1), cfg.antennas, cfg.pilot_len)
+experiment = ExperimentConfig(base=cfg, snr_db_list=[SNR_DB], seed=SEED)
+rmap = reuse_map(cfg.pilot_len, cfg.users)
 
-# baseline: reused DFT columns, scalar MMSE per user
-x_reuse, rmap = design_reuse_pilots(cfg.pilot_len, cfg.users, cfg.powers)
-y = received_pilot_signal(h, x_reuse, noise)
-h_conv = conventional_estimate(y, x_reuse, cfg)
-conv_per_user = np.sum(np.abs(h_conv - h) ** 2, axis=0) / (cfg.antennas * cfg.gains)
-conv_expect = conventional_analytic_wsmse(cfg, rmap).per_user
+# Monte Carlo trial 0 of each design: both estimators see the same
+# channel and noise realization
+x_reuse, conv_ana, _ = design_pilots("conventional", cfg, experiment)
+conv_per_user = trial_errors(cfg, x_reuse, "conventional", SEED, 0)
+conv_expect = conv_ana.per_user
 
-# optimized pilots with the matched combiner
-x0 = init_pilots("dft-reuse", cfg)
-x_opt, trace = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
-y = received_pilot_signal(h, x_opt, noise)
-h_prop = proposed_estimate(y, x_opt, cfg)
-prop_per_user = np.sum(np.abs(h_prop - h) ** 2, axis=0) / (cfg.antennas * cfg.gains)
-prop_expect = analytic_wsmse(x_opt, cfg).per_user
+# optimized pilots (from the DFT-reuse start) with the matched combiner
+x_opt, prop_ana, trace = design_pilots("proposed", cfg, experiment)
+prop_per_user = trial_errors(cfg, x_opt, "proposed", SEED, 0)
+prop_expect = prop_ana.per_user
 
 print(f"SNR {SNR_DB:g} dB, {cfg.users} users, {cfg.pilot_len} pilot symbols, "
       f"optimizer converged in {trace.sweeps_completed} sweeps\n")

@@ -8,7 +8,7 @@ with orthogonal pilots and the curves meet exactly.
 Run:  python demos/demo_pilot_length.py
 """
 
-from pilotopt import ExperimentConfig, SystemConfig, reference_gains, sweep_pilot_length
+from pilotopt import ExperimentConfig, SystemConfig, reference_gains, sweep_snr
 from pilotopt.report import emit
 
 base = SystemConfig(
@@ -28,7 +28,7 @@ experiment = ExperimentConfig(
     seed=42,
 )
 
-rows = sweep_pilot_length(experiment)
+rows = sweep_snr(experiment)
 
 for snr in (0.0, 10.0):
     print(f"\nSNR = {snr:g} dB")

@@ -31,9 +31,10 @@ from .harness import (
     ConvergenceResult,
     SweepRow,
     convergence_trace,
+    design_pilots,
     run_monte_carlo,
-    sweep_pilot_length,
     sweep_snr,
+    trial_errors,
 )
 from .model import (
     SystemConfig,
@@ -92,6 +93,7 @@ __all__ = [
     "conventional_analytic_wsmse",
     "conventional_estimate",
     "convergence_trace",
+    "design_pilots",
     "design_reuse_pilots",
     "draw_cn",
     "generate_channel",
@@ -115,6 +117,6 @@ __all__ = [
     "save_pilots",
     "sigma2_from_snr",
     "solve_hermitian",
-    "sweep_pilot_length",
     "sweep_snr",
+    "trial_errors",
 ]

@@ -12,36 +12,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conventional import (
-    conventional_analytic_wsmse,
-    conventional_estimate,
-    design_reuse_pilots,
-)
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .harness import (
-    NOISE_STREAM_OFFSET,
-    INIT_STREAM_ID,
+    ALGORITHMS,
     ExperimentConfig,
     convergence_trace,
-    sweep_pilot_length,
+    design_pilots,
     sweep_snr,
+    trial_errors,
 )
-from .model import (
-    SystemConfig,
-    generate_channel,
-    load_gains,
-    received_pilot_signal,
-    reference_gains,
-    sigma2_from_snr,
-)
-from .numerics import RandomStream, draw_cn
-from .optimizer import (
-    analytic_wsmse,
-    init_pilots,
-    optimize_pilots,
-    proposed_estimate,
-    save_pilots,
-)
+from .model import SystemConfig, load_gains, reference_gains, sigma2_from_snr
+from .optimizer import save_pilots
 from .report import emit
 
 DEFAULT_SNR_GRID = [float(v) for v in range(-10, 21, 2)]
@@ -169,8 +150,6 @@ def _resolve_scenario(args):
         init=args.init,
         tol=args.tol,
         max_sweeps=args.max_sweeps,
-        out_path=args.out,
-        out_format=args.format,
     )
 
 
@@ -182,14 +161,12 @@ def _require_single(values, flag):
 
 def _cmd_sweep_snr(ecfg, args):
     _require_single(ecfg.n_list, "--n")
-    rows = sweep_snr(ecfg)
-    emit(rows, ecfg.out_format, ecfg.out_path, x_field="snr_db")
+    emit(sweep_snr(ecfg), args.format, args.out, x_field="snr_db")
     return 0
 
 
 def _cmd_sweep_n(ecfg, args):
-    rows = sweep_pilot_length(ecfg)
-    emit(rows, ecfg.out_format, ecfg.out_path, x_field="n")
+    emit(sweep_snr(ecfg), args.format, args.out, x_field="n")
     return 0
 
 
@@ -197,7 +174,7 @@ def _cmd_convergence(ecfg, args):
     snr = _require_single(ecfg.snr_db_list, "--snr-db")
     _require_single(ecfg.n_list, "--n")
     results = convergence_trace(replace(ecfg, snr_db_list=[snr]))
-    emit(results, ecfg.out_format, ecfg.out_path)
+    emit(results, args.format, args.out)
     return 0
 
 
@@ -212,13 +189,8 @@ def _single_point_config(ecfg):
 
 def _cmd_optimize(ecfg, args):
     cfg, _ = _single_point_config(ecfg)
-    stream = RandomStream(ecfg.seed, INIT_STREAM_ID)
-    x0 = init_pilots(ecfg.init, cfg, stream=stream)
-    x_opt, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
-    if ecfg.out_path == "-":
-        save_pilots("/dev/stdout", x_opt)
-    else:
-        save_pilots(ecfg.out_path, x_opt)
+    x_opt, _, trace = design_pilots("proposed", cfg, ecfg)
+    save_pilots("/dev/stdout" if args.out == "-" else args.out, x_opt)
     print(
         f"objective {trace.objective_per_update[-1]:.12g} after "
         f"{trace.sweeps_completed} sweeps (converged={trace.converged})",
@@ -228,39 +200,23 @@ def _cmd_optimize(ecfg, args):
 
 
 def _cmd_estimate(ecfg, args):
+    """Design each algorithm's pilots and run Monte Carlo trial 0 on them."""
     cfg, snr = _single_point_config(ecfg)
-    algorithms = (
-        ("proposed", "conventional") if ecfg.mode == "both" else (ecfg.mode,)
-    )
-    h = generate_channel(cfg, RandomStream(ecfg.seed, 0))
-    noise = np.sqrt(cfg.sigma2) * draw_cn(
-        RandomStream(ecfg.seed, NOISE_STREAM_OFFSET), cfg.antennas, cfg.pilot_len
-    )
+    algorithms = ALGORITHMS if ecfg.mode == "both" else (ecfg.mode,)
     payload = {"snr_db": snr, "n": cfg.pilot_len, "algorithms": {}}
     for algorithm in algorithms:
-        if algorithm == "proposed":
-            stream = RandomStream(ecfg.seed, INIT_STREAM_ID)
-            x0 = init_pilots(ecfg.init, cfg, stream=stream)
-            x, _ = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
-            ana = analytic_wsmse(x, cfg).wsmse
-            estimate = proposed_estimate
-        else:
-            x, rmap = design_reuse_pilots(cfg.pilot_len, cfg.users, cfg.powers)
-            ana = conventional_analytic_wsmse(cfg, rmap).wsmse
-            estimate = conventional_estimate
-        y = received_pilot_signal(h, x, noise)
-        h_hat = estimate(y, x, cfg)
-        per_user = np.sum(np.abs(h_hat - h) ** 2, axis=0) / (cfg.antennas * cfg.gains)
+        x, ana, _ = design_pilots(algorithm, cfg, ecfg)
+        per_user = trial_errors(cfg, x, algorithm, ecfg.seed, 0)
         payload["algorithms"][algorithm] = {
-            "wsmse_analytic": ana,
+            "wsmse_analytic": ana.wsmse,
             "wsmse_realized": float(per_user.mean()),
             "per_user_realized": [float(v) for v in per_user],
         }
     text = json.dumps(payload, indent=2) + "\n"
-    if ecfg.out_path == "-":
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(ecfg.out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
 

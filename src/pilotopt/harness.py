@@ -1,10 +1,11 @@
-"""Monte Carlo experiment drivers: SNR sweeps, pilot-length sweeps, traces.
+"""Monte Carlo experiment drivers: pilot design, trials, sweeps, traces.
 
-Every trial draws its channel and noise from substreams indexed by the
-trial number, so results are reproducible bit for bit and independent of
-how trials are scheduled across workers. Trial ``t`` uses stream id
-``t`` for the channel and ``t + 2**32`` for the noise; the optimizer's
-random initialization, when requested, draws from stream id ``2**33``.
+Each step has one home: :func:`design_pilots`, the trial kernel
+:func:`trial_errors` and the grid driver :func:`sweep_snr`. Trial ``t``
+draws its channel from stream id ``t`` and its noise from ``t + 2**32``,
+so results are reproducible bit for bit and independent of how trials
+are scheduled across workers; the optimizer's random initialization,
+when requested, draws from stream id ``2**33``.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -31,10 +32,11 @@ from .optimizer import analytic_wsmse, init_pilots, optimize_pilots, proposed_es
 NOISE_STREAM_OFFSET = 2**32
 INIT_STREAM_ID = 2**33
 
-MODES = ("proposed", "conventional", "both")
+ALGORITHMS = ("proposed", "conventional")
+MODES = ALGORITHMS + ("both",)
 
-# Relative tolerance within which all initializations must reach the
-# same final objective.
+# Relative distance to a run's final objective at which
+# ``updates_to_converge`` counts the run as settled.
 FINAL_OBJECTIVE_RTOL = 1e-6
 
 _ESTIMATORS = {
@@ -48,8 +50,9 @@ class ExperimentConfig:
     """One experiment: a base scenario plus sweep axes and run options.
 
     ``base.sigma2`` is a placeholder; the drivers recompute the noise
-    variance from each SNR point. ``n_list`` is only consulted by the
-    pilot-length sweep.
+    variance from each SNR point. :func:`sweep_snr` sweeps the pilot
+    lengths in ``n_list``, or ``base.pilot_len`` alone when it is empty;
+    the single-point drivers use ``base.pilot_len``.
     """
 
     base: SystemConfig
@@ -62,8 +65,6 @@ class ExperimentConfig:
     tol: float = 1e-8
     max_sweeps: int = 100
     workers: int = 1
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -101,64 +102,75 @@ class ConvergenceResult:
     updates_to_converge: int
 
 
-def _trial_per_user_errors(cfg, x, labels, seed, t):
+def trial_errors(cfg, x, algorithm, seed, t):
+    """Per-user normalized squared error of one seeded trial.
+
+    Trial ``t`` draws the channel from stream ``t`` and the noise from
+    stream ``t + 2**32``, forms the received training block, runs the
+    ``algorithm`` estimator and returns each user's squared error
+    divided by ``antennas * g_k``.
+    """
     h = generate_channel(cfg, RandomStream(seed, t))
     noise = np.sqrt(cfg.sigma2) * draw_cn(
         RandomStream(seed, NOISE_STREAM_OFFSET + t), cfg.antennas, cfg.pilot_len
     )
     y = received_pilot_signal(h, x, noise)
-    out = {}
-    for label in labels:
-        estimate = _ESTIMATORS[label](y, x, cfg)
-        err = np.sum(np.abs(estimate - h) ** 2, axis=0)
-        out[label] = err / (cfg.antennas * cfg.gains)
-    return out
+    estimate = _ESTIMATORS[algorithm](y, x, cfg)
+    err = np.sum(np.abs(estimate - h) ** 2, axis=0)
+    return err / (cfg.antennas * cfg.gains)
 
 
-def run_monte_carlo(cfg, x, mode, trials, seed, workers=1):
-    """Empirical normalized WSMSE of an estimator over seeded trials.
+def run_monte_carlo(cfg, x, algorithm, trials, seed, workers=1):
+    """Empirical normalized WSMSE of one estimator over seeded trials.
 
-    Each trial draws a fresh channel and noise realization, forms the
-    received training block, runs the selected estimator, and records
-    the per-user squared error normalized by ``antennas * g_k``. The
-    returned :class:`WsmseReport` carries the mean over trials, its
-    standard error, and the per-user means. Results depend only on
-    ``(cfg, x, mode, trials, seed)``, not on ``workers``.
-
-    ``mode="both"`` evaluates both estimators on identical realizations
-    and returns a dict keyed by algorithm name.
+    Runs :func:`trial_errors` for ``t = 0 .. trials - 1``. The returned
+    :class:`WsmseReport` carries the mean over trials, its standard
+    error, and the per-user means. Results depend only on
+    ``(cfg, x, algorithm, trials, seed)``, not on ``workers``.
     """
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(
+            f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
+        )
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    labels = ("proposed", "conventional") if mode == "both" else (mode,)
 
     def one(t):
-        return _trial_per_user_errors(cfg, x, labels, seed, t)
+        return trial_errors(cfg, x, algorithm, seed, t)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(one, range(trials)))
+            errs = np.stack(list(pool.map(one, range(trials))))
     else:
-        per_trial = [one(t) for t in range(trials)]
+        errs = np.stack([one(t) for t in range(trials)])
 
-    reports = {}
-    for label in labels:
-        errs = np.stack([per_trial[t][label] for t in range(trials)])
-        per_trial_wsmse = errs.mean(axis=1)
-        mean = float(per_trial_wsmse.mean())
-        if trials > 1:
-            stderr = float(per_trial_wsmse.std(ddof=1) / np.sqrt(trials))
-        else:
-            stderr = float("nan")
-        reports[label] = WsmseReport(
-            wsmse=mean,
-            per_user=errs.mean(axis=0),
-            stderr=stderr,
-            trials=trials,
-        )
-    return reports if mode == "both" else reports[labels[0]]
+    per_trial_wsmse = errs.mean(axis=1)
+    if trials > 1:
+        stderr = float(per_trial_wsmse.std(ddof=1) / np.sqrt(trials))
+    else:
+        stderr = float("nan")
+    return WsmseReport(
+        wsmse=float(per_trial_wsmse.mean()),
+        per_user=errs.mean(axis=0),
+        stderr=stderr,
+        trials=trials,
+    )
+
+
+def design_pilots(algorithm, cfg, ecfg):
+    """Pilots of one algorithm at one scenario, with their analytic WSMSE.
+
+    ``proposed`` optimizes from ``ecfg.init`` (random starts draw from
+    stream ``2**33``) and returns the optimizer trace; ``conventional``
+    reuses the DFT columns and returns ``None`` in its place.
+    """
+    if algorithm == "proposed":
+        stream = RandomStream(ecfg.seed, INIT_STREAM_ID)
+        x0 = init_pilots(ecfg.init, cfg, stream=stream)
+        x, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
+        return x, analytic_wsmse(x, cfg), trace
+    x, rmap = design_reuse_pilots(cfg.pilot_len, cfg.users, cfg.powers)
+    return x, conventional_analytic_wsmse(cfg, rmap), None
 
 
 def _consistency_gate(label, analytic, empirical, stderr):
@@ -171,94 +183,42 @@ def _consistency_gate(label, analytic, empirical, stderr):
         )
 
 
-def _algorithms(mode):
-    return ("proposed", "conventional") if mode == "both" else (mode,)
-
-
-def _proposed_row(cfg, ecfg, snr_db):
-    stream = RandomStream(ecfg.seed, INIT_STREAM_ID)
-    x0 = init_pilots(ecfg.init, cfg, stream=stream)
-    x_opt, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
-    ana = analytic_wsmse(x_opt, cfg)
-    emp = run_monte_carlo(cfg, x_opt, "proposed", ecfg.trials, ecfg.seed, ecfg.workers)
-    _consistency_gate(f"proposed @ {snr_db} dB", ana.wsmse, emp.wsmse, emp.stderr)
-    return SweepRow(
-        snr_db=snr_db,
-        n=cfg.pilot_len,
-        algorithm="proposed",
-        wsmse_analytic=ana.wsmse,
-        wsmse_empirical=emp.wsmse,
-        stderr=emp.stderr,
-        trials=ecfg.trials,
-        sweeps=trace.sweeps_completed,
-    )
-
-
-def _conventional_row(cfg, ecfg, snr_db, x_base, rmap):
-    ana = conventional_analytic_wsmse(cfg, rmap)
-    emp = run_monte_carlo(
-        cfg, x_base, "conventional", ecfg.trials, ecfg.seed, ecfg.workers
-    )
-    _consistency_gate(f"conventional @ {snr_db} dB", ana.wsmse, emp.wsmse, emp.stderr)
-    return SweepRow(
-        snr_db=snr_db,
-        n=cfg.pilot_len,
-        algorithm="conventional",
-        wsmse_analytic=ana.wsmse,
-        wsmse_empirical=emp.wsmse,
-        stderr=emp.stderr,
-        trials=ecfg.trials,
-        sweeps=None,
-    )
-
-
 def sweep_snr(ecfg):
-    """Sweep the SNR grid at a fixed pilot length.
+    """Sweep pilot length, SNR and algorithm.
 
-    For each SNR point the noise variance is recomputed from the power
-    budgets, the baseline rows reuse the fixed DFT-reuse pilots, and the
-    optimized rows rerun the pilot optimization from the configured
-    initialization. Returns one :class:`SweepRow` per (SNR, algorithm),
-    proposed first at each SNR when both run.
+    Pilot lengths come from ``ecfg.n_list``, or ``base.pilot_len`` when
+    it is empty. At every point the noise variance is recomputed from
+    the power budgets and each algorithm designs its own pilots. Returns
+    one :class:`SweepRow` per (pilot length, SNR, algorithm), proposed
+    first when both run; at ``n == users`` both algorithms reduce to
+    orthogonal pilots and reach the same analytic WSMSE.
     """
     base = ecfg.base
-    algorithms = _algorithms(ecfg.mode)
-    if "conventional" in algorithms:
-        x_base, rmap = design_reuse_pilots(base.pilot_len, base.users, base.powers)
+    algorithms = ALGORITHMS if ecfg.mode == "both" else (ecfg.mode,)
     rows = []
-    for snr_db in ecfg.snr_db_list:
-        cfg = replace(base, sigma2=sigma2_from_snr(snr_db, base.powers))
-        for algorithm in algorithms:
-            if algorithm == "proposed":
-                rows.append(_proposed_row(cfg, ecfg, snr_db))
-            else:
-                rows.append(_conventional_row(cfg, ecfg, snr_db, x_base, rmap))
-    return rows
-
-
-def sweep_pilot_length(ecfg):
-    """Sweep pilot length and SNR jointly.
-
-    Emits one row per (pilot length, SNR, algorithm); at ``n == users``
-    both algorithms reduce to orthogonal pilots and achieve the same
-    analytic WSMSE.
-    """
-    if not ecfg.n_list:
-        raise ConfigurationError("sweep_pilot_length requires a non-empty n_list")
-    base = ecfg.base
-    algorithms = _algorithms(ecfg.mode)
-    rows = []
-    for n in ecfg.n_list:
-        cfg_n = replace(base, pilot_len=int(n))
-        if "conventional" in algorithms:
-            x_base, rmap = design_reuse_pilots(cfg_n.pilot_len, cfg_n.users, cfg_n.powers)
+    for n in ecfg.n_list or [base.pilot_len]:
         for snr_db in ecfg.snr_db_list:
-            cfg = replace(cfg_n, sigma2=sigma2_from_snr(snr_db, cfg_n.powers))
+            sigma2 = sigma2_from_snr(snr_db, base.powers)
+            cfg = replace(base, pilot_len=int(n), sigma2=sigma2)
             for algorithm in algorithms:
-                if algorithm == "proposed":
-                    rows.append(_proposed_row(cfg, ecfg, snr_db))
-                else:
-                    rows.append(_conventional_row(cfg, ecfg, snr_db, x_base, rmap))
+                x, ana, trace = design_pilots(algorithm, cfg, ecfg)
+                emp = run_monte_carlo(
+                    cfg, x, algorithm, ecfg.trials, ecfg.seed, ecfg.workers
+                )
+                label = f"{algorithm} @ {snr_db} dB"
+                _consistency_gate(label, ana.wsmse, emp.wsmse, emp.stderr)
+                rows.append(
+                    SweepRow(
+                        snr_db=snr_db,
+                        n=cfg.pilot_len,
+                        algorithm=algorithm,
+                        wsmse_analytic=ana.wsmse,
+                        wsmse_empirical=emp.wsmse,
+                        stderr=emp.stderr,
+                        trials=ecfg.trials,
+                        sweeps=None if trace is None else trace.sweeps_completed,
+                    )
+                )
     return rows
 
 

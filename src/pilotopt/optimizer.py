@@ -337,8 +337,6 @@ def init_pilots(kind, cfg, stream=None):
         I.i.d. complex Gaussian columns rescaled to exactly
         ``sqrt(P_k)``; requires ``stream``.
     """
-    if kind in ("dft-k-truncated",):
-        kind = "dft-k"
     scale = np.sqrt(cfg.powers)[np.newaxis, :]
     if kind == "dft-reuse":
         unitary_dft = scipy.linalg.dft(cfg.pilot_len, scale="sqrtn")

@@ -2,7 +2,15 @@ import json
 
 import numpy as np
 import pilotopt.cli as cli
-from pilotopt import NumericalError, load_pilots
+from pilotopt import (
+    ExperimentConfig,
+    NumericalError,
+    SystemConfig,
+    design_pilots,
+    load_pilots,
+    run_monte_carlo,
+    sigma2_from_snr,
+)
 from pilotopt.report import read_sweep_csv, read_trace_csv
 
 # note the --snr-db=... form: a comma list starting with a negative number
@@ -107,6 +115,24 @@ class TestEstimateCommand:
         for entry in data["algorithms"].values():
             assert len(entry["per_user_realized"]) == 4
             assert entry["wsmse_realized"] > 0
+
+    def test_realization_is_monte_carlo_trial_zero(self, tmp_path):
+        out = tmp_path / "est.json"
+        assert cli.main([
+            "estimate", "--m", "8", "--k", "4", "--n", "2", "--snr-db", "10",
+            "--seed", "31", "--init", "random", "--out", str(out),
+        ]) == 0
+        data = json.loads(out.read_text())
+        cfg = SystemConfig(antennas=8, users=4, pilot_len=2,
+                           sigma2=sigma2_from_snr(10.0, np.ones(4)))
+        ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=31,
+                                init="random")
+        for algorithm in ("proposed", "conventional"):
+            x, ana, _ = design_pilots(algorithm, cfg, ecfg)
+            rep = run_monte_carlo(cfg, x, algorithm, trials=1, seed=31)
+            entry = data["algorithms"][algorithm]
+            assert entry["per_user_realized"] == [float(v) for v in rep.per_user]
+            assert entry["wsmse_analytic"] == ana.wsmse
 
 
 class TestPaperProfile:

@@ -1,19 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pilotopt import (
     ConfigurationError,
     ExperimentConfig,
+    RandomStream,
     SystemConfig,
     closed_form_orthogonal,
     closed_form_single_symbol,
+    conventional_estimate,
     convergence_trace,
     design_reuse_pilots,
+    draw_cn,
+    generate_channel,
     objective,
+    proposed_estimate,
+    received_pilot_signal,
     reference_gains,
     run_monte_carlo,
     sigma2_from_snr,
-    sweep_pilot_length,
     sweep_snr,
 )
 
@@ -59,19 +66,37 @@ class TestRunMonteCarlo:
         assert a.stderr == c.stderr
 
     def test_both_mode_shares_realizations(self):
+        # one run per algorithm, but both see the same draws: a joint loop
+        # that draws each trial once and runs both estimators matches them
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
                            gains=[0.9, 0.4, 0.7, 0.2])
         x, _ = design_reuse_pilots(2, 4, cfg.powers)
-        both = run_monte_carlo(cfg, x, "both", trials=200, seed=11)
-        single = run_monte_carlo(cfg, x, "conventional", trials=200, seed=11)
-        assert set(both) == {"proposed", "conventional"}
-        assert both["conventional"].wsmse == single.wsmse
+        trials, seed = 200, 11
+        errs = {"proposed": [], "conventional": []}
+        for t in range(trials):
+            h = generate_channel(cfg, RandomStream(seed, t))
+            noise = np.sqrt(cfg.sigma2) * draw_cn(
+                RandomStream(seed, 2**32 + t), cfg.antennas, cfg.pilot_len)
+            y = received_pilot_signal(h, x, noise)
+            for name, estimator in (("proposed", proposed_estimate),
+                                    ("conventional", conventional_estimate)):
+                err = np.sum(np.abs(estimator(y, x, cfg) - h) ** 2, axis=0)
+                errs[name].append(err / (cfg.antennas * cfg.gains))
+        for name, per_trial in errs.items():
+            rep = run_monte_carlo(cfg, x, name, trials=trials, seed=seed)
+            assert np.allclose(rep.per_user, np.mean(per_trial, axis=0),
+                               rtol=1e-12, atol=0.0)
+            assert rep.wsmse == pytest.approx(
+                np.mean(per_trial), rel=1e-12, abs=0.0)
 
     def test_rejects_bad_mode_and_trials(self):
         cfg = SystemConfig(antennas=2, users=1, pilot_len=1, sigma2=1.0)
         x = closed_form_single_symbol(cfg)
         with pytest.raises(ConfigurationError):
             run_monte_carlo(cfg, x, "bogus", trials=10, seed=1)
+        # each algorithm designs its own pilots, so one call runs one estimator
+        with pytest.raises(ConfigurationError):
+            run_monte_carlo(cfg, x, "both", trials=10, seed=1)
         with pytest.raises(ConfigurationError):
             run_monte_carlo(cfg, x, "proposed", trials=0, seed=1)
 
@@ -134,7 +159,7 @@ class TestSweepSnr:
 class TestSweepPilotLength:
     def test_orthogonal_point_matches_and_monotone(self):
         ecfg = desk_experiment(snr_db_list=[0.0], n_list=[1, 2, 4, 8], trials=50)
-        rows = sweep_pilot_length(ecfg)
+        rows = sweep_snr(ecfg)
         assert len(rows) == 8
         prop = {r.n: r.wsmse_analytic for r in rows if r.algorithm == "proposed"}
         conv = {r.n: r.wsmse_analytic for r in rows if r.algorithm == "conventional"}
@@ -146,7 +171,7 @@ class TestSweepPilotLength:
     def test_single_symbol_matches_closed_form(self):
         ecfg = desk_experiment(snr_db_list=[0.0], n_list=[1], mode="proposed",
                                trials=20)
-        rows = sweep_pilot_length(ecfg)
+        rows = sweep_snr(ecfg)
         cfg = SystemConfig(antennas=16, users=8, pilot_len=1,
                            sigma2=sigma2_from_snr(0.0, np.ones(8)),
                            gains=DESK_GAINS)
@@ -154,10 +179,21 @@ class TestSweepPilotLength:
         expected = 1.0 - 1.0 / 8 + cfg.sigma2 / 8 * best
         assert rows[0].wsmse_analytic == pytest.approx(expected, abs=1e-10)
 
-    def test_requires_n_list(self):
-        ecfg = desk_experiment(trials=10)
-        with pytest.raises(ConfigurationError):
-            sweep_pilot_length(ecfg)
+    def test_n_list_concatenates_single_length_sweeps(self):
+        ecfg = desk_experiment(n_list=[1, 2, 4], trials=20)
+        rows = sweep_snr(ecfg)
+        singles = []
+        for n in (1, 2, 4):
+            base = replace(ecfg.base, pilot_len=n)
+            singles += sweep_snr(replace(ecfg, base=base, n_list=[]))
+        assert len(rows) == len(singles) == 12
+        assert [vars(r) for r in rows] == [vars(r) for r in singles]
+
+    def test_empty_n_list_sweeps_base_pilot_len(self):
+        rows = sweep_snr(desk_experiment(mode="proposed", trials=10))
+        assert [r.n for r in rows] == [4, 4]
+        same = sweep_snr(desk_experiment(mode="proposed", trials=10, n_list=[4]))
+        assert [vars(r) for r in rows] == [vars(r) for r in same]
 
 
 class TestConvergenceTrace:
