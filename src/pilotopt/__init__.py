@@ -17,6 +17,7 @@ from .conventional import (
     ReuseMap,
     conventional_analytic_wsmse,
     conventional_estimate,
+    conventional_estimator,
     design_reuse_pilots,
     reuse_map,
 )
@@ -40,6 +41,7 @@ from .model import (
     SystemConfig,
     WsmseReport,
     generate_channel,
+    linear_estimate,
     load_gains,
     received_pilot_signal,
     reference_gains,
@@ -66,6 +68,7 @@ from .optimizer import (
     objective,
     optimize_pilots,
     proposed_estimate,
+    proposed_estimator,
     rayleigh_update,
     receiver_scalar,
     save_pilots,
@@ -92,6 +95,7 @@ __all__ = [
     "combiner",
     "conventional_analytic_wsmse",
     "conventional_estimate",
+    "conventional_estimator",
     "convergence_trace",
     "design_pilots",
     "design_reuse_pilots",
@@ -102,11 +106,13 @@ __all__ = [
     "init_pilots",
     "inv_sqrt_psd",
     "leave_one_out",
+    "linear_estimate",
     "load_gains",
     "load_pilots",
     "objective",
     "optimize_pilots",
     "proposed_estimate",
+    "proposed_estimator",
     "rayleigh_update",
     "received_pilot_signal",
     "receiver_scalar",

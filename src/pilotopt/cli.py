@@ -188,6 +188,11 @@ def _single_point_config(ecfg):
 
 
 def _cmd_optimize(ecfg, args):
+    if ecfg.mode == "conventional":
+        raise ConfigurationError(
+            "optimize writes the proposed pilots; the conventional baseline "
+            "has nothing to optimize (use --mode proposed or both)"
+        )
     cfg, _ = _single_point_config(ecfg)
     x_opt, _, trace = design_pilots("proposed", cfg, ecfg)
     save_pilots("/dev/stdout" if args.out == "-" else args.out, x_opt)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, ContractViolation
-from .model import WsmseReport
+from .model import WsmseReport, check_received, linear_estimate
 
 
 @dataclass(frozen=True)
@@ -87,29 +87,33 @@ def _mmse_scalars(cfg, power, reuse, contamination_aware):
     return g / (power * g + cfg.sigma2)
 
 
-def conventional_estimate(y, x, cfg, contamination_aware=False):
-    """Per-user MMSE channel estimate from the decoupled statistic.
+def conventional_estimator(x, cfg, contamination_aware=False):
+    """Estimator of the baseline receiver for pilots ``x``.
 
-    User k's statistic is ``y @ x[:, k]``; the estimate scales it by
-    ``c_k = g_k / (P g_k + sigma2)`` where P is the common pilot energy.
-    For P = 1 this is the classical ``g_k / (g_k + sigma2)`` shrinkage.
-    The scalar ignores contamination by default; pass
+    Returns ``(x, c)`` for :func:`~pilotopt.model.linear_estimate`:
+    user k's statistic is ``y @ x[:, k]`` and its estimate scales that by
+    ``c_k = g_k / (P g_k + sigma2)``, where P is the common pilot
+    energy. For P = 1 this is the classical ``g_k / (g_k + sigma2)``
+    shrinkage. The scalar ignores contamination by default; pass
     ``contamination_aware=True`` to include the clashing users' received
     power in the denominator (a sensitivity-study variant, not the
     baseline).
     """
-    y = np.asarray(y)
     x = np.asarray(x)
-    if y.shape != (cfg.antennas, cfg.pilot_len):
-        raise ContractViolation(
-            f"y shape {y.shape} does not match (antennas, pilot_len)"
-        )
     if x.shape != (cfg.pilot_len, cfg.users):
         raise ContractViolation(f"x shape {x.shape} does not match (pilot_len, users)")
     power = _uniform_power(x)
     rmap = reuse_map(cfg.pilot_len, cfg.users) if contamination_aware else None
-    c = _mmse_scalars(cfg, power, rmap, contamination_aware)
-    return (y @ x) * c[np.newaxis, :]
+    return x, _mmse_scalars(cfg, power, rmap, contamination_aware)
+
+
+def conventional_estimate(y, x, cfg, contamination_aware=False):
+    """Per-user MMSE channel estimate from the decoupled statistic.
+
+    Returns the ``(antennas, users)`` estimate of
+    :func:`conventional_estimator` applied to one training block ``y``.
+    """
+    return linear_estimate(check_received(y, cfg), *conventional_estimator(x, cfg, contamination_aware))
 
 
 def conventional_analytic_wsmse(cfg, reuse, contamination_aware=False):

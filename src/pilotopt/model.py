@@ -165,6 +165,33 @@ def received_pilot_signal(h, x, noise):
     return h @ x.conj().T + noise
 
 
+def check_received(y, cfg):
+    """Return ``y`` as an array after checking it is one training block.
+
+    Raises :class:`ContractViolation` unless its shape is
+    ``(antennas, pilot_len)``.
+    """
+    y = np.asarray(y)
+    if y.shape != (cfg.antennas, cfg.pilot_len):
+        raise ContractViolation(
+            f"y shape {y.shape} does not match (antennas, pilot_len)"
+        )
+    return y
+
+
+def linear_estimate(y, b, c=None):
+    """Apply a linear channel estimator to received training blocks.
+
+    ``y`` is one ``(antennas, pilot_len)`` block or several stacked row
+    by row; ``(b, c)`` is an estimator built once per pilot design by
+    :func:`pilotopt.optimizer.proposed_estimator` or
+    :func:`pilotopt.conventional.conventional_estimator`. Returns
+    ``y @ b``, with column k scaled by ``c[k]`` when ``c`` is given.
+    """
+    estimate = y @ b
+    return estimate if c is None else estimate * c
+
+
 def sigma2_from_snr(snr_db, powers):
     """Noise variance realizing a target SNR in dB.
 

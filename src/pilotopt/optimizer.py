@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
 )
-from .model import WsmseReport
+from .model import WsmseReport, check_received, linear_estimate
 from .numerics import (
     SINGULARITY_FLOOR,
     draw_cn,
@@ -283,22 +283,27 @@ def receiver_scalar(x, u_k, k, cfg):
     return cfg.gains[k] * np.vdot(u_k, x[:, k]) / denom
 
 
+def proposed_estimator(x, cfg):
+    """Estimator of the combined-observation receiver for pilots ``x``.
+
+    Returns ``(b, None)`` for :func:`~pilotopt.model.linear_estimate`:
+    column k of ``b`` is ``g_k A^{-1} x_k``, the per-user combiner with
+    its (identically 1) MMSE output scalar folded in. It depends on the
+    pilots only, so one design needs one solve for all its trials.
+    """
+    x = _check_pilots(x, cfg)
+    a = gram_matrix(x, cfg)
+    w = solve_hermitian(a, x)
+    return w * cfg.gains[np.newaxis, :], None
+
+
 def proposed_estimate(y, x, cfg):
     """Channel estimate from combined observations, all users at once.
 
-    Column k is ``g_k * y @ A^{-1} x_k``, i.e. the per-user combiner
-    with its (identically 1) MMSE output scalar already folded in.
+    Column k is ``g_k * y @ A^{-1} x_k`` (see :func:`proposed_estimator`).
     Returns an ``(antennas, users)`` matrix.
     """
-    x = _check_pilots(x, cfg)
-    y = np.asarray(y)
-    if y.shape != (cfg.antennas, cfg.pilot_len):
-        raise ContractViolation(
-            f"y shape {y.shape} does not match (antennas, pilot_len)"
-        )
-    a = gram_matrix(x, cfg)
-    w = solve_hermitian(a, x)
-    return y @ (w * cfg.gains[np.newaxis, :])
+    return linear_estimate(check_received(y, cfg), *proposed_estimator(x, cfg))
 
 
 def analytic_wsmse(x, cfg):

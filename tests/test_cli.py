@@ -9,6 +9,7 @@ from pilotopt import (
     design_pilots,
     load_pilots,
     run_monte_carlo,
+    save_pilots,
     sigma2_from_snr,
 )
 from pilotopt.report import read_sweep_csv, read_trace_csv
@@ -100,6 +101,29 @@ class TestOptimizeCommand:
         x = load_pilots(out)
         assert x.shape == (2, 4)
         assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), 1.0, rtol=1e-10)
+
+    def test_proposed_and_default_modes_write_the_designed_pilots(self, tmp_path):
+        args = ["optimize", "--m", "8", "--k", "4", "--n", "2", "--snr-db", "3",
+                "--seed", "5"]
+        default, proposed = tmp_path / "default.txt", tmp_path / "proposed.txt"
+        assert cli.main([*args, "--out", str(default)]) == 0
+        assert cli.main([*args, "--mode", "proposed", "--out", str(proposed)]) == 0
+        cfg = SystemConfig(antennas=8, users=4, pilot_len=2,
+                           sigma2=sigma2_from_snr(3.0, np.ones(4)))
+        ecfg = ExperimentConfig(base=cfg, snr_db_list=[3.0], seed=5)
+        expected = tmp_path / "expected.txt"
+        save_pilots(expected, design_pilots("proposed", cfg, ecfg)[0])
+        assert default.read_bytes() == proposed.read_bytes() == expected.read_bytes()
+
+    def test_conventional_mode_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "pilots.txt"
+        code = cli.main([
+            "optimize", "--m", "8", "--k", "4", "--n", "2", "--snr-db", "3",
+            "--mode", "conventional", "--out", str(out),
+        ])
+        assert code == 2
+        assert "nothing to optimize" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimateCommand:

@@ -12,6 +12,7 @@ from pilotopt import (
     closed_form_single_symbol,
     conventional_estimate,
     convergence_trace,
+    design_pilots,
     design_reuse_pilots,
     draw_cn,
     generate_channel,
@@ -22,9 +23,40 @@ from pilotopt import (
     run_monte_carlo,
     sigma2_from_snr,
     sweep_snr,
+    trial_errors,
 )
+from pilotopt.harness import _trials_per_chunk
 
 DESK_GAINS = reference_gains()[:8]
+ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimate}
+
+
+def reference_monte_carlo(cfg, x, algorithm, trials, seed):
+    """Trial-by-trial loop over the public layer functions.
+
+    Returns ``(wsmse, stderr, per_user)`` reduced as one ``(trials,
+    users)`` error matrix.
+    """
+    errs = []
+    for t in range(trials):
+        h = generate_channel(cfg, RandomStream(seed, t))
+        noise = np.sqrt(cfg.sigma2) * draw_cn(
+            RandomStream(seed, 2**32 + t), cfg.antennas, cfg.pilot_len)
+        y = received_pilot_signal(h, x, noise)
+        err = np.sum(np.abs(ESTIMATES[algorithm](y, x, cfg) - h) ** 2, axis=0)
+        errs.append(err / (cfg.antennas * cfg.gains))
+    errs = np.stack(errs)
+    per_trial = errs.mean(axis=1)
+    stderr = per_trial.std(ddof=1) / np.sqrt(trials) if trials > 1 else np.nan
+    return float(per_trial.mean()), float(stderr), errs.mean(axis=0)
+
+
+def assert_matches_reference(rep, cfg, x, algorithm, trials, seed):
+    wsmse, stderr, per_user = reference_monte_carlo(cfg, x, algorithm, trials, seed)
+    assert rep.wsmse == wsmse
+    assert rep.stderr == stderr or (np.isnan(rep.stderr) and np.isnan(stderr))
+    # the chunked engine sums the per-user errors in another order
+    assert np.allclose(rep.per_user, per_user, rtol=1e-12, atol=0.0)
 
 
 def desk_experiment(**overrides):
@@ -58,36 +90,43 @@ class TestRunMonteCarlo:
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
                            gains=[0.9, 0.4, 0.7, 0.2])
         x, _ = design_reuse_pilots(2, 4, cfg.powers)
-        a = run_monte_carlo(cfg, x, "conventional", trials=300, seed=5)
-        b = run_monte_carlo(cfg, x, "conventional", trials=300, seed=5)
-        c = run_monte_carlo(cfg, x, "conventional", trials=300, seed=5, workers=4)
+        trials = 2 * _trials_per_chunk(cfg) + 7  # three chunks for the pool
+        a = run_monte_carlo(cfg, x, "conventional", trials=trials, seed=5)
+        b = run_monte_carlo(cfg, x, "conventional", trials=trials, seed=5)
+        c = run_monte_carlo(cfg, x, "conventional", trials=trials, seed=5,
+                            workers=4)
         assert a.wsmse == b.wsmse == c.wsmse
         assert np.array_equal(a.per_user, c.per_user)
         assert a.stderr == c.stderr
 
     def test_both_mode_shares_realizations(self):
-        # one run per algorithm, but both see the same draws: a joint loop
-        # that draws each trial once and runs both estimators matches them
+        # one run per algorithm, but both see the same draws: the reference
+        # loop draws trial t from streams t and 2**32 + t for either one
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
                            gains=[0.9, 0.4, 0.7, 0.2])
         x, _ = design_reuse_pilots(2, 4, cfg.powers)
-        trials, seed = 200, 11
-        errs = {"proposed": [], "conventional": []}
-        for t in range(trials):
-            h = generate_channel(cfg, RandomStream(seed, t))
-            noise = np.sqrt(cfg.sigma2) * draw_cn(
-                RandomStream(seed, 2**32 + t), cfg.antennas, cfg.pilot_len)
-            y = received_pilot_signal(h, x, noise)
-            for name, estimator in (("proposed", proposed_estimate),
-                                    ("conventional", conventional_estimate)):
-                err = np.sum(np.abs(estimator(y, x, cfg) - h) ** 2, axis=0)
-                errs[name].append(err / (cfg.antennas * cfg.gains))
-        for name, per_trial in errs.items():
-            rep = run_monte_carlo(cfg, x, name, trials=trials, seed=seed)
-            assert np.allclose(rep.per_user, np.mean(per_trial, axis=0),
-                               rtol=1e-12, atol=0.0)
-            assert rep.wsmse == pytest.approx(
-                np.mean(per_trial), rel=1e-12, abs=0.0)
+        for name in ("proposed", "conventional"):
+            rep = run_monte_carlo(cfg, x, name, trials=200, seed=11)
+            assert_matches_reference(rep, cfg, x, name, 200, 11)
+
+    @pytest.mark.parametrize("dims", [(8, 4, 2), (8, 1, 1), (4, 9, 3), (5, 3, 6)])
+    @pytest.mark.parametrize("offset", [None, -1, 1])
+    def test_matches_per_trial_reference(self, dims, offset):
+        # one trial, one less and one more than a chunk; K = 1, K above
+        # numpy's 8-wide pairwise block, and N > K
+        m, k, n = dims
+        cfg = SystemConfig(antennas=m, users=k, pilot_len=n, sigma2=0.3,
+                           gains=np.linspace(0.2, 1.0, k))
+        trials = 1 if offset is None else _trials_per_chunk(cfg) + offset
+        x, _ = design_reuse_pilots(n, k, cfg.powers)
+        for algorithm in ("proposed", "conventional"):
+            rep = run_monte_carlo(cfg, x, algorithm, trials=trials, seed=3)
+            assert rep.trials == trials
+            assert_matches_reference(rep, cfg, x, algorithm, trials, 3)
+            first = trial_errors(cfg, x, algorithm, 3, 0)
+            assert np.array_equal(
+                first, run_monte_carlo(cfg, x, algorithm, trials=1, seed=3).per_user
+            )
 
     def test_rejects_bad_mode_and_trials(self):
         cfg = SystemConfig(antennas=2, users=1, pilot_len=1, sigma2=1.0)
@@ -154,6 +193,26 @@ class TestSweepSnr:
         ecfg = desk_experiment(mode="conventional", trials=50)
         rows = sweep_snr(ecfg)
         assert [r.algorithm for r in rows] == ["conventional", "conventional"]
+
+    def test_rows_equal_single_point_runs(self):
+        # the sweep evaluates every point of one pilot length on shared
+        # draws; each row must equal its own run_monte_carlo
+        ecfg = desk_experiment(n_list=[2, 4], snr_db_list=[-5.0, 0.0, 10.0])
+        trials = _trials_per_chunk(replace(ecfg.base, pilot_len=4)) + 1
+        ecfg = replace(ecfg, trials=trials)
+        rows = sweep_snr(ecfg)
+        assert len(rows) == 12
+        for row in rows:
+            cfg = replace(ecfg.base, pilot_len=row.n,
+                          sigma2=sigma2_from_snr(row.snr_db, ecfg.base.powers))
+            x, ana, _ = design_pilots(row.algorithm, cfg, ecfg)
+            emp = run_monte_carlo(cfg, x, row.algorithm, trials, ecfg.seed)
+            assert row.wsmse_analytic == ana.wsmse
+            assert row.wsmse_empirical == emp.wsmse
+            assert row.stderr == emp.stderr
+        assert [vars(r) for r in sweep_snr(replace(ecfg, workers=4))] == [
+            vars(r) for r in rows
+        ]
 
 
 class TestSweepPilotLength:
