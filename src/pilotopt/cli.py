@@ -87,7 +87,10 @@ def _parse_float_list(text):
 
 
 def _parse_int_list(text):
-    return [int(round(v)) for v in _parse_float_list(text)]
+    values = _parse_float_list(text)
+    if not all(v.is_integer() for v in values):
+        raise ConfigurationError(f"pilot lengths must be whole numbers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _resolve_scenario(args):

@@ -13,10 +13,10 @@ sensitivity studies.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, ContractViolation
 from .model import WsmseReport, check_received, linear_estimate
+from .numerics import unitary_dft
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def design_reuse_pilots(pilot_len, users, powers):
             "reuse pilot design requires equal per-user powers; got "
             f"min={powers.min()} max={powers.max()}"
         )
-    unitary_dft = scipy.linalg.dft(pilot_len, scale="sqrtn")
-    cols = unitary_dft[:, np.arange(users) % pilot_len]
+    cols = unitary_dft(pilot_len)[:, np.arange(users) % pilot_len]
     return np.sqrt(powers[0]) * cols, reuse_map(pilot_len, users)
 
 

@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.max_sweeps < 1:
+            raise ConfigurationError("max_sweeps must be >= 1")
 
 
 @dataclass(eq=False)

@@ -1,4 +1,4 @@
-"""Pilot sequence optimization by cyclic generalized Rayleigh-quotient ascent.
+"""Pilot sequence optimization by cyclic per-user interference avoidance.
 
 The design target is the weighted sum MSE of per-user MMSE channel
 estimates, with weights 1/g_k so every user is estimated to comparable
@@ -10,8 +10,11 @@ scalar in closed form, minimizing that WSMSE over the pilots reduces to
 subject to per-user energy budgets ``||x_k||^2 <= P_k``. The iterative
 solver sweeps the users in order; with everyone else's pilot held fixed,
 user k's subproblem is a generalized Rayleigh quotient built from the
-leave-one-out matrix Q_k, solved exactly by one Hermitian
-eigendecomposition of the whitened quotient matrix. Each single-user
+leave-one-out matrix Q_k. Every matrix in that quotient is a function of
+Q_k, so its optimum is the least-loaded direction: the eigenvector of
+Q_k with the smallest eigenvalue at full power. One Hermitian
+eigendecomposition of Q_k gives both the update and the new objective,
+since tr(A^{-1}) depends on the eigenvalues only. Each single-user
 update can only decrease tr(A^{-1}), so the sweep objective is monotone
 and the iteration always converges.
 
@@ -23,25 +26,19 @@ the user count (orthogonal full-power pilots are optimal).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    ConfigurationError,
-    ContractViolation,
-    NumericalError,
-    SingularMatrixError,
-)
+from .errors import ConfigurationError, ContractViolation, NumericalError
 from .model import WsmseReport, check_received, linear_estimate
 from .numerics import (
-    SINGULARITY_FLOOR,
     draw_cn,
     hermitian_eig,
-    inv_sqrt_psd,
+    require_nonsingular,
     solve_hermitian,
+    unitary_dft,
 )
 
-# Relative eigenvalue gap below which the top eigenvector of the update
-# matrix is treated as non-unique.
+# Relative gap between the two smallest eigenvalues of Q_k below which
+# the least-loaded direction is treated as non-unique.
 DEGENERACY_GAP = 1e-10
 
 
@@ -67,20 +64,10 @@ def gram_matrix(x, cfg):
     return _hermitize(a)
 
 
-def _checked_inverse_eigvals(a, context):
-    w = np.linalg.eigvalsh(a)
-    if w[-1] <= 0 or w[0] <= SINGULARITY_FLOOR * w[-1]:
-        raise SingularMatrixError(
-            f"{context}: matrix is singular (smallest eigenvalue {w[0]:.6e})",
-            eigenvalue=w[0],
-        )
-    return w
-
-
 def objective(x, cfg):
     """Design objective ``tr(A^{-1})``, evaluated as the sum of 1/eigenvalue."""
-    a = gram_matrix(x, cfg)
-    w = _checked_inverse_eigvals(a, "objective")
+    w = np.linalg.eigvalsh(gram_matrix(x, cfg))
+    require_nonsingular(w, "objective Gram matrix")
     return float(np.sum(1.0 / w))
 
 
@@ -96,18 +83,20 @@ def leave_one_out(x, k, cfg):
 def rayleigh_update(x, k, cfg):
     """Optimal pilot for user k with all other pilots held fixed.
 
-    Whitening the single-user quotient by ``F_k^{-1/2}`` with
-    ``F_k = g_k Q_k^{-1} + I / P_k`` turns the subproblem into a plain
-    Rayleigh quotient, so the update is ``F_k^{-1/2}`` times the top
-    eigenvector of ``g_k F_k^{-1/2} Q_k^{-2} F_k^{-1/2}``, rescaled to
-    use the full energy budget (the budget constraint is always tight at
-    the optimum).
+    The paper whitens the single-user quotient by ``F_k^{-1/2}`` with
+    ``F_k = g_k Q_k^{-1} + I / P_k`` and takes the top eigenvector of
+    ``g_k F_k^{-1/2} Q_k^{-2} F_k^{-1/2}``. Every factor is a function of
+    ``Q_k``, so that matrix has the eigenvectors of ``Q_k``, with
+    eigenvalues ``g_k P_k / (q_i (q_i + g_k P_k))`` decreasing in ``q_i``,
+    and ``F_k^{-1/2}`` only rescales them: the update is the eigenvector
+    of ``Q_k`` with the smallest eigenvalue ``q_0`` at full power. ``A``
+    then has the eigenvalues of ``Q_k`` with ``q_0 + g_k P_k`` for ``q_0``.
 
-    Returns ``(column, degenerate)``. When the top eigenvalue is not
-    isolated (relative gap below ``1e-10``, e.g. a single user against
-    isotropic interference) every feasible direction is optimal; the
-    incumbent direction is kept, rescaled to full power, and flagged so
-    the iteration stays deterministic.
+    Returns ``(column, degenerate, objective)``, ``objective`` being
+    ``tr(A^{-1})`` after the update. When ``q_0`` is not isolated
+    (relative gap to ``q_1`` below ``1e-10``, e.g. a single user against
+    isotropic interference) the incumbent direction is kept at full
+    power, flagged, and the objective evaluated on the updated pilots.
     """
     x = _check_pilots(x, cfg)
     if not 0 <= k < cfg.users:
@@ -117,35 +106,24 @@ def rayleigh_update(x, k, cfg):
 
     q = leave_one_out(x, k, cfg)
     qw, qv = hermitian_eig(q)
-    if qw[-1] <= 0 or qw[0] <= SINGULARITY_FLOOR * qw[-1]:
-        raise SingularMatrixError(
-            f"leave-one-out matrix for user {k} is singular "
-            f"(smallest eigenvalue {qw[0]:.6e})",
-            eigenvalue=qw[0],
-        )
-    q_inv = _hermitize((qv / qw) @ qv.conj().T)
+    require_nonsingular(qw, f"leave-one-out matrix for user {k}")
 
-    f = _hermitize(g_k * q_inv + np.eye(cfg.pilot_len) / p_k)
-    f_inv_sqrt = inv_sqrt_psd(f)
-    quotient = _hermitize(g_k * f_inv_sqrt @ q_inv @ q_inv @ f_inv_sqrt)
-    mw, mv = hermitian_eig(quotient)
+    if cfg.pilot_len > 1 and (qw[1] - qw[0]) / qw[0] < DEGENERACY_GAP:
+        incumbent = x[:, k].copy()
+        norm = np.linalg.norm(incumbent)
+        if norm == 0.0:
+            # a zero incumbent gives no direction to keep; any unit
+            # direction is optimal, pick the first basis vector
+            incumbent = np.zeros(cfg.pilot_len, dtype=np.complex128)
+            incumbent[0] = 1.0
+            norm = 1.0
+        col = incumbent * (np.sqrt(p_k) / norm)
+        updated = x.copy()
+        updated[:, k] = col
+        return col, True, objective(updated, cfg)
 
-    if cfg.pilot_len > 1:
-        gap = (mw[-1] - mw[-2]) / mw[-1]
-        if gap < DEGENERACY_GAP:
-            incumbent = x[:, k].copy()
-            norm = np.linalg.norm(incumbent)
-            if norm == 0.0:
-                # a zero incumbent gives no direction to keep; any unit
-                # direction is optimal, pick the first basis vector
-                incumbent = np.zeros(cfg.pilot_len, dtype=np.complex128)
-                incumbent[0] = 1.0
-                norm = 1.0
-            return incumbent * (np.sqrt(p_k) / norm), True
-
-    col = f_inv_sqrt @ mv[:, -1]
-    col *= np.sqrt(p_k) / np.linalg.norm(col)
-    return col, False
+    col = np.sqrt(p_k) * qv[:, 0]
+    return col, False, float(np.sum(1.0 / qw[1:]) + 1.0 / (qw[0] + g_k * p_k))
 
 
 @dataclass(eq=False)
@@ -195,9 +173,8 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
     for _ in range(max_sweeps):
         sweep_start = current
         for k in range(cfg.users):
-            col, was_degenerate = rayleigh_update(x, k, cfg)
+            col, was_degenerate, current = rayleigh_update(x, k, cfg)
             x[:, k] = col
-            current = objective(x, cfg)
             history.append(current)
             degenerate += int(was_degenerate)
             if not np.isfinite(current):
@@ -247,8 +224,7 @@ def closed_form_orthogonal(cfg):
     """
     if cfg.pilot_len != cfg.users:
         raise ContractViolation("closed_form_orthogonal requires pilot_len == users")
-    unitary_dft = scipy.linalg.dft(cfg.pilot_len, scale="sqrtn")
-    return unitary_dft * np.sqrt(cfg.powers)[np.newaxis, :]
+    return unitary_dft(cfg.pilot_len) * np.sqrt(cfg.powers)[np.newaxis, :]
 
 
 def combiner(x, k, cfg):
@@ -344,14 +320,13 @@ def init_pilots(kind, cfg, stream=None):
     """
     scale = np.sqrt(cfg.powers)[np.newaxis, :]
     if kind == "dft-reuse":
-        unitary_dft = scipy.linalg.dft(cfg.pilot_len, scale="sqrtn")
-        return unitary_dft[:, np.arange(cfg.users) % cfg.pilot_len] * scale
+        return unitary_dft(cfg.pilot_len)[:, np.arange(cfg.users) % cfg.pilot_len] * scale
     if kind == "dft-k":
         if cfg.pilot_len > cfg.users:
             raise ConfigurationError(
                 "dft-k initialization requires pilot_len <= users"
             )
-        truncated = scipy.linalg.dft(cfg.users, scale="sqrtn")[: cfg.pilot_len, :]
+        truncated = unitary_dft(cfg.users)[: cfg.pilot_len, :]
         return truncated / np.linalg.norm(truncated, axis=0)[np.newaxis, :] * scale
     if kind == "random":
         if stream is None:

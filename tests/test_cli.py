@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+
 import pilotopt.cli as cli
 from pilotopt import (
     ExperimentConfig,
@@ -201,6 +207,30 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["optimize", "convergence"])
+    @pytest.mark.parametrize("sweeps", ["0", "-1"])
+    def test_sweep_budget_below_one(self, command, sweeps, tmp_path, capsys):
+        code = cli.main([
+            command, "--m", "4", "--k", "3", "--n", "2", "--snr-db", "0",
+            f"--max-sweeps={sweeps}", "--out", str(tmp_path / "out.txt"),
+        ])
+        assert code == 2
+        assert "max_sweeps" in capsys.readouterr().err
+
+    def test_pilot_length_must_be_whole(self, tmp_path):
+        def sweep(n):
+            out = tmp_path / f"rows-{n}.csv"
+            code = cli.main([
+                "sweep-snr", "--m", "4", "--k", "4", "--n", n, "--trials", "5",
+                "--snr-db", "0", "--out", str(out),
+            ])
+            return code, out.read_bytes() if out.exists() else None
+
+        assert sweep("2.6") == (2, None)
+        code, whole = sweep("4")
+        assert code == 0
+        assert sweep("4.0") == (0, whole)
+
     def test_numerical_failure_maps_to_three(self, monkeypatch):
         def boom(_):
             raise NumericalError("synthetic failure")
@@ -211,3 +241,17 @@ class TestExitCodes:
             "--snr-db", "0",
         ])
         assert code == 3
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, pilotopt.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"

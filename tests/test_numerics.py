@@ -10,6 +10,7 @@ from pilotopt import (
     inv_sqrt_psd,
     solve_hermitian,
 )
+from pilotopt.numerics import unitary_dft
 
 
 def random_hermitian(n, seed):
@@ -60,6 +61,17 @@ class TestHermitianEig:
             pivot = v[np.argmax(np.abs(v[:, j])), j]
             assert pivot.imag == pytest.approx(0.0, abs=1e-14)
             assert pivot.real > 0
+        # a circulant Hermitian matrix has DFT columns as eigenvectors,
+        # whose entries all have magnitude 1/sqrt(n): the first one is
+        # the pivot, not whichever rounding makes largest
+        n = 16
+        row = draw_cn(RandomStream(4, 0), 1, n)[0]
+        row = 0.5 * (row + np.roll(row[::-1], 1).conj())
+        circulant = np.array([np.roll(row, j) for j in range(n)])
+        _, v = hermitian_eig(circulant)
+        assert np.allclose(np.abs(v), 1 / np.sqrt(n), atol=1e-12)
+        assert np.max(np.abs(v[0].imag)) < 1e-14
+        assert np.all(v[0].real > 0)
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -69,6 +81,13 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(ContractViolation):
             hermitian_eig(np.ones((2, 3)))
+
+
+class TestUnitaryDft:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 32, 33])
+    def test_matches_fft_frame(self, n):
+        frame = np.fft.fft(np.eye(n)) / np.sqrt(n)
+        assert np.max(np.abs(unitary_dft(n) - frame)) < 1e-14
 
 
 class TestInvSqrtPsd:

@@ -23,7 +23,9 @@ from pilotopt import (
     rayleigh_update,
     received_pilot_signal,
     receiver_scalar,
+    reference_gains,
     save_pilots,
+    sigma2_from_snr,
 )
 
 
@@ -114,11 +116,30 @@ class TestLeaveOneOut:
             assert np.max(np.abs(a - q - outer)) < 1e-12 * max(1.0, np.abs(a).max())
 
 
+def _whitened_update(x, k, cfg):
+    """User k's update by the paper's route, kept as an oracle.
+
+    Whitens the generalized Rayleigh quotient by ``F^{-1/2}`` with
+    ``F = g_k Q_k^{-1} + I / P_k``, takes the top eigenvector of
+    ``g_k F^{-1/2} Q_k^{-2} F^{-1/2}``, maps it back through
+    ``F^{-1/2}`` and rescales it to full power.
+    """
+    g_k, p_k = cfg.gains[k], cfg.powers[k]
+    qw, qv = np.linalg.eigh(leave_one_out(x, k, cfg))
+    q_inv = (qv / qw) @ qv.conj().T
+    fw, fv = np.linalg.eigh(g_k * q_inv + np.eye(cfg.pilot_len) / p_k)
+    f_inv_sqrt = (fv / np.sqrt(fw)) @ fv.conj().T
+    quotient = g_k * f_inv_sqrt @ q_inv @ q_inv @ f_inv_sqrt
+    _, mv = hermitian_eig(0.5 * (quotient + quotient.conj().T))
+    col = f_inv_sqrt @ mv[:, -1]
+    return col * (np.sqrt(p_k) / np.linalg.norm(col))
+
+
 class TestRayleighUpdate:
     def test_avoids_occupied_direction(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=2, sigma2=0.1)
         x = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-        col, degenerate = rayleigh_update(x, 0, cfg)
+        col, degenerate, _ = rayleigh_update(x, 0, cfg)
         assert not degenerate
         assert abs(col[1]) == pytest.approx(1.0, abs=1e-12)
         assert abs(col[0]) < 1e-12
@@ -127,15 +148,17 @@ class TestRayleighUpdate:
         cfg = SystemConfig(antennas=2, users=1, pilot_len=3, sigma2=0.5,
                            powers=2.0)
         x0 = np.array([[0.6], [0.8j], [0.0]], dtype=complex)
-        col, degenerate = rayleigh_update(x0, 0, cfg)
+        col, degenerate, obj = rayleigh_update(x0, 0, cfg)
         assert degenerate
         assert np.vdot(col, col).real == pytest.approx(2.0, rel=1e-12)
         direction = x0[:, 0] / np.linalg.norm(x0[:, 0])
         assert abs(np.vdot(direction, col / np.linalg.norm(col))) > 1 - 1e-12
+        assert obj == pytest.approx(objective(col[:, np.newaxis], cfg), rel=1e-12)
+        assert np.array_equal(x0[:, 0], [0.6, 0.8j, 0.0])
 
     def test_zero_incumbent_fallback(self):
         cfg = SystemConfig(antennas=2, users=1, pilot_len=2, sigma2=0.5)
-        col, degenerate = rayleigh_update(np.zeros((2, 1)), 0, cfg)
+        col, degenerate, _ = rayleigh_update(np.zeros((2, 1)), 0, cfg)
         assert degenerate
         assert np.vdot(col, col).real == pytest.approx(1.0, rel=1e-12)
 
@@ -144,7 +167,7 @@ class TestRayleighUpdate:
             cfg = random_cfg(seed + 100, min_users=3)
             x = init_pilots("random", cfg, stream=RandomStream(seed, 4))
             k = seed % cfg.users
-            col, _ = rayleigh_update(x, k, cfg)
+            col, _, _ = rayleigh_update(x, k, cfg)
             assert np.vdot(col, col).real == pytest.approx(
                 cfg.powers[k], rel=1e-12
             )
@@ -163,13 +186,30 @@ class TestRayleighUpdate:
             )
             x = init_pilots("random", cfg, stream=RandomStream(31, seed))
             k = int(rng.integers(0, users))
-            col, degenerate = rayleigh_update(x, k, cfg)
+            col, degenerate, _ = rayleigh_update(x, k, cfg)
             assert not degenerate
             w, v = hermitian_eig(leave_one_out(x, k, cfg))
             overlap = abs(np.vdot(v[:, 0], col)) / np.linalg.norm(col)
             assert overlap > 1 - 1e-8
+            assert np.max(np.abs(col - _whitened_update(x, k, cfg))) < 1e-10
             matched += 1
         assert matched == 60
+
+    @pytest.mark.parametrize("kind", ["dft-reuse", "dft-k"])
+    def test_matches_whitened_update_from_dft_starts(self, kind):
+        # DFT directions have tied magnitudes, so this also pins the
+        # phase convention of the returned column
+        cfg = SystemConfig(
+            antennas=128, users=32, pilot_len=16,
+            sigma2=sigma2_from_snr(0.0, np.ones(32)), gains=reference_gains(),
+        )
+        x = init_pilots(kind, cfg)
+        for k in range(cfg.users):
+            col, degenerate, obj = rayleigh_update(x, k, cfg)
+            assert not degenerate
+            assert np.max(np.abs(col - _whitened_update(x, k, cfg))) < 1e-10
+            x[:, k] = col
+            assert obj == pytest.approx(objective(x, cfg), rel=1e-12)
 
     def test_never_increases_objective(self):
         for seed in range(10):
@@ -177,10 +217,11 @@ class TestRayleighUpdate:
             x = init_pilots("random", cfg, stream=RandomStream(seed, 8))
             before = objective(x, cfg)
             for k in range(cfg.users):
-                col, _ = rayleigh_update(x, k, cfg)
+                col, _, carried = rayleigh_update(x, k, cfg)
                 x[:, k] = col
                 after = objective(x, cfg)
                 assert after <= before + 1e-12
+                assert carried == pytest.approx(after, rel=1e-12)
                 before = after
 
 
