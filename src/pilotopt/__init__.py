@@ -14,12 +14,10 @@ The package provides three layers:
 """
 
 from .conventional import (
-    ReuseMap,
     conventional_analytic_wsmse,
     conventional_estimate,
     conventional_estimator,
     design_reuse_pilots,
-    reuse_map,
 )
 from .errors import (
     ConfigurationError,
@@ -84,7 +82,6 @@ __all__ = [
     "NumericalError",
     "OptimizerTrace",
     "RandomStream",
-    "ReuseMap",
     "SingularMatrixError",
     "SweepRow",
     "SystemConfig",
@@ -117,7 +114,6 @@ __all__ = [
     "received_pilot_signal",
     "receiver_scalar",
     "reference_gains",
-    "reuse_map",
     "run_monte_carlo",
     "save_gains",
     "save_pilots",

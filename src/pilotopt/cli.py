@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .harness import (
-    ALGORITHMS,
     ExperimentConfig,
     convergence_trace,
     design_pilots,
@@ -210,9 +209,8 @@ def _cmd_optimize(ecfg, args):
 def _cmd_estimate(ecfg, args):
     """Design each algorithm's pilots and run Monte Carlo trial 0 on them."""
     cfg, snr = _single_point_config(ecfg)
-    algorithms = ALGORITHMS if ecfg.mode == "both" else (ecfg.mode,)
     payload = {"snr_db": snr, "n": cfg.pilot_len, "algorithms": {}}
-    for algorithm in algorithms:
+    for algorithm in ecfg.algorithms:
         x, ana, _ = design_pilots(algorithm, cfg, ecfg)
         per_user = trial_errors(cfg, x, algorithm, ecfg.seed, 0)
         payload["algorithms"][algorithm] = {

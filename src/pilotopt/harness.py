@@ -4,8 +4,8 @@ Each step has one home: :func:`design_pilots`, the trial kernel
 :func:`trial_errors` and the grid driver :func:`sweep_snr`. Trial ``t``
 draws its channel from stream id ``t`` and its noise from ``t + 2**32``,
 so results are reproducible bit for bit and independent of how trials
-are scheduled across workers; the optimizer's random initialization,
-when requested, draws from stream id ``2**33``.
+are grouped into chunks; the optimizer's random initialization, when
+requested, draws from stream id ``2**33``.
 
 A design's estimator is fixed by its pilots, so it is built once and
 trials run in chunks, stacked into two matrix products. The noise of a
@@ -14,7 +14,6 @@ every SNR point and both algorithms evaluate the same stacked draws:
 :func:`sweep_snr` draws each trial once per pilot length.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,7 +39,6 @@ NOISE_STREAM_OFFSET = 2**32
 INIT_STREAM_ID = 2**33
 
 ALGORITHMS = ("proposed", "conventional")
-MODES = ALGORITHMS + ("both",)
 
 # Relative distance to a run's final objective at which
 # ``updates_to_converge`` counts the run as settled.
@@ -71,19 +69,25 @@ class ExperimentConfig:
     init: str = "dft-reuse"
     tol: float = 1e-8
     max_sweeps: int = 100
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if not self.snr_db_list:
             raise ConfigurationError("snr_db_list must be non-empty")
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        if self.mode != "both" and self.mode not in ALGORITHMS:
+            raise ConfigurationError(
+                f"mode must be 'both' or one of {ALGORITHMS}, got {self.mode!r}"
+            )
+        if not np.isfinite(self.tol) or self.tol < 0:
+            raise ConfigurationError(f"tol must be finite and >= 0, got {self.tol}")
         if self.max_sweeps < 1:
             raise ConfigurationError("max_sweeps must be >= 1")
+
+    @property
+    def algorithms(self):
+        """The algorithms ``mode`` runs: both for ``"both"``, else the one named."""
+        return ALGORITHMS if self.mode == "both" else (self.mode,)
 
 
 @dataclass(eq=False)
@@ -156,42 +160,27 @@ def trial_errors(cfg, x, algorithm, seed, t):
     return _errors(cfg, x, estimator, *_draws(cfg, seed, t, t + 1))[0]
 
 
-def _monte_carlo(points, trials, seed, workers):
+def _monte_carlo(points, trials, seed):
     """Empirical WSMSE of each ``(cfg, x, algorithm)`` point on shared draws.
 
     Every point must have the dimensions and gains of the first; they may
     differ in noise variance, pilots and algorithm. Each point's
     estimator is built once, then trials ``0 .. trials - 1`` are drawn
-    chunk by chunk and every point is evaluated on each chunk. Chunks
-    are mapped over ``workers`` threads and folded in trial order, so the
-    result does not depend on ``workers``.
+    chunk by chunk, every point is evaluated on each chunk, and the
+    errors are folded in trial order.
     """
     shape = points[0][0]
     estimators = [_estimator(algorithm, x, cfg) for cfg, x, algorithm in points]
     step = _trials_per_chunk(shape)
-    starts = range(0, trials, step)
-
-    def chunk(start):
-        h, white = _draws(shape, seed, start, min(start + step, trials))
-        return [
-            _errors(cfg, x, estimator, h, white)
-            for (cfg, x, _), estimator in zip(points, estimators)
-        ]
-
     per_trial = np.empty((len(points), trials))
     sums = np.zeros((len(points), shape.users))
-
-    def fold(chunks):
-        for start, errs in zip(starts, chunks):
-            for p, err in enumerate(errs):
-                per_trial[p, start : start + len(err)] = err.mean(axis=1)
-                sums[p] += err.sum(axis=0)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold(pool.map(chunk, starts))
-    else:
-        fold(map(chunk, starts))
+    for start in range(0, trials, step):
+        stop = min(start + step, trials)
+        h, white = _draws(shape, seed, start, stop)
+        for p, ((cfg, x, _), estimator) in enumerate(zip(points, estimators)):
+            err = _errors(cfg, x, estimator, h, white)
+            per_trial[p, start:stop] = err.mean(axis=1)
+            sums[p] += err.sum(axis=0)
 
     reports = []
     for wsmse, total in zip(per_trial, sums):
@@ -210,18 +199,18 @@ def _monte_carlo(points, trials, seed, workers):
     return reports
 
 
-def run_monte_carlo(cfg, x, algorithm, trials, seed, workers=1):
+def run_monte_carlo(cfg, x, algorithm, trials, seed):
     """Empirical normalized WSMSE of one estimator over seeded trials.
 
     Runs :func:`trial_errors` for ``t = 0 .. trials - 1``, in chunks of
     stacked trials with the estimator built once. The returned
     :class:`WsmseReport` carries the mean over trials, its standard
     error, and the per-user means. Results depend only on
-    ``(cfg, x, algorithm, trials, seed)``, not on ``workers``.
+    ``(cfg, x, algorithm, trials, seed)``.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    return _monte_carlo([(cfg, x, algorithm)], trials, seed, workers)[0]
+    return _monte_carlo([(cfg, x, algorithm)], trials, seed)[0]
 
 
 def design_pilots(algorithm, cfg, ecfg):
@@ -236,8 +225,8 @@ def design_pilots(algorithm, cfg, ecfg):
         x0 = init_pilots(ecfg.init, cfg, stream=stream)
         x, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
         return x, analytic_wsmse(x, cfg), trace
-    x, rmap = design_reuse_pilots(cfg.pilot_len, cfg.users, cfg.powers)
-    return x, conventional_analytic_wsmse(cfg, rmap), None
+    x = design_reuse_pilots(cfg)
+    return x, conventional_analytic_wsmse(cfg), None
 
 
 def _consistency_gate(label, analytic, empirical, stderr):
@@ -265,21 +254,19 @@ def sweep_snr(ecfg):
     :func:`run_monte_carlo`.
     """
     base = ecfg.base
-    algorithms = ALGORITHMS if ecfg.mode == "both" else (ecfg.mode,)
     rows = []
     for n in ecfg.n_list or [base.pilot_len]:
         points = []
         for snr_db in ecfg.snr_db_list:
             sigma2 = sigma2_from_snr(snr_db, base.powers)
             cfg = replace(base, pilot_len=int(n), sigma2=sigma2)
-            for algorithm in algorithms:
+            for algorithm in ecfg.algorithms:
                 design = design_pilots(algorithm, cfg, ecfg)
                 points.append((snr_db, cfg, algorithm, *design))
         reports = _monte_carlo(
             [(cfg, x, algorithm) for _, cfg, algorithm, x, _, _ in points],
             ecfg.trials,
             ecfg.seed,
-            ecfg.workers,
         )
         for (snr_db, cfg, algorithm, _, ana, trace), emp in zip(points, reports):
             label = f"{algorithm} @ {snr_db} dB"

@@ -18,9 +18,10 @@ since tr(A^{-1}) depends on the eigenvalues only. Each single-user
 update can only decrease tr(A^{-1}), so the sweep objective is monotone
 and the iteration always converges.
 
-Closed forms replace the iteration in the two boundary regimes: a single
-pilot symbol (any full-power pilot is optimal) and pilot length equal to
-the user count (orthogonal full-power pilots are optimal).
+The closed forms are the reference optima of the two boundary regimes:
+a single pilot symbol (any full-power pilot is optimal) and pilot length
+equal to the user count (orthogonal full-power pilots are optimal). The
+iteration started from ``dft-reuse`` stops after one sweep at both.
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,6 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -158,6 +157,11 @@ _WIDTH, _HEIGHT = 720, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 80, 200, 40, 60
 
 
+def _escape(text):
+    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks_linear(lo, hi, count=6):
     if lo == hi:
         return [lo]
@@ -203,7 +207,7 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
     if title:
         parts.append(
             f'<text x="{_LEFT + plot_w / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{_escape(title)}</text>'
         )
     # frame
     parts.append(
@@ -243,13 +247,13 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
     if x_label:
         parts.append(
             f'<text x="{_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 16}" '
-            f'text-anchor="middle" font-size="13">{escape(x_label)}</text>'
+            f'text-anchor="middle" font-size="13">{_escape(x_label)}</text>'
         )
     if y_label:
         cy = _TOP + plot_h / 2
         parts.append(
             f'<text x="22" y="{cy:.1f}" text-anchor="middle" font-size="13" '
-            f'transform="rotate(-90 22 {cy:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 22 {cy:.1f})">{_escape(y_label)}</text>'
         )
     # series
     for i, (label, xs, ys) in enumerate(series):
@@ -266,7 +270,7 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="12">{escape(label)}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-size="12">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     with _open_out(path) as fh:

@@ -217,6 +217,15 @@ class TestExitCodes:
         assert code == 2
         assert "max_sweeps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol, tmp_path, capsys):
+        code = cli.main([
+            "optimize", "--m", "4", "--k", "3", "--n", "2", "--snr-db", "0",
+            f"--tol={tol}", "--out", str(tmp_path / "out.txt"),
+        ])
+        assert code == 2
+        assert "tol" in capsys.readouterr().err
+
     def test_pilot_length_must_be_whole(self, tmp_path):
         def sweep(n):
             out = tmp_path / f"rows-{n}.csv"
@@ -244,10 +253,13 @@ class TestExitCodes:
 
 
 def test_import_loads_no_scipy():
+    # nor the heavy stdlib packages a thread pool or an XML escape pulls in;
+    # pathlib, and so numpy, already loads urllib.parse
     src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("scipy", "concurrent", "xml", "urllib.request", "http", "ssl", "email")
     probe = (
-        "import sys, pilotopt.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys, pilotopt.cli; print(sorted(m for m in sys.modules if any("
+        f"m == h or m.startswith(h + '.') for h in {heavy!r})))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],

@@ -10,47 +10,58 @@ from pilotopt import (
     design_reuse_pilots,
     generate_channel,
     received_pilot_signal,
-    reuse_map,
+    reference_gains,
     run_monte_carlo,
     sigma2_from_snr,
 )
 
 
+def reuse_cfg(users, pilot_len, powers=1.0, sigma2=1.0, gains=1.0):
+    return SystemConfig(antennas=4, users=users, pilot_len=pilot_len,
+                        sigma2=sigma2, powers=powers, gains=gains)
+
+
+def overlap_oracle(cfg, x):
+    """Per-user normalized MSE of the baseline scalar on any pilots ``x``.
+
+    ``m_k = |c P - 1|^2 g_k + |c|^2 (sum_{j != k} g_j |x_j^H x_k|^2 + sigma2 P)``
+    with ``c = g_k / (P g_k + sigma2)``; it knows nothing of reuse.
+    """
+    p, g = cfg.powers[0], cfg.gains
+    c = g / (p * g + cfg.sigma2)
+    overlap = np.abs(x.conj().T @ x) ** 2
+    np.fill_diagonal(overlap, 0.0)
+    m = np.abs(c * p - 1.0) ** 2 * g + np.abs(c) ** 2 * (
+        overlap @ g + cfg.sigma2 * p
+    )
+    return m / g
+
+
 class TestDesignReusePilots:
     def test_orthogonal_when_enough_symbols(self):
-        x, rmap = design_reuse_pilots(4, 4, np.ones(4))
+        x = design_reuse_pilots(reuse_cfg(4, 4))
         assert np.max(np.abs(x.conj().T @ x - np.eye(4))) < 1e-12
-        assert all(len(s) == 0 for s in rmap.clash_sets)
 
     def test_columns_repeat_under_reuse(self):
-        x, rmap = design_reuse_pilots(2, 4, np.ones(4))
+        x = design_reuse_pilots(reuse_cfg(4, 2))
         assert np.array_equal(x[:, 2], x[:, 0])
         assert np.array_equal(x[:, 3], x[:, 1])
-        assert rmap.clashing(0) == {2}
-        assert rmap.clashing(3) == {1}
 
     def test_entry_magnitude_and_column_energy(self):
         p = 2.5
-        x, _ = design_reuse_pilots(5, 7, np.full(7, p))
+        x = design_reuse_pilots(reuse_cfg(7, 5, powers=p))
         assert np.allclose(np.abs(x), np.sqrt(p / 5))
         assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), p)
 
     def test_unequal_powers_rejected(self):
         with pytest.raises(ConfigurationError):
-            design_reuse_pilots(2, 4, np.array([1.0, 1.0, 2.0, 1.0]))
-
-    def test_clash_sets_symmetric(self):
-        _, rmap = design_reuse_pilots(3, 8, np.ones(8))
-        for k in range(8):
-            for j in rmap.clashing(k):
-                assert k in rmap.clashing(j)
-                assert j % 3 == k % 3
+            design_reuse_pilots(reuse_cfg(4, 2, powers=[1.0, 1.0, 2.0, 1.0]))
 
 
 class TestConventionalEstimate:
     def test_noiseless_orthogonal_recovery(self):
         cfg = SystemConfig(antennas=8, users=4, pilot_len=4, sigma2=0.0)
-        x, _ = design_reuse_pilots(4, 4, cfg.powers)
+        x = design_reuse_pilots(cfg)
         h = generate_channel(cfg, RandomStream(1, 0))
         y = received_pilot_signal(h, x, np.zeros((8, 4)))
         h_hat = conventional_estimate(y, x, cfg)
@@ -82,18 +93,18 @@ class TestConventionalEstimate:
 class TestConventionalAnalyticWsmse:
     def test_no_contamination_unit_case(self):
         cfg = SystemConfig(antennas=4, users=1, pilot_len=1, sigma2=1.0)
-        rep = conventional_analytic_wsmse(cfg, reuse_map(1, 1))
+        rep = conventional_analytic_wsmse(cfg)
         assert rep.wsmse == pytest.approx(0.5, abs=1e-12)
 
     def test_single_contaminator_unit_case(self):
         cfg = SystemConfig(antennas=4, users=2, pilot_len=1, sigma2=1.0)
-        rep = conventional_analytic_wsmse(cfg, reuse_map(1, 2))
+        rep = conventional_analytic_wsmse(cfg)
         assert rep.wsmse == pytest.approx(0.75, abs=1e-12)
         assert np.allclose(rep.per_user, [0.75, 0.75])
 
     def test_high_noise_limit(self):
         cfg = SystemConfig(antennas=4, users=2, pilot_len=1, sigma2=1e8)
-        rep = conventional_analytic_wsmse(cfg, reuse_map(1, 2))
+        rep = conventional_analytic_wsmse(cfg)
         assert np.all(np.abs(rep.per_user - 1.0) < 1e-6)
 
     def test_monte_carlo_agreement(self):
@@ -101,8 +112,8 @@ class TestConventionalAnalyticWsmse:
         for users, pilot_len in [(4, 2), (4, 4)]:
             cfg = SystemConfig(antennas=16, users=users, pilot_len=pilot_len,
                                sigma2=0.8, gains=[0.9, 0.4, 0.6, 0.2])
-            x, rmap = design_reuse_pilots(pilot_len, users, cfg.powers)
-            analytic = conventional_analytic_wsmse(cfg, rmap)
+            x = design_reuse_pilots(cfg)
+            analytic = conventional_analytic_wsmse(cfg)
             empirical = run_monte_carlo(cfg, x, "conventional", 10000, seed=202)
             assert empirical.wsmse == pytest.approx(analytic.wsmse, rel=0.02)
 
@@ -113,34 +124,20 @@ class TestConventionalAnalyticWsmse:
             s2 = sigma2_from_snr(snr, np.ones(4))
             cfg = SystemConfig(antennas=4, users=4, pilot_len=4, sigma2=s2,
                                gains=gains)
-            vals.append(conventional_analytic_wsmse(cfg, reuse_map(4, 4)).wsmse)
+            vals.append(conventional_analytic_wsmse(cfg).wsmse)
         assert np.all(np.diff(vals) < 0)
 
-    def test_contamination_aware_scalar(self):
-        # aware scalar includes the clash power in the denominator
-        cfg = SystemConfig(antennas=4, users=2, pilot_len=1, sigma2=1.0,
-                           gains=[0.5, 0.25])
-        rmap = reuse_map(1, 2)
-        rep = conventional_analytic_wsmse(cfg, rmap, contamination_aware=True)
-        # closed form for the aware scalar: per-user term (P*G + s) / (P*(g+G) + s)
-        expect0 = (0.25 + 1.0) / (0.75 + 1.0)
-        expect1 = (0.5 + 1.0) / (0.75 + 1.0)
-        assert rep.per_user[0] == pytest.approx(expect0, abs=1e-12)
-        assert rep.per_user[1] == pytest.approx(expect1, abs=1e-12)
-
-    def test_contamination_aware_decreasing_in_snr(self):
-        gains = [0.9, 0.4, 0.6, 0.2]
-        vals = []
-        for snr in range(-10, 21, 2):
-            s2 = sigma2_from_snr(snr, np.ones(4))
-            cfg = SystemConfig(antennas=4, users=4, pilot_len=2, sigma2=s2,
-                               gains=gains)
-            vals.append(
-                conventional_analytic_wsmse(
-                    cfg, reuse_map(2, 4), contamination_aware=True
-                ).wsmse
-            )
-        assert np.all(np.diff(vals) < 0)
+    @pytest.mark.parametrize("users,pilot_len,gains", [
+        *[(k, n, "unit") for k, n in [(1, 1), (2, 1), (8, 4), (7, 3), (32, 16), (5, 8)]],
+        (32, 16, "paper"),
+    ])
+    def test_matches_general_overlap_formula(self, users, pilot_len, gains):
+        g = reference_gains() if gains == "paper" else 1.0
+        cfg = reuse_cfg(users, pilot_len, powers=1.7, sigma2=0.3, gains=g)
+        rep = conventional_analytic_wsmse(cfg)
+        expect = overlap_oracle(cfg, design_reuse_pilots(cfg))
+        assert np.allclose(rep.per_user, expect, rtol=1e-12, atol=0.0)
+        assert rep.wsmse == pytest.approx(np.mean(expect), rel=1e-12)
 
 
 class TestDecoupledStatistic:
@@ -148,17 +145,18 @@ class TestDecoupledStatistic:
         # with zero noise the statistic is exactly P times the clash sum
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.0,
                            powers=2.0)
-        x, rmap = design_reuse_pilots(2, 4, cfg.powers)
+        x = design_reuse_pilots(cfg)
         h = generate_channel(cfg, RandomStream(4, 0))
         y = received_pilot_signal(h, x, np.zeros((8, 2)))
         z = y @ x
         for k in range(4):
-            expect = 2.0 * (h[:, k] + sum(h[:, i] for i in rmap.clashing(k)))
+            # user k and its clash partners share column k mod 2
+            expect = 2.0 * sum(h[:, j] for j in range(k % 2, 4, 2))
             assert np.max(np.abs(z[:, k] - expect)) < 1e-12
 
     def test_zero_mean(self):
         cfg = SystemConfig(antennas=1, users=2, pilot_len=1, sigma2=1.0)
-        x, _ = design_reuse_pilots(1, 2, cfg.powers)
+        x = design_reuse_pilots(cfg)
         acc = np.zeros(2, dtype=complex)
         trials = 10000
         for t in range(trials):
