@@ -14,7 +14,6 @@ The package provides three layers:
 """
 
 from .conventional import (
-    conventional_analytic_wsmse,
     conventional_estimate,
     conventional_estimator,
     design_reuse_pilots,
@@ -39,7 +38,6 @@ from .model import (
     SystemConfig,
     WsmseReport,
     generate_channel,
-    linear_estimate,
     load_gains,
     received_pilot_signal,
     reference_gains,
@@ -90,7 +88,6 @@ __all__ = [
     "closed_form_orthogonal",
     "closed_form_single_symbol",
     "combiner",
-    "conventional_analytic_wsmse",
     "conventional_estimate",
     "conventional_estimator",
     "convergence_trace",
@@ -103,7 +100,6 @@ __all__ = [
     "init_pilots",
     "inv_sqrt_psd",
     "leave_one_out",
-    "linear_estimate",
     "load_gains",
     "load_pilots",
     "objective",

@@ -20,7 +20,13 @@ from .harness import (
     sweep_snr,
     trial_errors,
 )
-from .model import SystemConfig, load_gains, reference_gains, sigma2_from_snr
+from .model import (
+    SystemConfig,
+    _open_out,
+    load_gains,
+    reference_gains,
+    sigma2_from_snr,
+)
 from .optimizer import save_pilots
 from .report import emit
 
@@ -197,7 +203,7 @@ def _cmd_optimize(ecfg, args):
         )
     cfg, _ = _single_point_config(ecfg)
     x_opt, _, trace = design_pilots("proposed", cfg, ecfg)
-    save_pilots("/dev/stdout" if args.out == "-" else args.out, x_opt)
+    save_pilots(args.out, x_opt)
     print(
         f"objective {trace.objective_per_update[-1]:.12g} after "
         f"{trace.sweeps_completed} sweeps (converged={trace.converged})",
@@ -218,12 +224,8 @@ def _cmd_estimate(ecfg, args):
             "wsmse_realized": float(per_user.mean()),
             "per_user_realized": [float(v) for v in per_user],
         }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _open_out(args.out) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

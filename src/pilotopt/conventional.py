@@ -12,18 +12,8 @@ the contamination-ignorant MMSE scalar.
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .model import WsmseReport, check_received, linear_estimate
+from .model import check_received
 from .optimizer import init_pilots
-
-
-def _common_power(cfg):
-    powers = cfg.powers
-    if np.any(powers != powers[0]):
-        raise ConfigurationError(
-            "reuse pilot design requires equal per-user powers; got "
-            f"min={powers.min()} max={powers.max()}"
-        )
-    return powers[0]
 
 
 def design_reuse_pilots(cfg):
@@ -33,14 +23,17 @@ def design_reuse_pilots(cfg):
     unitary ``pilot_len``-point DFT matrix (the ``dft-reuse`` start of
     :func:`~pilotopt.optimizer.init_pilots`), so every column has squared
     norm exactly P and columns are orthogonal whenever they are not
-    identical. Requires a uniform power budget: with unequal budgets the
-    clashing users' pilots would no longer be collinear and
-    :func:`conventional_analytic_wsmse` would not describe the
-    contamination.
+    identical. Requires a uniform power budget: the baseline's scalar
+    assumes one common pilot energy P for every user.
 
     Returns ``x`` of shape ``(pilot_len, users)``.
     """
-    _common_power(cfg)
+    powers = cfg.powers
+    if np.any(powers != powers[0]):
+        raise ConfigurationError(
+            "reuse pilot design requires equal per-user powers; got "
+            f"min={powers.min()} max={powers.max()}"
+        )
     return init_pilots("dft-reuse", cfg)
 
 
@@ -54,56 +47,27 @@ def _uniform_power(x):
     return p
 
 
-def _mmse_scalars(cfg, power):
-    return cfg.gains / (power * cfg.gains + cfg.sigma2)
-
-
 def conventional_estimator(x, cfg):
-    """Estimator of the baseline receiver for pilots ``x``.
+    """Estimator matrix of the baseline receiver for pilots ``x``.
 
-    Returns ``(x, c)`` for :func:`~pilotopt.model.linear_estimate`:
-    user k's statistic is ``y @ x[:, k]`` and its estimate scales that by
-    ``c_k = g_k / (P g_k + sigma2)``, where P is the common pilot
-    energy. For P = 1 this is the classical ``g_k / (g_k + sigma2)``
-    shrinkage. The scalar ignores contamination.
+    User k's statistic is ``y @ x[:, k]`` and its estimate scales that by
+    the MMSE scalar ``c_k = g_k / (P g_k + sigma2)``, where P is the
+    common pilot energy; the ``(pilot_len, users)`` result is
+    ``b = x diag(c)``, so the estimate is ``y @ b``. For P = 1 this is
+    the classical ``g_k / (g_k + sigma2)`` shrinkage. The scalar ignores
+    contamination; :func:`~pilotopt.optimizer.analytic_wsmse` of ``b``
+    counts it.
     """
     x = np.asarray(x)
     if x.shape != (cfg.pilot_len, cfg.users):
         raise ContractViolation(f"x shape {x.shape} does not match (pilot_len, users)")
-    return x, _mmse_scalars(cfg, _uniform_power(x))
+    return x * (cfg.gains / (_uniform_power(x) * cfg.gains + cfg.sigma2))
 
 
 def conventional_estimate(y, x, cfg):
     """Per-user MMSE channel estimate from the decoupled statistic.
 
-    Returns the ``(antennas, users)`` estimate of
-    :func:`conventional_estimator` applied to one training block ``y``.
+    Returns the ``(antennas, users)`` estimate ``y @ b`` of
+    :func:`conventional_estimator` for one training block ``y``.
     """
-    return linear_estimate(check_received(y, cfg), *conventional_estimator(x, cfg))
-
-
-def conventional_analytic_wsmse(cfg):
-    """Exact normalized WSMSE of the baseline on its reuse pilots.
-
-    For user k with scalar c and common pilot energy P, the per
-    coefficient MSE is
-
-        m_k = |c P - 1|^2 g_k + |c|^2 (P^2 * sum of clashing gains + sigma2 P)
-
-    where user k clashes with every other user j of ``range(k % N, K, N)``.
-    The normalized WSMSE is the mean over users of ``m_k / g_k`` (every
-    one of the M coefficients contributes identically, so the result does
-    not depend on the antenna count).
-    """
-    p = _common_power(cfg)
-    g = cfg.gains
-    n, users = cfg.pilot_len, cfg.users
-    c = _mmse_scalars(cfg, p)
-    clash_power = np.array(
-        [sum(g[j] for j in range(k % n, users, n) if j != k) for k in range(users)]
-    )
-    m = np.abs(c * p - 1.0) ** 2 * g + np.abs(c) ** 2 * (
-        p**2 * clash_power + cfg.sigma2 * p
-    )
-    per_user = m / g
-    return WsmseReport(wsmse=float(np.mean(per_user)), per_user=per_user)
+    return check_received(y, cfg) @ conventional_estimator(x, cfg)

@@ -18,17 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .conventional import (
-    conventional_analytic_wsmse,
-    conventional_estimator,
-    design_reuse_pilots,
-)
+from .conventional import conventional_estimator, design_reuse_pilots
 from .errors import ConfigurationError, NumericalError
 from .model import (
     SystemConfig,
     WsmseReport,
     generate_channel,
-    linear_estimate,
     received_pilot_signal,
     sigma2_from_snr,
 )
@@ -73,6 +68,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_db_list:
             raise ConfigurationError("snr_db_list must be non-empty")
         if self.mode != "both" and self.mode not in ALGORITHMS:
@@ -115,12 +112,19 @@ class ConvergenceResult:
     updates_to_converge: int
 
 
+def _check_algorithm(algorithm):
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(
+            f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
+        )
+
+
 def _estimator(algorithm, x, cfg):
+    """The ``(pilot_len, users)`` estimator matrix of ``algorithm`` on pilots ``x``."""
+    _check_algorithm(algorithm)
     if algorithm == "proposed":
         return proposed_estimator(x, cfg)
-    if algorithm == "conventional":
-        return conventional_estimator(x, cfg)
-    raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    return conventional_estimator(x, cfg)
 
 
 def _draws(cfg, seed, start, stop):
@@ -139,10 +143,10 @@ def _trials_per_chunk(cfg):
     return max(1, CHUNK_BYTES // (16 * cfg.antennas * (cfg.users + cfg.pilot_len)))
 
 
-def _errors(cfg, x, estimator, h, white):
+def _errors(cfg, x, b, h, white):
     """Per-user normalized squared errors of stacked trials, ``(trials, users)``."""
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
-    err = np.abs(linear_estimate(y, *estimator) - h) ** 2
+    err = np.abs(y @ b - h) ** 2
     err = err.reshape(-1, cfg.antennas, cfg.users).sum(axis=1)
     return err / (cfg.antennas * cfg.gains)
 
@@ -156,8 +160,8 @@ def trial_errors(cfg, x, algorithm, seed, t):
     divided by ``antennas * g_k``. It is the one-trial case of the
     chunked kernel that :func:`run_monte_carlo` and :func:`sweep_snr` run.
     """
-    estimator = _estimator(algorithm, x, cfg)
-    return _errors(cfg, x, estimator, *_draws(cfg, seed, t, t + 1))[0]
+    b = _estimator(algorithm, x, cfg)
+    return _errors(cfg, x, b, *_draws(cfg, seed, t, t + 1))[0]
 
 
 def _monte_carlo(points, trials, seed):
@@ -177,8 +181,8 @@ def _monte_carlo(points, trials, seed):
     for start in range(0, trials, step):
         stop = min(start + step, trials)
         h, white = _draws(shape, seed, start, stop)
-        for p, ((cfg, x, _), estimator) in enumerate(zip(points, estimators)):
-            err = _errors(cfg, x, estimator, h, white)
+        for p, ((cfg, x, _), b) in enumerate(zip(points, estimators)):
+            err = _errors(cfg, x, b, h, white)
             per_trial[p, start:stop] = err.mean(axis=1)
             sums[p] += err.sum(axis=0)
 
@@ -218,15 +222,18 @@ def design_pilots(algorithm, cfg, ecfg):
 
     ``proposed`` optimizes from ``ecfg.init`` (random starts draw from
     stream ``2**33``) and returns the optimizer trace; ``conventional``
-    reuses the DFT columns and returns ``None`` in its place.
+    reuses the DFT columns and returns ``None`` in its place. Either way
+    the analytic WSMSE is :func:`~pilotopt.optimizer.analytic_wsmse` of
+    the pilots and the algorithm's estimator matrix.
     """
+    _check_algorithm(algorithm)
     if algorithm == "proposed":
         stream = RandomStream(ecfg.seed, INIT_STREAM_ID)
         x0 = init_pilots(ecfg.init, cfg, stream=stream)
         x, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
-        return x, analytic_wsmse(x, cfg), trace
-    x = design_reuse_pilots(cfg)
-    return x, conventional_analytic_wsmse(cfg), None
+    else:
+        x, trace = design_reuse_pilots(cfg), None
+    return x, analytic_wsmse(x, _estimator(algorithm, x, cfg), cfg), trace
 
 
 def _consistency_gate(label, analytic, empirical, stderr):

@@ -7,6 +7,8 @@ station observes the superposition of all users' pilots through their
 channels plus additive noise and estimates the per-user channel vectors.
 """
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -89,6 +91,20 @@ class WsmseReport:
     per_user: np.ndarray
     stderr: float | None = None
     trials: int | None = None
+
+
+@contextmanager
+def _open_out(path):
+    """Text stream for writing ``path``, or the open standard output for ``"-"``.
+
+    Standard output is written where it already points, so a shell
+    redirection that appends (``>>``) keeps what the file held.
+    """
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def reference_gains():
@@ -177,19 +193,6 @@ def check_received(y, cfg):
             f"y shape {y.shape} does not match (antennas, pilot_len)"
         )
     return y
-
-
-def linear_estimate(y, b, c=None):
-    """Apply a linear channel estimator to received training blocks.
-
-    ``y`` is one ``(antennas, pilot_len)`` block or several stacked row
-    by row; ``(b, c)`` is an estimator built once per pilot design by
-    :func:`pilotopt.optimizer.proposed_estimator` or
-    :func:`pilotopt.conventional.conventional_estimator`. Returns
-    ``y @ b``, with column k scaled by ``c[k]`` when ``c`` is given.
-    """
-    estimate = y @ b
-    return estimate if c is None else estimate * c
 
 
 def sigma2_from_snr(snr_db, powers):

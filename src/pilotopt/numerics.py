@@ -8,8 +8,9 @@ contracts and determinism over large-scale performance:
   bit-identical,
 * Hermitian solves go through a factorization (numpy's LU solve) rather
   than explicit inverse entries,
-* random draws are pure functions of a ``(seed, stream_id)`` pair, which
-  makes parallel Monte Carlo trials schedule-independent.
+* random draws are pure functions of a ``(seed, stream_id)`` pair, so a
+  Monte Carlo trial's draws do not depend on which other trials run or
+  how they are grouped.
 """
 
 from dataclasses import dataclass
@@ -31,10 +32,9 @@ class RandomStream:
     """Named substream of a deterministic random source.
 
     Identical ``(seed, stream_id)`` pairs produce identical draw
-    sequences on every run and regardless of thread schedule; distinct
-    ``stream_id`` values give statistically independent streams.
-    Instances are immutable; sharing across threads is safe because
-    every draw builds a fresh generator.
+    sequences on every run and in any call order, because every draw
+    builds a fresh generator; distinct ``stream_id`` values give
+    statistically independent streams. Instances are immutable.
     """
 
     seed: int
@@ -130,12 +130,6 @@ def require_nonsingular(w, name):
         )
 
 
-def _checked_hpd_eig(h, name):
-    w, v = hermitian_eig(h)
-    require_nonsingular(w, name)
-    return w, v
-
-
 def inv_sqrt_psd(h):
     """Inverse principal square root of a Hermitian positive definite matrix.
 
@@ -143,7 +137,8 @@ def inv_sqrt_psd(h):
     Hermitian. Raises :class:`SingularMatrixError` when the smallest
     eigenvalue falls below ``1e-12`` times the largest.
     """
-    w, v = _checked_hpd_eig(h, "h")
+    w, v = hermitian_eig(h)
+    require_nonsingular(w, "h")
     r = (v / np.sqrt(w)) @ v.conj().T
     return 0.5 * (r + r.conj().T)
 

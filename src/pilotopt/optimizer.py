@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
-from .model import WsmseReport, check_received, linear_estimate
+from .model import WsmseReport, _open_out, check_received
 from .numerics import (
     draw_cn,
     hermitian_eig,
@@ -261,17 +261,16 @@ def receiver_scalar(x, u_k, k, cfg):
 
 
 def proposed_estimator(x, cfg):
-    """Estimator of the combined-observation receiver for pilots ``x``.
+    """Estimator matrix of the combined-observation receiver for pilots ``x``.
 
-    Returns ``(b, None)`` for :func:`~pilotopt.model.linear_estimate`:
-    column k of ``b`` is ``g_k A^{-1} x_k``, the per-user combiner with
-    its (identically 1) MMSE output scalar folded in. It depends on the
-    pilots only, so one design needs one solve for all its trials.
+    Column k of the ``(pilot_len, users)`` result ``b`` is
+    ``g_k A^{-1} x_k``, the per-user combiner with its (identically 1)
+    MMSE output scalar folded in, so the estimate from a training block
+    ``y`` is ``y @ b``. It depends on the pilots only, so one design
+    needs one solve for all its trials.
     """
     x = _check_pilots(x, cfg)
-    a = gram_matrix(x, cfg)
-    w = solve_hermitian(a, x)
-    return w * cfg.gains[np.newaxis, :], None
+    return solve_hermitian(gram_matrix(x, cfg), x) * cfg.gains
 
 
 def proposed_estimate(y, x, cfg):
@@ -280,23 +279,31 @@ def proposed_estimate(y, x, cfg):
     Column k is ``g_k * y @ A^{-1} x_k`` (see :func:`proposed_estimator`).
     Returns an ``(antennas, users)`` matrix.
     """
-    return linear_estimate(check_received(y, cfg), *proposed_estimator(x, cfg))
+    return check_received(y, cfg) @ proposed_estimator(x, cfg)
 
 
-def analytic_wsmse(x, cfg):
-    """Exact normalized WSMSE achieved by the combined-observation estimator.
+def analytic_wsmse(x, b, cfg):
+    """Exact normalized WSMSE of the linear estimator ``y @ b`` on pilots ``x``.
 
-    User k's normalized term is ``1 - g_k x_k^H A^{-1} x_k`` (per
-    coefficient MSE divided by g_k), and the normalized WSMSE is the
-    mean over users. Equivalently it equals
-    ``1 - N/K + (sigma2 / K) tr(A^{-1})``, which ties the estimation
-    error directly to the design objective.
+    With ``y = h x^H + w`` the estimation error is ``h (x^H b - I) + w b``,
+    so user k's per coefficient MSE is
+
+        m_k = sum_j g_j |(x^H b - I)_jk|^2 + sigma2 ||b_k||^2
+
+    for any ``(pilot_len, users)`` estimator matrix ``b``. The normalized
+    WSMSE is the mean over users of ``m_k / g_k`` (every one of the M
+    coefficients contributes identically, so the result does not depend
+    on the antenna count). For :func:`proposed_estimator` the terms are
+    ``1 - g_k x_k^H A^{-1} x_k`` and their mean is
+    ``1 - N/K + (sigma2 / K) tr(A^{-1})``, which ties the estimation error
+    directly to the design objective; summing nonnegative terms instead
+    of subtracting from 1 keeps full relative accuracy at high SNR.
     """
     x = _check_pilots(x, cfg)
-    a = gram_matrix(x, cfg)
-    w = solve_hermitian(a, x)
-    quad = np.sum(x.conj() * w, axis=0).real
-    per_user = 1.0 - cfg.gains * quad
+    b = _check_pilots(b, cfg, name="b")
+    bias = x.conj().T @ b - np.eye(cfg.users)
+    noise = cfg.sigma2 * np.sum(np.abs(b) ** 2, axis=0)
+    per_user = (cfg.gains @ np.abs(bias) ** 2 + noise) / cfg.gains
     return WsmseReport(wsmse=float(np.mean(per_user)), per_user=per_user)
 
 
@@ -344,12 +351,13 @@ def save_pilots(path, x):
     """Write a pilot matrix as text: header ``N K``, then ``re im`` lines.
 
     Entries are listed column by column at 17 significant digits, which
-    round-trips IEEE doubles exactly.
+    round-trips IEEE doubles exactly. A ``path`` of ``"-"`` writes to
+    standard output.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2:
         raise ContractViolation("pilot matrix must be 2-D")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         fh.write(f"{x.shape[0]} {x.shape[1]}\n")
         for col in range(x.shape[1]):
             for row in range(x.shape[0]):

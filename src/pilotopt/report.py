@@ -2,13 +2,12 @@
 
 import csv
 import json
-import sys
-from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .harness import ConvergenceResult, SweepRow
+from .model import _open_out
 
 SWEEP_HEADER = [
     "snr_db",
@@ -24,15 +23,6 @@ SWEEP_HEADER = [
 TRACE_HEADER = ["init", "update_index", "objective"]
 
 FORMATS = ("csv", "json", "svg")
-
-
-@contextmanager
-def _open_out(path):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
 
 
 def _fmt(value):

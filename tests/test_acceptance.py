@@ -21,13 +21,14 @@ from pilotopt import (
     closed_form_orthogonal,
     closed_form_single_symbol,
     combiner,
-    conventional_analytic_wsmse,
+    conventional_estimator,
     design_reuse_pilots,
     hermitian_eig,
     init_pilots,
     leave_one_out,
     objective,
     optimize_pilots,
+    proposed_estimator,
     rayleigh_update,
     receiver_scalar,
     reference_gains,
@@ -40,6 +41,11 @@ SNR_GRID = [float(s) for s in range(-10, 21, 2)]
 
 def report(number, passed, description):
     print(f"\nACCEPTANCE {number} {'PASS' if passed else 'FAIL'}: {description}")
+
+
+def wsmse(x, estimator, cfg):
+    """Analytic WSMSE of pilots ``x`` under ``estimator(x, cfg)``."""
+    return analytic_wsmse(x, estimator(x, cfg), cfg).wsmse
 
 
 def reference_cfg(snr_db, pilot_len=16):
@@ -61,8 +67,8 @@ def test_criterion_1_dominance_over_snr_grid():
         cfg = reference_cfg(snr_db)
         x0 = init_pilots("dft-reuse", cfg)
         x_opt, _ = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
-        proposed = analytic_wsmse(x_opt, cfg).wsmse
-        conventional = conventional_analytic_wsmse(cfg).wsmse
+        proposed = wsmse(x_opt, proposed_estimator, cfg)
+        conventional = wsmse(design_reuse_pilots(cfg), conventional_estimator, cfg)
         if proposed > conventional:
             failures.append(f"{snr_db} dB: {proposed} > {conventional}")
         if snr_db <= 10.0 and not proposed < conventional:
@@ -81,8 +87,8 @@ def test_criterion_2_orthogonal_point_equality():
         cfg = reference_cfg(snr_db, pilot_len=32)
         x0 = closed_form_orthogonal(cfg)
         x_opt, _ = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
-        proposed = analytic_wsmse(x_opt, cfg).wsmse
-        conventional = conventional_analytic_wsmse(cfg).wsmse
+        proposed = wsmse(x_opt, proposed_estimator, cfg)
+        conventional = wsmse(design_reuse_pilots(cfg), conventional_estimator, cfg)
         closed = cfg.sigma2 / 32 * np.sum(1.0 / (cfg.gains * cfg.powers + cfg.sigma2))
         if abs(proposed - conventional) > 1e-9:
             failures.append(f"{snr_db} dB: algorithms differ by {proposed - conventional}")
@@ -222,11 +228,11 @@ def test_criterion_5_analytic_empirical_agreement():
         x0 = init_pilots("dft-reuse", cfg)
         x_opt, _ = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
         checks = [
-            ("proposed", x_opt, analytic_wsmse(x_opt, cfg).wsmse),
+            ("proposed", x_opt, wsmse(x_opt, proposed_estimator, cfg)),
         ]
         x_base = design_reuse_pilots(cfg)
         checks.append(
-            ("conventional", x_base, conventional_analytic_wsmse(cfg).wsmse)
+            ("conventional", x_base, wsmse(x_base, conventional_estimator, cfg))
         )
         for label, x, analytic in checks:
             emp = run_monte_carlo(cfg, x, label, trials=5000, seed=20100)
@@ -259,9 +265,9 @@ def test_criterion_6_closed_form_cross_checks():
             failures.append(f"single-symbol {kind}: |{got} - {expected}| > 1e-10")
     # scalar reference scenario
     unit = SystemConfig(antennas=4, users=1, pilot_len=1, sigma2=1.0)
-    wsmse = analytic_wsmse(closed_form_single_symbol(unit), unit).wsmse
-    if abs(wsmse - 0.5) > 1e-12:
-        failures.append(f"scalar reference: {wsmse} != 0.5")
+    scalar = wsmse(closed_form_single_symbol(unit), proposed_estimator, unit)
+    if abs(scalar - 0.5) > 1e-12:
+        failures.append(f"scalar reference: {scalar} != 0.5")
     report(6, not failures, "closed forms agree with the iterative optimum")
     assert not failures, "; ".join(failures)
 

@@ -226,6 +226,16 @@ class TestExitCodes:
         assert code == 2
         assert "tol" in capsys.readouterr().err
 
+    def test_seed_must_be_nonnegative(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = cli.main([
+            "sweep-snr", "--m", "4", "--k", "3", "--n", "2", "--trials", "5",
+            "--snr-db", "0", "--seed", "-1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pilot_length_must_be_whole(self, tmp_path):
         def sweep(n):
             out = tmp_path / f"rows-{n}.csv"
@@ -250,6 +260,25 @@ class TestExitCodes:
             "--snr-db", "0",
         ])
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["optimize", "estimate"])
+def test_stdout_appends_to_redirected_file(command, tmp_path):
+    # `pilotopt optimize >> log` must add to log, not truncate it
+    args = [command, "--m", "8", "--k", "4", "--n", "2", "--snr-db", "3",
+            "--seed", "5"]
+    out = tmp_path / "out.txt"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    log = tmp_path / "log.txt"
+    log.write_bytes(b"keep\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    with open(log, "ab") as fh:
+        subprocess.run(
+            [sys.executable, "-m", "pilotopt", *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=fh, stderr=subprocess.DEVNULL, check=True,
+        )
+    assert log.read_bytes() == b"keep\n" + out.read_bytes()
 
 
 def test_import_loads_no_scipy():

@@ -5,8 +5,9 @@ from pilotopt import (
     ConfigurationError,
     RandomStream,
     SystemConfig,
-    conventional_analytic_wsmse,
+    analytic_wsmse,
     conventional_estimate,
+    conventional_estimator,
     design_reuse_pilots,
     generate_channel,
     received_pilot_signal,
@@ -21,18 +22,27 @@ def reuse_cfg(users, pilot_len, powers=1.0, sigma2=1.0, gains=1.0):
                         sigma2=sigma2, powers=powers, gains=gains)
 
 
-def overlap_oracle(cfg, x):
-    """Per-user normalized MSE of the baseline scalar on any pilots ``x``.
+def baseline_wsmse(cfg):
+    x = design_reuse_pilots(cfg)
+    return analytic_wsmse(x, conventional_estimator(x, cfg), cfg)
 
-    ``m_k = |c P - 1|^2 g_k + |c|^2 (sum_{j != k} g_j |x_j^H x_k|^2 + sigma2 P)``
-    with ``c = g_k / (P g_k + sigma2)``; it knows nothing of reuse.
+
+def clash_oracle(cfg):
+    """Per-user normalized MSE of the baseline on its reuse pilots, in closed form.
+
+    ``m_k = |c P - 1|^2 g_k + |c|^2 (P^2 sum_{j in C_k} g_j + sigma2 P)``
+    with ``c = g_k / (P g_k + sigma2)`` and the clash set ``C_k`` of the
+    other users of ``range(k % N, K, N)``; it knows nothing of the
+    estimator matrix.
     """
     p, g = cfg.powers[0], cfg.gains
+    n, users = cfg.pilot_len, cfg.users
     c = g / (p * g + cfg.sigma2)
-    overlap = np.abs(x.conj().T @ x) ** 2
-    np.fill_diagonal(overlap, 0.0)
+    clash = np.array(
+        [sum(g[j] for j in range(k % n, users, n) if j != k) for k in range(users)]
+    )
     m = np.abs(c * p - 1.0) ** 2 * g + np.abs(c) ** 2 * (
-        overlap @ g + cfg.sigma2 * p
+        p**2 * clash + cfg.sigma2 * p
     )
     return m / g
 
@@ -93,18 +103,18 @@ class TestConventionalEstimate:
 class TestConventionalAnalyticWsmse:
     def test_no_contamination_unit_case(self):
         cfg = SystemConfig(antennas=4, users=1, pilot_len=1, sigma2=1.0)
-        rep = conventional_analytic_wsmse(cfg)
+        rep = baseline_wsmse(cfg)
         assert rep.wsmse == pytest.approx(0.5, abs=1e-12)
 
     def test_single_contaminator_unit_case(self):
         cfg = SystemConfig(antennas=4, users=2, pilot_len=1, sigma2=1.0)
-        rep = conventional_analytic_wsmse(cfg)
+        rep = baseline_wsmse(cfg)
         assert rep.wsmse == pytest.approx(0.75, abs=1e-12)
         assert np.allclose(rep.per_user, [0.75, 0.75])
 
     def test_high_noise_limit(self):
         cfg = SystemConfig(antennas=4, users=2, pilot_len=1, sigma2=1e8)
-        rep = conventional_analytic_wsmse(cfg)
+        rep = baseline_wsmse(cfg)
         assert np.all(np.abs(rep.per_user - 1.0) < 1e-6)
 
     def test_monte_carlo_agreement(self):
@@ -113,7 +123,7 @@ class TestConventionalAnalyticWsmse:
             cfg = SystemConfig(antennas=16, users=users, pilot_len=pilot_len,
                                sigma2=0.8, gains=[0.9, 0.4, 0.6, 0.2])
             x = design_reuse_pilots(cfg)
-            analytic = conventional_analytic_wsmse(cfg)
+            analytic = baseline_wsmse(cfg)
             empirical = run_monte_carlo(cfg, x, "conventional", 10000, seed=202)
             assert empirical.wsmse == pytest.approx(analytic.wsmse, rel=0.02)
 
@@ -124,7 +134,7 @@ class TestConventionalAnalyticWsmse:
             s2 = sigma2_from_snr(snr, np.ones(4))
             cfg = SystemConfig(antennas=4, users=4, pilot_len=4, sigma2=s2,
                                gains=gains)
-            vals.append(conventional_analytic_wsmse(cfg).wsmse)
+            vals.append(baseline_wsmse(cfg).wsmse)
         assert np.all(np.diff(vals) < 0)
 
     @pytest.mark.parametrize("users,pilot_len,gains", [
@@ -134,8 +144,8 @@ class TestConventionalAnalyticWsmse:
     def test_matches_general_overlap_formula(self, users, pilot_len, gains):
         g = reference_gains() if gains == "paper" else 1.0
         cfg = reuse_cfg(users, pilot_len, powers=1.7, sigma2=0.3, gains=g)
-        rep = conventional_analytic_wsmse(cfg)
-        expect = overlap_oracle(cfg, design_reuse_pilots(cfg))
+        rep = baseline_wsmse(cfg)
+        expect = clash_oracle(cfg)
         assert np.allclose(rep.per_user, expect, rtol=1e-12, atol=0.0)
         assert rep.wsmse == pytest.approx(np.mean(expect), rel=1e-12)
 

@@ -138,14 +138,19 @@ class TestRunMonteCarlo:
             run_monte_carlo(cfg, x, "proposed", trials=0, seed=1)
 
     def test_per_user_agreement_with_analytic(self):
-        from pilotopt import analytic_wsmse, init_pilots, optimize_pilots
+        from pilotopt import (
+            analytic_wsmse,
+            init_pilots,
+            optimize_pilots,
+            proposed_estimator,
+        )
         from pilotopt.numerics import RandomStream
 
         cfg = SystemConfig(antennas=32, users=4, pilot_len=2, sigma2=0.5,
                            gains=DESK_GAINS[:4])
         x0 = init_pilots("random", cfg, stream=RandomStream(1, 0))
         x, _ = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
-        expected = analytic_wsmse(x, cfg).per_user
+        expected = analytic_wsmse(x, proposed_estimator(x, cfg), cfg).per_user
         rep = run_monte_carlo(cfg, x, "proposed", trials=10000, seed=606)
         assert np.all(np.abs(rep.per_user - expected) / expected < 0.02)
 
@@ -156,6 +161,25 @@ class TestRunMonteCarlo:
         large = run_monte_carlo(cfg, x, "proposed", trials=3200, seed=3)
         assert large.stderr < small.stderr
         assert large.trials == 3200
+
+
+class TestDesignPilots:
+    @pytest.mark.parametrize("algorithm", ["proposed", "conventional"])
+    @pytest.mark.parametrize("power", [1e-300, 1e-200, 1e300])
+    def test_analytic_wsmse_depends_on_snr_only(self, algorithm, power):
+        ecfg = desk_experiment()
+
+        def per_user(p):
+            cfg = replace(ecfg.base, powers=np.full(8, p),
+                          sigma2=sigma2_from_snr(0.0, np.full(8, p)))
+            return design_pilots(algorithm, cfg, ecfg)[1].per_user
+
+        assert np.allclose(per_user(power), per_user(1.0), rtol=1e-12, atol=0.0)
+
+    def test_unknown_algorithm_rejected(self):
+        ecfg = desk_experiment()
+        with pytest.raises(ConfigurationError, match="algorithm"):
+            design_pilots("bogus", ecfg.base, ecfg)
 
 
 class TestSweepSnr:
@@ -290,3 +314,6 @@ class TestExperimentConfig:
             with pytest.raises(ConfigurationError, match="tol"):
                 ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, tol=tol)
         assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, tol=0.0).tol == 0.0
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=-1)
+        assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=0).seed == 0

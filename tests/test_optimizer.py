@@ -20,6 +20,7 @@ from pilotopt import (
     objective,
     optimize_pilots,
     proposed_estimate,
+    proposed_estimator,
     rayleigh_update,
     received_pilot_signal,
     receiver_scalar,
@@ -27,6 +28,10 @@ from pilotopt import (
     save_pilots,
     sigma2_from_snr,
 )
+
+
+def proposed_wsmse(x, cfg):
+    return analytic_wsmse(x, proposed_estimator(x, cfg), cfg)
 
 
 def random_cfg(seed, max_users=12, min_users=2, noise=(0.05, 2.0)):
@@ -409,24 +414,24 @@ class TestProposedEstimate:
 class TestAnalyticWsmse:
     def test_scalar_reference(self):
         cfg = SystemConfig(antennas=2, users=1, pilot_len=1, sigma2=1.0)
-        rep = analytic_wsmse(np.ones((1, 1)), cfg)
+        rep = proposed_wsmse(np.ones((1, 1)), cfg)
         assert rep.wsmse == pytest.approx(0.5, abs=1e-12)
 
     def test_two_users_single_symbol(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
-        rep = analytic_wsmse(closed_form_single_symbol(cfg), cfg)
+        rep = proposed_wsmse(closed_form_single_symbol(cfg), cfg)
         assert rep.wsmse == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_high_noise_limit(self):
         cfg = SystemConfig(antennas=2, users=1, pilot_len=1, sigma2=1e6)
-        rep = analytic_wsmse(np.ones((1, 1)), cfg)
+        rep = proposed_wsmse(np.ones((1, 1)), cfg)
         assert rep.wsmse == pytest.approx(1.0 - 1.0 / (1.0 + 1e6), abs=1e-12)
 
     def test_trace_identity(self):
         for seed in range(8):
             cfg = random_cfg(seed + 700, min_users=2)
             x = init_pilots("random", cfg, stream=RandomStream(seed, 7))
-            rep = analytic_wsmse(x, cfg)
+            rep = proposed_wsmse(x, cfg)
             identity = (
                 1.0
                 - cfg.pilot_len / cfg.users
@@ -434,21 +439,33 @@ class TestAnalyticWsmse:
             )
             assert rep.wsmse == pytest.approx(identity, abs=1e-12)
 
+    @pytest.mark.parametrize("users", [16, 32])
+    @pytest.mark.parametrize("snr_db", [40.0, 60.0, 80.0])
+    def test_orthogonal_high_snr_accuracy(self, users, snr_db):
+        # the difference 1 - g_k x_k^H A^{-1} x_k cancels here: at 80 dB it
+        # is off by up to 3.3e-8 relative
+        cfg = SystemConfig(antennas=4, users=users, pilot_len=users,
+                           sigma2=sigma2_from_snr(snr_db, np.ones(users)),
+                           gains=reference_gains()[:users])
+        rep = proposed_wsmse(closed_form_orthogonal(cfg), cfg)
+        exact = cfg.sigma2 / (cfg.gains * cfg.powers + cfg.sigma2)
+        assert np.allclose(rep.per_user, exact, rtol=1e-13, atol=0.0)
+
     def test_bounds(self):
         for seed in range(8):
             cfg = random_cfg(seed + 800, min_users=2)
             x = init_pilots("random", cfg, stream=RandomStream(seed, 11))
-            rep = analytic_wsmse(x, cfg)
+            rep = proposed_wsmse(x, cfg)
             assert np.all(rep.per_user >= 0.0)
             assert np.all(rep.per_user <= 1.0)
 
     def test_per_user_phase_invariance(self):
         cfg = random_cfg(55, min_users=3)
         x = init_pilots("random", cfg, stream=RandomStream(9, 0))
-        rep = analytic_wsmse(x, cfg)
+        rep = proposed_wsmse(x, cfg)
         x2 = x.copy()
         x2[:, 1] *= np.exp(1j * 0.83)
-        rep2 = analytic_wsmse(x2, cfg)
+        rep2 = proposed_wsmse(x2, cfg)
         assert rep2.wsmse == pytest.approx(rep.wsmse, abs=1e-12)
         assert objective(x2, cfg) == pytest.approx(objective(x, cfg), abs=1e-12)
 
@@ -466,7 +483,7 @@ class TestAnalyticWsmse:
         for seed in range(5):
             cfg = random_cfg(seed + 900, min_users=3)
             x = init_pilots("random", cfg, stream=RandomStream(seed, 13))
-            base = analytic_wsmse(x, cfg).wsmse
+            base = proposed_wsmse(x, cfg).wsmse
             k = int(rng.integers(0, cfg.users))
             gains = cfg.gains.copy()
             gains[k] *= 1.01
@@ -474,7 +491,7 @@ class TestAnalyticWsmse:
                 antennas=cfg.antennas, users=cfg.users, pilot_len=cfg.pilot_len,
                 sigma2=cfg.sigma2, powers=cfg.powers, gains=gains,
             )
-            assert analytic_wsmse(x, bumped).wsmse <= base + 1e-12
+            assert proposed_wsmse(x, bumped).wsmse <= base + 1e-12
 
 
 class TestInitPilots:
