@@ -36,12 +36,12 @@ experiment = ExperimentConfig(base=cfg, snr_db_list=[SNR_DB], seed=SEED)
 
 # Monte Carlo trial 0 of each design: both estimators see the same
 # channel and noise realization
-x_reuse, conv_ana, _ = design_pilots("conventional", cfg, experiment)
+x_reuse, _, conv_ana, _ = design_pilots("conventional", cfg, experiment)
 conv_per_user = trial_errors(cfg, x_reuse, "conventional", SEED, 0)
 conv_expect = conv_ana.per_user
 
 # optimized pilots (from the DFT-reuse start) with the matched combiner
-x_opt, prop_ana, trace = design_pilots("proposed", cfg, experiment)
+x_opt, _, prop_ana, trace = design_pilots("proposed", cfg, experiment)
 prop_per_user = trial_errors(cfg, x_opt, "proposed", SEED, 0)
 prop_expect = prop_ana.per_user
 

@@ -54,8 +54,6 @@ from .numerics import (
 from .optimizer import (
     OptimizerTrace,
     analytic_wsmse,
-    closed_form_orthogonal,
-    closed_form_single_symbol,
     combiner,
     gram_matrix,
     init_pilots,
@@ -85,8 +83,6 @@ __all__ = [
     "SystemConfig",
     "WsmseReport",
     "analytic_wsmse",
-    "closed_form_orthogonal",
-    "closed_form_single_symbol",
     "combiner",
     "conventional_estimate",
     "conventional_estimator",

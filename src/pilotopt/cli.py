@@ -47,7 +47,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    # the flags only some commands read (the sweeps read all four);
+    # add_flags gives every command the scenario, optimizer and output flags
+    optional = {
+        "trials": {"type": int, "default": None, "help": "Monte Carlo trials per point"},
+        "init": {"default": "dft-reuse", "choices": ["dft-reuse", "dft-k", "random"]},
+        "mode": {"default": "both", "choices": ["proposed", "conventional", "both"]},
+        "format": {"default": "csv", "choices": ["csv", "json", "svg"]},
+    }
+
+    def add_flags(sp, extra):
         sp.add_argument("--profile", choices=sorted(_PROFILES), default="desk",
                         help="named scenario preset; explicit flags override it")
         sp.add_argument("--m", type=int, default=None, help="base station antennas")
@@ -56,31 +65,30 @@ def build_parser():
                         help="pilot length; sweep-n accepts a comma list")
         sp.add_argument("--snr-db", default=None,
                         help="comma list of SNR points in dB (default -10..20 step 2)")
-        sp.add_argument("--trials", type=int, default=None,
-                        help="Monte Carlo trials per point")
         sp.add_argument("--seed", type=int, default=12345)
         sp.add_argument("--gains", default=None,
                         help="gains file, or 'paper' for the bundled 32-user table")
         sp.add_argument("--power", default="1.0",
                         help="per-user power budget: a number or a file")
-        sp.add_argument("--init", default="dft-reuse",
-                        choices=["dft-reuse", "dft-k", "random"])
-        sp.add_argument("--mode", default="both",
-                        choices=["proposed", "conventional", "both"])
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="relative per-sweep objective decrease for convergence")
         sp.add_argument("--max-sweeps", type=int, default=100)
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sp.add_argument("--format", default="csv", choices=["csv", "json", "svg"])
+        for flag in extra:
+            sp.add_argument(f"--{flag}", **optional[flag])
 
-    for name, text in [
-        ("sweep-snr", "normalized WSMSE across an SNR grid at fixed pilot length"),
-        ("sweep-n", "normalized WSMSE across pilot lengths and SNR points"),
-        ("convergence", "optimizer objective traces from all three initializations"),
-        ("optimize", "emit one optimized pilot matrix in the text format"),
-        ("estimate", "single-realization estimation demo (JSON report)"),
+    sweep_flags = tuple(optional)
+    for name, extra, text in [
+        ("sweep-snr", sweep_flags,
+         "normalized WSMSE across an SNR grid at fixed pilot length"),
+        ("sweep-n", sweep_flags, "normalized WSMSE across pilot lengths and SNR points"),
+        ("convergence", ("format",),
+         "optimizer objective traces from all three initializations"),
+        ("optimize", ("init",), "emit one optimized pilot matrix in the text format"),
+        ("estimate", ("init", "mode"),
+         "single-realization estimation demo (JSON report)"),
     ]:
-        add_common(sub.add_parser(name, help=text))
+        add_flags(sub.add_parser(name, help=text), extra)
     return parser
 
 
@@ -102,7 +110,6 @@ def _resolve_scenario(args):
     profile = _PROFILES[args.profile]
     m = args.m if args.m is not None else profile["m"]
     k = args.k if args.k is not None else profile["k"]
-    trials = args.trials if args.trials is not None else profile["trials"]
     gains_arg = args.gains if args.gains is not None else profile["gains"]
 
     if gains_arg is None:
@@ -148,16 +155,21 @@ def _resolve_scenario(args):
         powers=powers,
         gains=gains,
     )
+    # a command without --trials, --init or --mode runs the ExperimentConfig
+    # defaults
+    options = {
+        key: getattr(args, key) for key in ("mode", "init") if hasattr(args, key)
+    }
+    if hasattr(args, "trials"):
+        options["trials"] = args.trials if args.trials is not None else profile["trials"]
     return ExperimentConfig(
         base=base,
         snr_db_list=snr_list,
         n_list=n_list,
-        trials=trials,
         seed=args.seed,
-        mode=args.mode,
-        init=args.init,
         tol=args.tol,
         max_sweeps=args.max_sweeps,
+        **options,
     )
 
 
@@ -196,13 +208,8 @@ def _single_point_config(ecfg):
 
 
 def _cmd_optimize(ecfg, args):
-    if ecfg.mode == "conventional":
-        raise ConfigurationError(
-            "optimize writes the proposed pilots; the conventional baseline "
-            "has nothing to optimize (use --mode proposed or both)"
-        )
     cfg, _ = _single_point_config(ecfg)
-    x_opt, _, trace = design_pilots("proposed", cfg, ecfg)
+    x_opt, _, _, trace = design_pilots("proposed", cfg, ecfg)
     save_pilots(args.out, x_opt)
     print(
         f"objective {trace.objective_per_update[-1]:.12g} after "
@@ -217,7 +224,7 @@ def _cmd_estimate(ecfg, args):
     cfg, snr = _single_point_config(ecfg)
     payload = {"snr_db": snr, "n": cfg.pilot_len, "algorithms": {}}
     for algorithm in ecfg.algorithms:
-        x, ana, _ = design_pilots(algorithm, cfg, ecfg)
+        x, _, ana, _ = design_pilots(algorithm, cfg, ecfg)
         per_user = trial_errors(cfg, x, algorithm, ecfg.seed, 0)
         payload["algorithms"][algorithm] = {
             "wsmse_analytic": ana.wsmse,

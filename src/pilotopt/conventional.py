@@ -40,7 +40,7 @@ def design_reuse_pilots(cfg):
 def _uniform_power(x):
     norms = np.sum(np.abs(x) ** 2, axis=0)
     p = norms[0]
-    if p <= 0 or np.max(np.abs(norms - p)) > 1e-9 * max(p, 1.0):
+    if p <= 0 or np.max(np.abs(norms - p)) > 1e-9 * p:
         raise ContractViolation(
             "conventional estimation expects uniform pilot column energy"
         )

@@ -165,23 +165,21 @@ def trial_errors(cfg, x, algorithm, seed, t):
 
 
 def _monte_carlo(points, trials, seed):
-    """Empirical WSMSE of each ``(cfg, x, algorithm)`` point on shared draws.
+    """Empirical WSMSE of each ``(cfg, x, b)`` point on shared draws.
 
     Every point must have the dimensions and gains of the first; they may
-    differ in noise variance, pilots and algorithm. Each point's
-    estimator is built once, then trials ``0 .. trials - 1`` are drawn
-    chunk by chunk, every point is evaluated on each chunk, and the
-    errors are folded in trial order.
+    differ in noise variance, pilots and estimator matrix ``b``. Trials
+    ``0 .. trials - 1`` are drawn chunk by chunk, every point is evaluated
+    on each chunk, and the errors are folded in trial order.
     """
     shape = points[0][0]
-    estimators = [_estimator(algorithm, x, cfg) for cfg, x, algorithm in points]
     step = _trials_per_chunk(shape)
     per_trial = np.empty((len(points), trials))
     sums = np.zeros((len(points), shape.users))
     for start in range(0, trials, step):
         stop = min(start + step, trials)
         h, white = _draws(shape, seed, start, stop)
-        for p, ((cfg, x, _), b) in enumerate(zip(points, estimators)):
+        for p, (cfg, x, b) in enumerate(points):
             err = _errors(cfg, x, b, h, white)
             per_trial[p, start:stop] = err.mean(axis=1)
             sums[p] += err.sum(axis=0)
@@ -214,17 +212,18 @@ def run_monte_carlo(cfg, x, algorithm, trials, seed):
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    return _monte_carlo([(cfg, x, algorithm)], trials, seed)[0]
+    return _monte_carlo([(cfg, x, _estimator(algorithm, x, cfg))], trials, seed)[0]
 
 
 def design_pilots(algorithm, cfg, ecfg):
-    """Pilots of one algorithm at one scenario, with their analytic WSMSE.
+    """Pilots of one algorithm at one scenario, with estimator and analytic WSMSE.
 
+    Returns ``(x, b, analytic, trace)``: the pilots, the algorithm's
+    ``(pilot_len, users)`` estimator matrix, its
+    :func:`~pilotopt.optimizer.analytic_wsmse` and the optimizer trace.
     ``proposed`` optimizes from ``ecfg.init`` (random starts draw from
-    stream ``2**33``) and returns the optimizer trace; ``conventional``
-    reuses the DFT columns and returns ``None`` in its place. Either way
-    the analytic WSMSE is :func:`~pilotopt.optimizer.analytic_wsmse` of
-    the pilots and the algorithm's estimator matrix.
+    stream ``2**33``); ``conventional`` reuses the DFT columns and has
+    ``None`` for its trace.
     """
     _check_algorithm(algorithm)
     if algorithm == "proposed":
@@ -233,7 +232,8 @@ def design_pilots(algorithm, cfg, ecfg):
         x, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
     else:
         x, trace = design_reuse_pilots(cfg), None
-    return x, analytic_wsmse(x, _estimator(algorithm, x, cfg), cfg), trace
+    b = _estimator(algorithm, x, cfg)
+    return x, b, analytic_wsmse(x, b, cfg), trace
 
 
 def _consistency_gate(label, analytic, empirical, stderr):
@@ -257,8 +257,8 @@ def sweep_snr(ecfg):
     orthogonal pilots and reach the same analytic WSMSE.
 
     All points of one pilot length are designed first, then evaluated
-    on the same Monte Carlo draws; each row equals its own
-    :func:`run_monte_carlo`.
+    on the same Monte Carlo draws with the estimator matrices the
+    designs built; each row equals its own :func:`run_monte_carlo`.
     """
     base = ecfg.base
     rows = []
@@ -271,11 +271,9 @@ def sweep_snr(ecfg):
                 design = design_pilots(algorithm, cfg, ecfg)
                 points.append((snr_db, cfg, algorithm, *design))
         reports = _monte_carlo(
-            [(cfg, x, algorithm) for _, cfg, algorithm, x, _, _ in points],
-            ecfg.trials,
-            ecfg.seed,
+            [(cfg, x, b) for _, cfg, _, x, b, _, _ in points], ecfg.trials, ecfg.seed
         )
-        for (snr_db, cfg, algorithm, _, ana, trace), emp in zip(points, reports):
+        for (snr_db, cfg, algorithm, _, _, ana, trace), emp in zip(points, reports):
             label = f"{algorithm} @ {snr_db} dB"
             _consistency_gate(label, ana.wsmse, emp.wsmse, emp.stderr)
             rows.append(

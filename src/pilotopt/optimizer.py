@@ -18,10 +18,13 @@ since tr(A^{-1}) depends on the eigenvalues only. Each single-user
 update can only decrease tr(A^{-1}), so the sweep objective is monotone
 and the iteration always converges.
 
-The closed forms are the reference optima of the two boundary regimes:
-a single pilot symbol (any full-power pilot is optimal) and pilot length
-equal to the user count (orthogonal full-power pilots are optimal). The
-iteration started from ``dft-reuse`` stops after one sweep at both.
+The two boundary regimes have closed-form optima, and both are the
+reuse-DFT frame ``init_pilots("dft-reuse", cfg)``: at a single pilot
+symbol every full-power pilot is optimal, with objective
+``1 / (sum_k g_k P_k + sigma2)``, and at pilot length equal to the user
+count the orthogonal full-power DFT columns are, with objective
+``sum_k 1 / (g_k P_k + sigma2)``. The iteration started from that frame
+stops after one sweep at both.
 """
 
 from dataclasses import dataclass
@@ -158,7 +161,7 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
         raise ContractViolation("optimize_pilots requires sigma2 > 0")
     x = _check_pilots(init, cfg, name="init").copy()
     norms = np.sum(np.abs(x) ** 2, axis=0)
-    if np.any(norms > cfg.powers + 1e-9):
+    if np.any(norms > cfg.powers * (1 + 1e-9)):
         worst = int(np.argmax(norms - cfg.powers))
         raise ContractViolation(
             f"initial pilot {worst} exceeds its power budget: "
@@ -202,38 +205,15 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
     return x, trace
 
 
-def closed_form_single_symbol(cfg):
-    """Optimal pilots for a one-symbol sequence: every user at full power.
-
-    With ``pilot_len == 1`` the Gram matrix is the scalar
-    ``sum_k g_k P_k + sigma2``, so any full-power phase choice is
-    globally optimal; the real positive root is returned. The objective
-    is ``1 / (sum_k g_k P_k + sigma2)``.
-    """
-    if cfg.pilot_len != 1:
-        raise ContractViolation("closed_form_single_symbol requires pilot_len == 1")
-    return np.sqrt(cfg.powers)[np.newaxis, :].astype(np.complex128)
-
-
-def closed_form_orthogonal(cfg):
-    """Optimal pilots when the sequence length equals the user count.
-
-    Mutually orthogonal full-power columns (scaled unitary DFT columns)
-    are globally optimal; the Gram matrix becomes diagonal in the pilot
-    basis with eigenvalues ``g_k P_k + sigma2``, giving objective
-    ``sum_k 1 / (g_k P_k + sigma2)``.
-    """
-    if cfg.pilot_len != cfg.users:
-        raise ContractViolation("closed_form_orthogonal requires pilot_len == users")
-    return unitary_dft(cfg.pilot_len) * np.sqrt(cfg.powers)[np.newaxis, :]
-
-
 def combiner(x, k, cfg):
     """Pilot-domain combining vector for user k: ``g_k A^{-1} x_k``.
 
     Maximizes the ratio of user k's signal energy to total received
     energy over all length-N combiners (a generalized Rayleigh quotient
-    whose optimum is available in closed form).
+    whose optimum is available in closed form). This is the paper's
+    introduced variable u_k, kept as documented API: the package itself
+    applies :func:`proposed_estimator`, which folds u_k and c_k into one
+    matrix and is tested against them.
     """
     x = _check_pilots(x, cfg)
     a = gram_matrix(x, cfg)
@@ -247,7 +227,8 @@ def receiver_scalar(x, u_k, k, cfg):
     the per-user MSE for a fixed combiner. The product ``c_k * u_k`` is
     invariant under rescaling of ``u_k`` by any nonzero complex factor,
     and at the optimal combiner ``c_k == 1`` exactly, so the estimate
-    collapses to ``g_k * y @ A^{-1} x_k``.
+    collapses to ``g_k * y @ A^{-1} x_k``. This is the paper's introduced
+    variable c_k, kept as documented API next to :func:`combiner`.
     """
     x = _check_pilots(x, cfg)
     u_k = np.asarray(u_k, dtype=np.complex128)

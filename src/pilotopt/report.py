@@ -126,14 +126,10 @@ def _trace_dict(res):
 
 def write_json(items, path):
     """Write sweep rows or convergence results as a JSON array."""
-    payload = []
-    for item in items:
-        if isinstance(item, SweepRow):
-            payload.append(_row_dict(item))
-        elif isinstance(item, ConvergenceResult):
-            payload.append(_trace_dict(item))
-        else:
-            payload.append(item)
+    payload = [
+        _row_dict(item) if isinstance(item, SweepRow) else _trace_dict(item)
+        for item in items
+    ]
     with _open_out(path) as fh:
         json.dump(payload, fh, indent=2, allow_nan=True)
         fh.write("\n")
@@ -268,12 +264,20 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
 
 
 def _sweep_series(rows, x_field):
+    """One series per algorithm and per value of the axis ``x_field`` is not.
+
+    The label names that other value only when the rows hold more than one.
+    """
+    other = "n" if x_field == "snr_db" else "snr_db"
+    unit = "{:g} dB" if other == "snr_db" else "N = {}"
+    several = len({getattr(r, other) for r in rows}) > 1
     series = []
-    for algorithm in dict.fromkeys(r.algorithm for r in rows):
-        sub = [r for r in rows if r.algorithm == algorithm]
+    for key in dict.fromkeys((r.algorithm, getattr(r, other)) for r in rows):
+        sub = [r for r in rows if (r.algorithm, getattr(r, other)) == key]
         xs = [getattr(r, x_field) for r in sub]
         ys = [r.wsmse_analytic for r in sub]
-        series.append((algorithm, xs, ys))
+        label = f"{key[0]}, {unit.format(key[1])}" if several else key[0]
+        series.append((label, xs, ys))
     return series
 
 
@@ -291,8 +295,9 @@ def emit(items, fmt, path, x_field="snr_db"):
     """Write sweep rows or convergence results in the requested format.
 
     CSV uses the fixed headers above; JSON mirrors the row fields; SVG
-    draws one polyline per algorithm (sweeps, against ``x_field``) or
-    per initialization (traces, against the update index).
+    draws one polyline per algorithm and value of the other sweep axis
+    (sweeps, against ``x_field``) or per initialization (traces, against
+    the update index).
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"format must be one of {FORMATS}, got {fmt!r}")

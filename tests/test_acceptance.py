@@ -18,8 +18,6 @@ from pilotopt import (
     RandomStream,
     SystemConfig,
     analytic_wsmse,
-    closed_form_orthogonal,
-    closed_form_single_symbol,
     combiner,
     conventional_estimator,
     design_reuse_pilots,
@@ -85,7 +83,7 @@ def test_criterion_2_orthogonal_point_equality():
     failures = []
     for snr_db in (0.0, 10.0):
         cfg = reference_cfg(snr_db, pilot_len=32)
-        x0 = closed_form_orthogonal(cfg)
+        x0 = init_pilots("dft-reuse", cfg)
         x_opt, _ = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
         proposed = wsmse(x_opt, proposed_estimator, cfg)
         conventional = wsmse(design_reuse_pilots(cfg), conventional_estimator, cfg)
@@ -125,8 +123,8 @@ def test_schur_horn_bound_matches_closed_forms():
     cfg_one = reference_cfg(0.0, pilot_len=1)
     cfg_full = reference_cfg(0.0, pilot_len=32)
     cases = [
-        ("N=1", cfg_one, objective(closed_form_single_symbol(cfg_one), cfg_one)),
-        ("N=K", cfg_full, objective(closed_form_orthogonal(cfg_full), cfg_full)),
+        ("N=1", cfg_one, objective(init_pilots("dft-reuse", cfg_one), cfg_one)),
+        ("N=K", cfg_full, objective(init_pilots("dft-reuse", cfg_full), cfg_full)),
     ]
     for label, cfg, closed in cases:
         bound = _schur_horn_bound(cfg)
@@ -265,7 +263,7 @@ def test_criterion_6_closed_form_cross_checks():
             failures.append(f"single-symbol {kind}: |{got} - {expected}| > 1e-10")
     # scalar reference scenario
     unit = SystemConfig(antennas=4, users=1, pilot_len=1, sigma2=1.0)
-    scalar = wsmse(closed_form_single_symbol(unit), proposed_estimator, unit)
+    scalar = wsmse(init_pilots("dft-reuse", unit), proposed_estimator, unit)
     if abs(scalar - 0.5) > 1e-12:
         failures.append(f"scalar reference: {scalar} != 0.5")
     report(6, not failures, "closed forms agree with the iterative optimum")

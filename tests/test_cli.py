@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,13 +75,29 @@ class TestSweepNCommand:
         conv = {r.n: r.wsmse_analytic for r in rows if r.algorithm == "conventional"}
         assert abs(prop[4] - conv[4]) < 1e-9
 
+    def test_svg_draws_one_increasing_line_per_algorithm_and_snr(self, tmp_path):
+        out = tmp_path / "rows.svg"
+        code = cli.main([
+            "sweep-n", "--m", "8", "--k", "4", "--n", "1,2,4", "--trials", "20",
+            "--snr-db", "0,10", "--format", "svg", "--out", str(out),
+        ])
+        assert code == 0
+        svg = out.read_text()
+        lines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(lines) == 4
+        for points in lines:
+            xs = [float(p.split(",")[0]) for p in points.split()]
+            assert len(xs) == 3 and np.all(np.diff(xs) > 0)
+        for label in ("proposed, 0 dB", "conventional, 10 dB"):
+            assert f">{label}</text>" in svg
+
 
 class TestConvergenceCommand:
     def test_trace_csv(self, tmp_path):
         out = tmp_path / "trace.csv"
         code = cli.main([
             "convergence", "--m", "8", "--k", "4", "--n", "2", "--snr-db", "0",
-            "--trials", "1", "--out", str(out),
+            "--out", str(out),
         ])
         assert code == 0
         parsed = read_trace_csv(out)
@@ -108,18 +125,16 @@ class TestOptimizeCommand:
         assert x.shape == (2, 4)
         assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), 1.0, rtol=1e-10)
 
-    def test_proposed_and_default_modes_write_the_designed_pilots(self, tmp_path):
-        args = ["optimize", "--m", "8", "--k", "4", "--n", "2", "--snr-db", "3",
-                "--seed", "5"]
-        default, proposed = tmp_path / "default.txt", tmp_path / "proposed.txt"
-        assert cli.main([*args, "--out", str(default)]) == 0
-        assert cli.main([*args, "--mode", "proposed", "--out", str(proposed)]) == 0
+    def test_writes_the_designed_pilots(self, tmp_path):
+        out = tmp_path / "pilots.txt"
+        assert cli.main(["optimize", "--m", "8", "--k", "4", "--n", "2", "--snr-db",
+                         "3", "--seed", "5", "--out", str(out)]) == 0
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2,
                            sigma2=sigma2_from_snr(3.0, np.ones(4)))
         ecfg = ExperimentConfig(base=cfg, snr_db_list=[3.0], seed=5)
         expected = tmp_path / "expected.txt"
         save_pilots(expected, design_pilots("proposed", cfg, ecfg)[0])
-        assert default.read_bytes() == proposed.read_bytes() == expected.read_bytes()
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_conventional_mode_is_a_configuration_error(self, tmp_path, capsys):
         out = tmp_path / "pilots.txt"
@@ -128,7 +143,7 @@ class TestOptimizeCommand:
             "--mode", "conventional", "--out", str(out),
         ])
         assert code == 2
-        assert "nothing to optimize" in capsys.readouterr().err
+        assert "unrecognized arguments: --mode conventional" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -158,11 +173,30 @@ class TestEstimateCommand:
         ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=31,
                                 init="random")
         for algorithm in ("proposed", "conventional"):
-            x, ana, _ = design_pilots(algorithm, cfg, ecfg)
+            x, _, ana, _ = design_pilots(algorithm, cfg, ecfg)
             rep = run_monte_carlo(cfg, x, algorithm, trials=1, seed=31)
             entry = data["algorithms"][algorithm]
             assert entry["per_user_realized"] == [float(v) for v in rep.per_user]
             assert entry["wsmse_analytic"] == ana.wsmse
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("convergence", "--trials=5"),
+    ("convergence", "--init=random"),
+    ("convergence", "--mode=proposed"),
+    ("optimize", "--trials=5"),
+    ("optimize", "--format=json"),
+    ("optimize", "--mode=proposed"),
+    ("estimate", "--trials=5"),
+    ("estimate", "--format=csv"),
+])
+def test_commands_reject_flags_they_ignore(command, flag, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    code = cli.main([command, "--m", "4", "--k", "3", "--n", "2", "--snr-db", "0",
+                     flag, "--out", str(out)])
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPaperProfile:

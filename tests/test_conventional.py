@@ -3,6 +3,7 @@ import pytest
 
 from pilotopt import (
     ConfigurationError,
+    ContractViolation,
     RandomStream,
     SystemConfig,
     analytic_wsmse,
@@ -98,6 +99,17 @@ class TestConventionalEstimate:
         x = np.array([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(Exception):
             conventional_estimate(np.zeros((2, 2)), x, cfg)
+
+    def test_uniform_energy_check_scales_with_power(self):
+        # energies 1e-300 and 9e-300 differ by 8 budgets, which an absolute
+        # 1e-9 tolerance let through
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=2, sigma2=1e-300,
+                           powers=1e-300)
+        x = np.array([[1e-150, 0.0], [0.0, 3e-150]])
+        with pytest.raises(ContractViolation, match="uniform"):
+            conventional_estimator(x, cfg)
+        b = conventional_estimator(design_reuse_pilots(cfg), cfg)
+        assert np.all(np.isfinite(b))
 
 
 class TestConventionalAnalyticWsmse:

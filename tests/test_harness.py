@@ -8,14 +8,13 @@ from pilotopt import (
     ExperimentConfig,
     RandomStream,
     SystemConfig,
-    closed_form_orthogonal,
-    closed_form_single_symbol,
     conventional_estimate,
     convergence_trace,
     design_pilots,
     design_reuse_pilots,
     draw_cn,
     generate_channel,
+    init_pilots,
     objective,
     proposed_estimate,
     received_pilot_signal,
@@ -70,13 +69,13 @@ def desk_experiment(**overrides):
 class TestRunMonteCarlo:
     def test_near_noiseless_recovery(self):
         cfg = SystemConfig(antennas=8, users=4, pilot_len=4, sigma2=1e-9)
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         rep = run_monte_carlo(cfg, x, "proposed", trials=50, seed=7)
         assert rep.wsmse < 1e-6
 
     def test_scalar_reference_many_trials(self):
         cfg = SystemConfig(antennas=8, users=1, pilot_len=1, sigma2=1.0)
-        x = closed_form_single_symbol(cfg)
+        x = init_pilots("dft-reuse", cfg)
         rep = run_monte_carlo(cfg, x, "proposed", trials=100000, seed=9)
         assert rep.wsmse == pytest.approx(0.5, rel=0.02)
 
@@ -128,7 +127,7 @@ class TestRunMonteCarlo:
 
     def test_rejects_bad_mode_and_trials(self):
         cfg = SystemConfig(antennas=2, users=1, pilot_len=1, sigma2=1.0)
-        x = closed_form_single_symbol(cfg)
+        x = init_pilots("dft-reuse", cfg)
         with pytest.raises(ConfigurationError):
             run_monte_carlo(cfg, x, "bogus", trials=10, seed=1)
         # each algorithm designs its own pilots, so one call runs one estimator
@@ -156,7 +155,7 @@ class TestRunMonteCarlo:
 
     def test_stderr_scales_with_trials(self):
         cfg = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         small = run_monte_carlo(cfg, x, "proposed", trials=200, seed=3)
         large = run_monte_carlo(cfg, x, "proposed", trials=3200, seed=3)
         assert large.stderr < small.stderr
@@ -172,7 +171,7 @@ class TestDesignPilots:
         def per_user(p):
             cfg = replace(ecfg.base, powers=np.full(8, p),
                           sigma2=sigma2_from_snr(0.0, np.full(8, p)))
-            return design_pilots(algorithm, cfg, ecfg)[1].per_user
+            return design_pilots(algorithm, cfg, ecfg)[2].per_user
 
         assert np.allclose(per_user(power), per_user(1.0), rtol=1e-12, atol=0.0)
 
@@ -227,7 +226,7 @@ class TestSweepSnr:
         for row in rows:
             cfg = replace(ecfg.base, pilot_len=row.n,
                           sigma2=sigma2_from_snr(row.snr_db, ecfg.base.powers))
-            x, ana, _ = design_pilots(row.algorithm, cfg, ecfg)
+            x, _, ana, _ = design_pilots(row.algorithm, cfg, ecfg)
             emp = run_monte_carlo(cfg, x, row.algorithm, trials, ecfg.seed)
             assert row.wsmse_analytic == ana.wsmse
             assert row.wsmse_empirical == emp.wsmse
@@ -253,7 +252,7 @@ class TestSweepPilotLength:
         cfg = SystemConfig(antennas=16, users=8, pilot_len=1,
                            sigma2=sigma2_from_snr(0.0, np.ones(8)),
                            gains=DESK_GAINS)
-        best = objective(closed_form_single_symbol(cfg), cfg)
+        best = objective(init_pilots("dft-reuse", cfg), cfg)
         expected = 1.0 - 1.0 / 8 + cfg.sigma2 / 8 * best
         assert rows[0].wsmse_analytic == pytest.approx(expected, abs=1e-10)
 

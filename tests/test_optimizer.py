@@ -8,8 +8,6 @@ from pilotopt import (
     SingularMatrixError,
     SystemConfig,
     analytic_wsmse,
-    closed_form_orthogonal,
-    closed_form_single_symbol,
     combiner,
     draw_cn,
     gram_matrix,
@@ -63,7 +61,7 @@ class TestGramMatrix:
         cfg = SystemConfig(antennas=2, users=4, pilot_len=4, sigma2=0.3,
                            powers=[1.0, 2.0, 0.5, 1.5],
                            gains=[0.9, 0.3, 0.6, 0.2])
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         w, _ = hermitian_eig(gram_matrix(x, cfg))
         expected = np.sort(cfg.gains * cfg.powers + cfg.sigma2)
         assert np.allclose(w, expected, atol=1e-12)
@@ -81,7 +79,7 @@ class TestObjective:
     def test_two_user_orthogonal(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=2, sigma2=1.0,
                            gains=[1.0, 0.5])
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         assert objective(x, cfg) == pytest.approx(7.0 / 6.0, abs=1e-12)
 
     def test_matches_explicit_inverse_trace(self):
@@ -234,7 +232,7 @@ class TestOptimizePilots:
     def test_orthogonal_initialization_is_fixed_point(self):
         cfg = SystemConfig(antennas=2, users=4, pilot_len=4, sigma2=0.5,
                            gains=[0.9, 0.2, 0.5, 0.7])
-        x0 = closed_form_orthogonal(cfg)
+        x0 = init_pilots("dft-reuse", cfg)
         start = objective(x0, cfg)
         x, trace = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=20)
         assert trace.converged
@@ -256,7 +254,7 @@ class TestOptimizePilots:
     def test_single_symbol_matches_closed_form(self):
         cfg = SystemConfig(antennas=2, users=3, pilot_len=1, sigma2=0.7,
                            powers=[1.0, 2.0, 0.5], gains=[0.9, 0.3, 0.6])
-        best = objective(closed_form_single_symbol(cfg), cfg)
+        best = objective(init_pilots("dft-reuse", cfg), cfg)
         for kind in ("dft-reuse", "random"):
             x0 = init_pilots(kind, cfg, stream=RandomStream(5, 1))
             x, trace = optimize_pilots(cfg, x0, tol=1e-12, max_sweeps=50)
@@ -272,6 +270,14 @@ class TestOptimizePilots:
         cfg = SystemConfig(antennas=2, users=2, pilot_len=2, sigma2=0.5)
         x0 = 2.0 * np.eye(2, dtype=complex)
         with pytest.raises(ContractViolation):
+            optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=5)
+
+    def test_over_budget_check_scales_with_budget(self):
+        # a 1e-12 column is 1e288 times a 1e-300 budget
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=2, sigma2=1e-300,
+                           powers=1e-300)
+        x0 = np.array([[1e-6, 0.0], [0.0, 1e-150]], dtype=complex)
+        with pytest.raises(ContractViolation, match="power budget"):
             optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=5)
 
     def test_under_budget_initialization_allowed(self):
@@ -291,29 +297,36 @@ class TestOptimizePilots:
 
 
 class TestClosedForms:
+    """The optima at N = 1 and N = K are the reuse-DFT frame."""
+
     def test_single_symbol_values(self):
         cfg1 = SystemConfig(antennas=2, users=1, pilot_len=1, sigma2=1.0)
-        assert objective(closed_form_single_symbol(cfg1), cfg1) == pytest.approx(0.5)
+        assert objective(init_pilots("dft-reuse", cfg1), cfg1) == pytest.approx(0.5)
         cfg2 = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
-        assert objective(closed_form_single_symbol(cfg2), cfg2) == pytest.approx(
+        assert objective(init_pilots("dft-reuse", cfg2), cfg2) == pytest.approx(
             1.0 / 3.0, abs=1e-14
         )
-
-    def test_single_symbol_requires_length_one(self):
-        cfg = SystemConfig(antennas=2, users=2, pilot_len=2, sigma2=1.0)
-        with pytest.raises(ContractViolation):
-            closed_form_single_symbol(cfg)
 
     def test_orthogonal_gram_is_power_diagonal(self):
         cfg = SystemConfig(antennas=2, users=3, pilot_len=3, sigma2=0.5,
                            powers=[1.0, 2.0, 0.5])
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         assert np.max(np.abs(x.conj().T @ x - np.diag(cfg.powers))) < 1e-12
 
-    def test_orthogonal_requires_square(self):
-        cfg = SystemConfig(antennas=2, users=3, pilot_len=2, sigma2=0.5)
-        with pytest.raises(ContractViolation):
-            closed_form_orthogonal(cfg)
+    @pytest.mark.parametrize("users", [1, 2, 7, 32])
+    def test_reuse_frame_meets_both_closed_forms(self, users):
+        rng = np.random.default_rng(users)
+        gains = rng.uniform(0.05, 1.0, users)
+        powers = rng.uniform(0.5, 2.0, users)
+        energy = gains * powers
+        for pilot_len, expected in [
+            (1, 1.0 / (energy.sum() + 0.3)),
+            (users, np.sum(1.0 / (energy + 0.3))),
+        ]:
+            cfg = SystemConfig(antennas=2, users=users, pilot_len=pilot_len,
+                               sigma2=0.3, powers=powers, gains=gains)
+            got = objective(init_pilots("dft-reuse", cfg), cfg)
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestCombiner:
@@ -325,7 +338,7 @@ class TestCombiner:
     def test_collinear_for_orthogonal_pilots(self):
         cfg = SystemConfig(antennas=2, users=3, pilot_len=3, sigma2=0.4,
                            gains=[0.8, 0.5, 0.3])
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         for k in range(3):
             u = combiner(x, k, cfg)
             expect = cfg.gains[k] * x[:, k] / (cfg.gains[k] * cfg.powers[k] + 0.4)
@@ -363,7 +376,7 @@ class TestReceiverScalar:
 
     def test_identity_combiner_halves(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=2, sigma2=1.0)
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         c = receiver_scalar(x, x[:, 0], 0, cfg)
         assert c == pytest.approx(0.5, abs=1e-12)
 
@@ -385,7 +398,7 @@ class TestReceiverScalar:
 class TestProposedEstimate:
     def test_near_noiseless_recovery(self):
         cfg = SystemConfig(antennas=16, users=4, pilot_len=4, sigma2=1e-9)
-        x = closed_form_orthogonal(cfg)
+        x = init_pilots("dft-reuse", cfg)
         h = draw_cn(RandomStream(14, 0), 16, 4)
         y = received_pilot_signal(h, x, np.zeros((16, 4)))
         h_hat = proposed_estimate(y, x, cfg)
@@ -419,7 +432,7 @@ class TestAnalyticWsmse:
 
     def test_two_users_single_symbol(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
-        rep = proposed_wsmse(closed_form_single_symbol(cfg), cfg)
+        rep = proposed_wsmse(init_pilots("dft-reuse", cfg), cfg)
         assert rep.wsmse == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_high_noise_limit(self):
@@ -447,7 +460,7 @@ class TestAnalyticWsmse:
         cfg = SystemConfig(antennas=4, users=users, pilot_len=users,
                            sigma2=sigma2_from_snr(snr_db, np.ones(users)),
                            gains=reference_gains()[:users])
-        rep = proposed_wsmse(closed_form_orthogonal(cfg), cfg)
+        rep = proposed_wsmse(init_pilots("dft-reuse", cfg), cfg)
         exact = cfg.sigma2 / (cfg.gains * cfg.powers + cfg.sigma2)
         assert np.allclose(rep.per_user, exact, rtol=1e-13, atol=0.0)
 
