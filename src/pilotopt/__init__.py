@@ -11,7 +11,27 @@ The package provides three layers:
 * :mod:`pilotopt.harness`, :mod:`pilotopt.report`, :mod:`pilotopt.cli`
   — Monte Carlo experiment drivers, CSV/JSON/SVG emitters, and the
   command line front end.
+
+Importing the package pins numpy's OpenBLAS to one thread, because its
+matrices are too small for a second thread to do anything but spin. The
+pin applies only when numpy is not loaded yet and none of
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+set; setting any of them chooses the count instead.
 """
+
+import os
+import sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    # OpenBLAS reads the variable once, as numpy loads it, so it is removed
+    # again and child processes inherit the caller's environment.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .conventional import (
     conventional_estimate,

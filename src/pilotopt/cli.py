@@ -15,10 +15,10 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .harness import (
     ExperimentConfig,
+    _trial_errors,
     convergence_trace,
     design_pilots,
     sweep_snr,
-    trial_errors,
 )
 from .model import (
     SystemConfig,
@@ -224,8 +224,8 @@ def _cmd_estimate(ecfg, args):
     cfg, snr = _single_point_config(ecfg)
     payload = {"snr_db": snr, "n": cfg.pilot_len, "algorithms": {}}
     for algorithm in ecfg.algorithms:
-        x, _, ana, _ = design_pilots(algorithm, cfg, ecfg)
-        per_user = trial_errors(cfg, x, algorithm, ecfg.seed, 0)
+        x, b, ana, _ = design_pilots(algorithm, cfg, ecfg)
+        per_user = _trial_errors(cfg, x, b, ecfg.seed, 0)
         payload["algorithms"][algorithm] = {
             "wsmse_analytic": ana.wsmse,
             "wsmse_realized": float(per_user.mean()),

@@ -160,7 +160,11 @@ def trial_errors(cfg, x, algorithm, seed, t):
     divided by ``antennas * g_k``. It is the one-trial case of the
     chunked kernel that :func:`run_monte_carlo` and :func:`sweep_snr` run.
     """
-    b = _estimator(algorithm, x, cfg)
+    return _trial_errors(cfg, x, _estimator(algorithm, x, cfg), seed, t)
+
+
+def _trial_errors(cfg, x, b, seed, t):
+    """:func:`trial_errors` of the estimator matrix ``b`` a design already built."""
     return _errors(cfg, x, b, *_draws(cfg, seed, t, t + 1))[0]
 
 

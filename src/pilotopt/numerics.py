@@ -54,7 +54,13 @@ def draw_cn(stream, rows, cols):
     """
     rng = stream.generator()
     parts = rng.standard_normal((2, rows, cols))
-    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    # numpy divides a complex by a real as a product with the reciprocal,
+    # so scaling by 1/sqrt(2) gives the bits of (a + ib)/sqrt(2)
+    parts *= 1.0 / np.sqrt(2.0)
+    out = np.empty((rows, cols), dtype=np.complex128)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
 
 
 def _require_square(h, name):

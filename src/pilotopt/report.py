@@ -141,6 +141,18 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _WIDTH, _HEIGHT = 720, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 80, 200, 40, 60
+_LEGEND_ROW = 18
+
+
+def _stroke(i):
+    """Stroke attributes of series ``i``: a palette colour, dashed past the palette.
+
+    Each pass through the palette lengthens the dashes, so no two series
+    share a style.
+    """
+    style = f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.5"'
+    dash = 3 * (i // len(_PALETTE))
+    return style + (f' stroke-dasharray="{dash} 3"' if dash else "")
 
 
 def _escape(text):
@@ -160,7 +172,8 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
 
     ``series`` is a list of ``(label, xs, ys)``. The y axis is log
     scaled when all values are positive (the usual case for MSE curves),
-    otherwise it falls back to linear.
+    otherwise it falls back to linear. The legend is one column right of
+    the plot; the canvas grows taller when the legend would outgrow it.
     """
     all_x = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series]) if series else np.array([0.0, 1.0])
     all_y = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series]) if series else np.array([0.1, 1.0])
@@ -176,8 +189,9 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
     if y_lo == y_hi:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
 
+    height = max(_HEIGHT, _TOP + _LEGEND_ROW * len(series) + _BOTTOM)
     plot_w = _WIDTH - _LEFT - _RIGHT
-    plot_h = _HEIGHT - _TOP - _BOTTOM
+    plot_h = height - _TOP - _BOTTOM
 
     def sx(x):
         return _LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -187,8 +201,8 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
         return _TOP + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}">',
+        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
     ]
     if title:
         parts.append(
@@ -232,7 +246,7 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
         )
     if x_label:
         parts.append(
-            f'<text x="{_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 16}" '
+            f'<text x="{_LEFT + plot_w / 2:.1f}" y="{height - 16}" '
             f'text-anchor="middle" font-size="13">{_escape(x_label)}</text>'
         )
     if y_label:
@@ -243,17 +257,13 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
         )
     # series
     for i, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
+        stroke = _stroke(i)
         pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
-        ly = _TOP + 16 + 18 * i
+        parts.append(f'<polyline points="{pts}" fill="none" {stroke}/>')
+        ly = _TOP + 16 + _LEGEND_ROW * i
         lx = _LEFT + plot_w + 14
         parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" {stroke}/>'
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-size="12">{_escape(label)}</text>'

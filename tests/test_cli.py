@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pilotopt.cli as cli
+import pilotopt.optimizer as optimizer
 from pilotopt import (
     ExperimentConfig,
     NumericalError,
@@ -18,6 +20,7 @@ from pilotopt import (
     run_monte_carlo,
     save_pilots,
     sigma2_from_snr,
+    trial_errors,
 )
 from pilotopt.report import read_sweep_csv, read_trace_csv
 
@@ -90,6 +93,36 @@ class TestSweepNCommand:
             assert len(xs) == 3 and np.all(np.diff(xs) > 0)
         for label in ("proposed, 0 dB", "conventional, 10 dB"):
             assert f">{label}</text>" in svg
+
+    def test_svg_legend_stays_on_the_canvas(self, tmp_path):
+        # 3 lengths on the 16-point default grid: 32 series
+        out = tmp_path / "rows.svg"
+        assert cli.main(["sweep-n", "--n", "1,2,4", "--trials", "20",
+                         "--format", "svg", "--seed", "5", "--out", str(out)]) == 0
+        root = ET.fromstring(out.read_text())
+        ns = "{http://www.w3.org/2000/svg}"
+        width, height = float(root.get("width")), float(root.get("height"))
+        polylines = root.findall(f"{ns}polyline")
+        assert len(polylines) == 32
+        styles = {(p.get("stroke"), p.get("stroke-dasharray")) for p in polylines}
+        assert len(styles) == 32
+        keys = [(e.get("stroke"), e.get("stroke-dasharray"))
+                for e in root.findall(f"{ns}line") if e.get("stroke") != "black"]
+        assert sorted(keys, key=str) == sorted(styles, key=str)
+        for e in root.findall(f"{ns}line"):
+            for x in (e.get("x1"), e.get("x2")):
+                assert 0 <= float(x) <= width
+            for y in (e.get("y1"), e.get("y2")):
+                assert 0 <= float(y) <= height
+        labels = [e for e in root.findall(f"{ns}text") if "dB" in (e.text or "")]
+        assert len(labels) == 32
+        for e in labels:
+            size = float(e.get("font-size"))
+            # glyph box: cap height above the baseline, descent below,
+            # at most 0.6 em per character
+            assert float(e.get("y")) - size >= 0
+            assert float(e.get("y")) + size / 4 <= height
+            assert float(e.get("x")) + 0.6 * size * len(e.text) <= width
 
 
 class TestConvergenceCommand:
@@ -178,6 +211,30 @@ class TestEstimateCommand:
             entry = data["algorithms"][algorithm]
             assert entry["per_user_realized"] == [float(v) for v in rep.per_user]
             assert entry["wsmse_analytic"] == ana.wsmse
+
+    def test_builds_each_estimator_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = optimizer.solve_hermitian
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(optimizer, "solve_hermitian", counted)
+        out = tmp_path / "est.json"
+        assert cli.main(["estimate", "--snr-db", "10", "--seed", "5",
+                         "--out", str(out)]) == 0
+        # the one proposed design; the baseline estimator is a scalar per user
+        assert len(calls) == 1
+        data = json.loads(out.read_text())
+        cfg = SystemConfig(antennas=32, users=8, pilot_len=4,
+                           sigma2=sigma2_from_snr(10.0, np.ones(8)))
+        ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=5)
+        for algorithm in ("proposed", "conventional"):
+            x, _, _, _ = design_pilots(algorithm, cfg, ecfg)
+            expected = trial_errors(cfg, x, algorithm, 5, 0)
+            entry = data["algorithms"][algorithm]
+            assert entry["per_user_realized"] == [float(v) for v in expected]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -330,3 +387,66 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_python(args, blas_env, **kwargs):
+    """Run ``python args`` with ``PYTHONPATH=src`` and only ``blas_env`` of the BLAS variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_env, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, check=True, **kwargs)
+
+
+# numpy's Linux wheels bundle a prefixed 64-bit-integer OpenBLAS in numpy.libs;
+# loading a library the process already holds returns its live handle
+_THREADS_PROBE = """
+import ctypes, glob, json, os
+import pilotopt, numpy
+site = os.path.dirname(os.path.dirname(numpy.__file__))
+threads = None
+for path in glob.glob(os.path.join(site, "numpy.libs", "*openblas*")):
+    fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+    if fn is not None:
+        threads = fn()
+env = {k: os.environ.get(k) for k in %r}
+print(json.dumps({"threads": threads, "env": env}))
+""" % (BLAS_THREAD_VARS,)
+
+
+def _cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+@pytest.mark.parametrize("blas_env, threads", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"GOTO_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+])
+def test_import_pins_blas_threads_unless_chosen(blas_env, threads):
+    done = _run_python(["-c", _THREADS_PROBE], blas_env, capture_output=True, text=True)
+    report = json.loads(done.stdout)
+    # the pin leaves the caller's environment as it found it
+    assert report["env"] == {k: blas_env.get(k) for k in BLAS_THREAD_VARS}
+    if report["threads"] is None:
+        pytest.skip("numpy's OpenBLAS exports no scipy_openblas_get_num_threads64_ "
+                    "(not a numpy.libs wheel build), so its thread count is unreadable")
+    # OpenBLAS caps a requested count at the cores the process may use
+    assert report["threads"] == min(threads, _cores())
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # paper scale: its stacked products are large enough for OpenBLAS to split
+    args = ["-m", "pilotopt", "sweep-snr", "--profile", "paper", "--snr-db", "0",
+            "--trials", "8", "--seed", "1"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        _run_python([*args, "--out", str(out)], {"OPENBLAS_NUM_THREADS": threads})
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -168,6 +168,22 @@ class TestDrawCn:
         corr = np.abs(np.vdot(a, b)) / len(a)
         assert corr < 0.01
 
+    @pytest.mark.parametrize("seed, stream_id, rows, cols", [
+        (1, 0, 128, 32),
+        (1, 2**32 + 1, 128, 16),
+        (12345, 7, 33, 5),
+        (0, 2**33, 1, 1),
+        (9, 4, 0, 3),
+    ])
+    def test_bits_of_the_complex_formula(self, seed, stream_id, rows, cols):
+        # the in-place kernel must keep every bit of (a + ib)/sqrt(2)
+        stream = RandomStream(seed, stream_id)
+        parts = stream.generator().standard_normal((2, rows, cols))
+        expected = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+        z = draw_cn(stream, rows, cols)
+        assert z.dtype == np.complex128 and z.shape == (rows, cols)
+        assert z.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+
     def test_stream_is_value_like(self):
         s = RandomStream(5, 2)
         with pytest.raises(AttributeError):
