@@ -1,17 +1,24 @@
 """Monte Carlo experiment drivers: pilot design, trials, sweeps, traces.
 
-Each step has one home: :func:`design_pilots`, the trial kernel
-:func:`trial_errors` and the grid driver :func:`sweep_snr`. Trial ``t``
-draws its channel from stream id ``t`` and its noise from ``t + 2**32``,
-so results are reproducible bit for bit and independent of how trials
-are grouped into chunks; the optimizer's random initialization, when
-requested, draws from stream id ``2**33``.
+Each step has one home: :func:`design_pilots`, the Monte Carlo engine
+behind :func:`run_monte_carlo` and the grid driver :func:`sweep_snr`.
+Trial ``t`` draws its channel from stream id ``t`` and its noise from
+``t + 2**32``, so every trial's draws and WSMSE are reproducible bit for
+bit and independent of how trials are grouped into chunks; the
+optimizer's random initialization, when requested, draws from stream id
+``2**33``.
 
-A design's estimator is fixed by its pilots, so it is built once and
-trials run in chunks, stacked into two matrix products. The noise of a
-trial is ``sqrt(sigma2)`` times a white draw, so within one pilot length
-every SNR point and both algorithms evaluate the same stacked draws:
-:func:`sweep_snr` draws each trial once per pilot length.
+A design's estimator ``b`` is fixed by its pilots, so it is built once.
+Its error on a trial is linear in the draws: with ``Z = [h, white]``
+(the channel beside the unit-variance noise) and ``F = [x^H b - I;
+sqrt(sigma2) b]``, the estimate minus the channel is ``Z F``. A trial's
+WSMSE is therefore the inner product of its Gram matrix ``R = Z^H Z``
+with ``G = F diag(1 / (K M g)) F^H``. ``R`` holds no design and no noise
+variance, so within one pilot length every SNR point and both
+algorithms share it: :func:`sweep_snr` draws each trial and forms its
+``R`` once per pilot length, and each point adds one inner product per
+trial. :func:`trial_errors` stays on the direct route (received block,
+``y @ b - h``) as the independent check of that algebra.
 """
 
 from dataclasses import dataclass, field, replace
@@ -23,6 +30,7 @@ from .errors import ConfigurationError, NumericalError
 from .model import (
     SystemConfig,
     WsmseReport,
+    _as_index,
     generate_channel,
     received_pilot_signal,
     sigma2_from_snr,
@@ -39,9 +47,10 @@ ALGORITHMS = ("proposed", "conventional")
 # ``updates_to_converge`` counts the run as settled.
 FINAL_OBJECTIVE_RTOL = 1e-6
 
-# Bytes of stacked channel and noise draws per trial chunk (2 trials at
-# M=128, K=32, N=16). 1 MiB chunks were no faster there and raised a
-# run's peak RSS by 3.5 MB.
+# Bytes of one chunk's draws ``Z`` and Gram matrices ``R`` together: 24
+# trials at the desk profile (M=32, K=8, N=4), 1 at M=128, K=32, N=16.
+# 1 MiB chunks (97 and 6 trials) were no faster on a 2-core box and
+# raised a run's peak RSS by 0.9 MB (desk) and 1.2 MB (paper).
 CHUNK_BYTES = 256 * 1024
 
 
@@ -66,12 +75,18 @@ class ExperimentConfig:
     max_sweeps: int = 100
 
     def __post_init__(self):
+        self.trials = _as_index(self.trials, "trials")
+        self.seed = _as_index(self.seed, "seed")
+        self.max_sweeps = _as_index(self.max_sweeps, "max_sweeps")
+        self.n_list = [_as_index(n, "n_list entries") for n in self.n_list]
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_db_list:
             raise ConfigurationError("snr_db_list must be non-empty")
+        for snr_db in self.snr_db_list:
+            sigma2_from_snr(snr_db, self.base.powers)
         if self.mode != "both" and self.mode not in ALGORITHMS:
             raise ConfigurationError(
                 f"mode must be 'both' or one of {ALGORITHMS}, got {self.mode!r}"
@@ -128,27 +143,25 @@ def _estimator(algorithm, x, cfg):
 
 
 def _draws(cfg, seed, start, stop):
-    """Channels and white noise of trials ``start .. stop - 1``, stacked by rows."""
-    trials = range(start, stop)
-    h = [generate_channel(cfg, RandomStream(seed, t)) for t in trials]
-    white = [
-        draw_cn(RandomStream(seed, NOISE_STREAM_OFFSET + t), cfg.antennas, cfg.pilot_len)
-        for t in trials
-    ]
-    return np.concatenate(h), np.concatenate(white)
+    """``Z = [h, white]`` of trials ``start .. stop - 1``, ``(trials, antennas, K + N)``.
+
+    Each trial's channel fills its first ``users`` columns and its
+    unit-variance noise the last ``pilot_len``.
+    """
+    k = cfg.users
+    z = np.empty((stop - start, cfg.antennas, k + cfg.pilot_len), dtype=np.complex128)
+    for i, t in enumerate(range(start, stop)):
+        z[i, :, :k] = generate_channel(cfg, RandomStream(seed, t))
+        z[i, :, k:] = draw_cn(
+            RandomStream(seed, NOISE_STREAM_OFFSET + t), cfg.antennas, cfg.pilot_len
+        )
+    return z
 
 
 def _trials_per_chunk(cfg):
-    """Trials whose stacked complex channel and noise fit in ``CHUNK_BYTES``."""
-    return max(1, CHUNK_BYTES // (16 * cfg.antennas * (cfg.users + cfg.pilot_len)))
-
-
-def _errors(cfg, x, b, h, white):
-    """Per-user normalized squared errors of stacked trials, ``(trials, users)``."""
-    y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
-    err = np.abs(y @ b - h) ** 2
-    err = err.reshape(-1, cfg.antennas, cfg.users).sum(axis=1)
-    return err / (cfg.antennas * cfg.gains)
+    """Trials whose draws ``Z`` and Gram matrices ``R`` fit in ``CHUNK_BYTES``."""
+    width = cfg.users + cfg.pilot_len
+    return max(1, CHUNK_BYTES // (16 * width * (cfg.antennas + 2 * width)))
 
 
 def trial_errors(cfg, x, algorithm, seed, t):
@@ -157,39 +170,88 @@ def trial_errors(cfg, x, algorithm, seed, t):
     Trial ``t`` draws the channel from stream ``t`` and the noise from
     stream ``t + 2**32``, forms the received training block, runs the
     ``algorithm`` estimator and returns each user's squared error
-    divided by ``antennas * g_k``. It is the one-trial case of the
-    chunked kernel that :func:`run_monte_carlo` and :func:`sweep_snr` run.
+    divided by ``antennas * g_k``. It sees the same draws as trial ``t``
+    of :func:`run_monte_carlo` but shares none of its algebra, so it is
+    the direct check of that engine.
     """
     return _trial_errors(cfg, x, _estimator(algorithm, x, cfg), seed, t)
 
 
 def _trial_errors(cfg, x, b, seed, t):
     """:func:`trial_errors` of the estimator matrix ``b`` a design already built."""
-    return _errors(cfg, x, b, *_draws(cfg, seed, t, t + 1))[0]
+    z = _draws(cfg, seed, t, t + 1)[0]
+    h, white = z[:, : cfg.users], z[:, cfg.users :]
+    y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
+    err = np.sum(np.abs(y @ b - h) ** 2, axis=0)
+    return err / (cfg.antennas * cfg.gains)
 
 
-def _monte_carlo(points, trials, seed):
-    """Empirical WSMSE of each ``(cfg, x, b)`` point on shared draws.
+def _gram(z):
+    """Each trial's ``R = Z^H Z`` in real form, ``(trials, 2 (K + N), 2 (K + N))``.
 
-    Every point must have the dimensions and gains of the first; they may
-    differ in noise variance, pilots and estimator matrix ``b``. Trials
-    ``0 .. trials - 1`` are drawn chunk by chunk, every point is evaluated
-    on each chunk, and the errors are folded in trial order.
+    Entry ``[2i + a, 2j + c]`` is the inner product over antennas of
+    part ``a`` of column ``i`` with part ``c`` of column ``j`` (0 real,
+    1 imaginary), so ``R[i, j]`` is ``[2i, 2j] + [2i+1, 2j+1]`` plus
+    ``1j`` times ``[2i, 2j+1] - [2i+1, 2j]``.
+    """
+    v = z.view(np.float64)
+    return v.transpose(0, 2, 1) @ v
+
+
+def _error_map(cfg, x, b):
+    """``F = [x^H b - I; sqrt(sigma2) b]``: a trial's estimate minus its channel is ``Z F``."""
+    return np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
+
+
+def _trial_weight(cfg, f):
+    """``G = F diag(1 / (K M g)) F^H`` flattened in the real form of :func:`_gram`.
+
+    A trial's WSMSE is ``Re tr(R G)``, the dot product of its flattened
+    real-form Gram matrix with this vector.
+    """
+    g = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
+    w = np.empty((2 * len(g), 2 * len(g)))
+    w[0::2, 0::2] = w[1::2, 1::2] = g.real
+    w[0::2, 1::2] = g.imag
+    w[1::2, 0::2] = -g.imag
+    return w.ravel()
+
+
+def _evaluate(points, trials, seed):
+    """Per-trial WSMSE ``(points, trials)`` and per-user means ``(points, users)``.
+
+    Every point must have the dimensions and gains of the first; they
+    may differ in noise variance, pilots and estimator matrix ``b``.
+    Trials ``0 .. trials - 1`` are drawn chunk by chunk and each forms
+    its Gram matrix once. Every point then takes one dot product per
+    trial, on its own, so its values do not depend on the other points
+    or on the chunk a trial falls in. The per-user means are quadratic
+    forms ``F_k^H (sum_t R_t) F_k``.
     """
     shape = points[0][0]
     step = _trials_per_chunk(shape)
+    maps = [_error_map(cfg, x, b) for cfg, x, b in points]
+    weights = [_trial_weight(cfg, f) for (cfg, _, _), f in zip(points, maps)]
     per_trial = np.empty((len(points), trials))
-    sums = np.zeros((len(points), shape.users))
+    total = 0.0
     for start in range(0, trials, step):
         stop = min(start + step, trials)
-        h, white = _draws(shape, seed, start, stop)
-        for p, (cfg, x, b) in enumerate(points):
-            err = _errors(cfg, x, b, h, white)
-            per_trial[p, start:stop] = err.mean(axis=1)
-            sums[p] += err.sum(axis=0)
+        gram = _gram(_draws(shape, seed, start, stop))
+        total = total + gram.sum(axis=0)
+        flat = gram.reshape(stop - start, -1)
+        for p, w in enumerate(weights):
+            per_trial[p, start:stop] = np.vecdot(flat, w)
 
+    r = total[0::2, 0::2] + total[1::2, 1::2] + 1j * (total[0::2, 1::2] - total[1::2, 0::2])
+    scale = trials * shape.antennas * shape.gains
+    per_user = np.array([np.sum(f.conj() * (r @ f), axis=0).real for f in maps]) / scale
+    return per_trial, per_user
+
+
+def _monte_carlo(points, trials, seed):
+    """Empirical :class:`WsmseReport` of each ``(cfg, x, b)`` point on shared draws."""
     reports = []
-    for wsmse, total in zip(per_trial, sums):
+    for wsmse, per_user in zip(*_evaluate(points, trials, seed)):
         if trials > 1:
             stderr = float(wsmse.std(ddof=1) / np.sqrt(trials))
         else:
@@ -197,7 +259,7 @@ def _monte_carlo(points, trials, seed):
         reports.append(
             WsmseReport(
                 wsmse=float(wsmse.mean()),
-                per_user=total / trials,
+                per_user=per_user,
                 stderr=stderr,
                 trials=trials,
             )
@@ -208,8 +270,9 @@ def _monte_carlo(points, trials, seed):
 def run_monte_carlo(cfg, x, algorithm, trials, seed):
     """Empirical normalized WSMSE of one estimator over seeded trials.
 
-    Runs :func:`trial_errors` for ``t = 0 .. trials - 1``, in chunks of
-    stacked trials with the estimator built once. The returned
+    Evaluates trials ``t = 0 .. trials - 1``, the draws of
+    :func:`trial_errors`, with the estimator built once and each trial's
+    error taken from its Gram matrix (module docstring). The returned
     :class:`WsmseReport` carries the mean over trials, its standard
     error, and the per-user means. Results depend only on
     ``(cfg, x, algorithm, trials, seed)``.
@@ -270,7 +333,7 @@ def sweep_snr(ecfg):
         points = []
         for snr_db in ecfg.snr_db_list:
             sigma2 = sigma2_from_snr(snr_db, base.powers)
-            cfg = replace(base, pilot_len=int(n), sigma2=sigma2)
+            cfg = replace(base, pilot_len=n, sigma2=sigma2)
             for algorithm in ecfg.algorithms:
                 design = design_pilots(algorithm, cfg, ecfg)
                 points.append((snr_db, cfg, algorithm, *design))

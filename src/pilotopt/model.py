@@ -7,6 +7,8 @@ station observes the superposition of all users' pilots through their
 channels plus additive noise and estimates the per-user channel vectors.
 """
 
+import math
+import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -16,6 +18,14 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .numerics import draw_cn
+
+
+def _as_index(value, name):
+    """``value`` as a Python int; a float, even a whole one, is rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_per_user(value, count, name):
@@ -60,6 +70,9 @@ class SystemConfig:
     gains: np.ndarray = field(default=1.0)
 
     def __post_init__(self):
+        self.antennas = _as_index(self.antennas, "antennas")
+        self.users = _as_index(self.users, "users")
+        self.pilot_len = _as_index(self.pilot_len, "pilot_len")
         if self.antennas < 1 or self.users < 1 or self.pilot_len < 1:
             raise ConfigurationError(
                 f"dimensions must be positive, got antennas={self.antennas}, "
@@ -200,8 +213,27 @@ def sigma2_from_snr(snr_db, powers):
 
     SNR is defined as the average per-user power budget divided by the
     noise variance, so ``sigma2 = mean(powers) / 10**(snr_db / 10)``.
+    Raises :class:`ConfigurationError` for an SNR that is not finite,
+    powers whose mean overflows, and an SNR whose noise variance falls
+    outside the positive float range.
     """
+    if not np.isfinite(snr_db):
+        raise ConfigurationError(f"snr_db must be finite, got {snr_db}")
     powers = np.asarray(powers, dtype=np.float64)
-    if powers.size == 0 or np.any(powers <= 0):
-        raise ConfigurationError("powers must be non-empty and positive")
-    return float(np.mean(powers) / 10.0 ** (snr_db / 10.0))
+    if powers.size == 0 or not np.all(np.isfinite(powers)) or np.any(powers <= 0):
+        raise ConfigurationError("powers must be non-empty, finite and positive")
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(powers))
+    if math.isinf(mean):
+        raise ConfigurationError("powers are too large: their mean overflows")
+    try:
+        sigma2 = mean / 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        sigma2 = 0.0
+    except ZeroDivisionError:
+        sigma2 = math.inf
+    if not 0.0 < sigma2 < math.inf:
+        raise ConfigurationError(
+            f"snr_db {snr_db} puts the noise variance outside the float range"
+        )
+    return sigma2

@@ -209,7 +209,9 @@ class TestEstimateCommand:
             x, _, ana, _ = design_pilots(algorithm, cfg, ecfg)
             rep = run_monte_carlo(cfg, x, algorithm, trials=1, seed=31)
             entry = data["algorithms"][algorithm]
-            assert entry["per_user_realized"] == [float(v) for v in rep.per_user]
+            # estimate takes trial 0 on the direct route, the engine through R
+            assert np.allclose(entry["per_user_realized"], rep.per_user,
+                               rtol=1e-13, atol=0.0)
             assert entry["wsmse_analytic"] == ana.wsmse
 
     def test_builds_each_estimator_once(self, tmp_path, monkeypatch):
@@ -340,6 +342,24 @@ class TestExitCodes:
         code, whole = sweep("4")
         assert code == 0
         assert sweep("4.0") == (0, whole)
+
+    @pytest.mark.parametrize("command", ["sweep-snr", "optimize"])
+    @pytest.mark.parametrize("args, message", [
+        (["--snr-db=nan"], "snr_db must be finite, got nan"),
+        (["--snr-db=inf"], "snr_db must be finite, got inf"),
+        (["--snr-db=-inf"], "snr_db must be finite, got -inf"),
+        (["--snr-db=4000"], "snr_db 4000.0 puts the noise variance outside the float range"),
+        (["--snr-db=0", "--k", "8", "--power", "1e308"],
+         "powers are too large: their mean overflows"),
+    ])
+    def test_noise_variance_inputs_rejected_by_name(self, command, args, message,
+                                                    tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        code = cli.main([command, "--m", "4", "--k", "3", "--n", "2", *args,
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_numerical_failure_maps_to_three(self, monkeypatch):
         def boom(_):

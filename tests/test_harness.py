@@ -3,12 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pilotopt.harness as harness
+import pilotopt.model as model
+import pilotopt.optimizer as optimizer
 from pilotopt import (
     ConfigurationError,
     ExperimentConfig,
     RandomStream,
     SystemConfig,
+    analytic_wsmse,
     conventional_estimate,
+    conventional_estimator,
     convergence_trace,
     design_pilots,
     design_reuse_pilots,
@@ -17,6 +22,7 @@ from pilotopt import (
     init_pilots,
     objective,
     proposed_estimate,
+    proposed_estimator,
     received_pilot_signal,
     reference_gains,
     run_monte_carlo,
@@ -24,7 +30,7 @@ from pilotopt import (
     sweep_snr,
     trial_errors,
 )
-from pilotopt.harness import _trials_per_chunk
+from pilotopt.harness import _error_map, _evaluate, _trial_weight, _trials_per_chunk
 
 DESK_GAINS = reference_gains()[:8]
 ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimate}
@@ -51,10 +57,11 @@ def reference_monte_carlo(cfg, x, algorithm, trials, seed):
 
 
 def assert_matches_reference(rep, cfg, x, algorithm, trials, seed):
+    # the engine reduces each trial through its Gram matrix, the reference
+    # through y @ b - h: the same sums in another order
     wsmse, stderr, per_user = reference_monte_carlo(cfg, x, algorithm, trials, seed)
-    assert rep.wsmse == wsmse
-    assert rep.stderr == stderr or (np.isnan(rep.stderr) and np.isnan(stderr))
-    # the chunked engine sums the per-user errors in another order
+    assert rep.wsmse == pytest.approx(wsmse, rel=1e-13, abs=0.0)
+    assert rep.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0, nan_ok=True)
     assert np.allclose(rep.per_user, per_user, rtol=1e-12, atol=0.0)
 
 
@@ -121,8 +128,9 @@ class TestRunMonteCarlo:
             assert rep.trials == trials
             assert_matches_reference(rep, cfg, x, algorithm, trials, 3)
             first = trial_errors(cfg, x, algorithm, 3, 0)
-            assert np.array_equal(
-                first, run_monte_carlo(cfg, x, algorithm, trials=1, seed=3).per_user
+            assert np.allclose(
+                run_monte_carlo(cfg, x, algorithm, trials=1, seed=3).per_user, first,
+                rtol=1e-13, atol=0.0,
             )
 
     def test_rejects_bad_mode_and_trials(self):
@@ -160,6 +168,140 @@ class TestRunMonteCarlo:
         large = run_monte_carlo(cfg, x, "proposed", trials=3200, seed=3)
         assert large.stderr < small.stderr
         assert large.trials == 3200
+
+
+# (antennas, users, pilot_len, sigma2, estimator): K = 1, N > K, N = K,
+# M < K + N, down to sigma2 = 1e-12
+GRAM_CASES = [
+    (6, 1, 1, 1.0, "random"),
+    (6, 1, 3, 1e-12, "random"),
+    (5, 3, 6, 0.3, "random"),
+    (5, 3, 6, 1e-12, "random"),
+    (8, 4, 4, 1e-12, "random"),
+    (8, 4, 4, 0.1, "proposed"),
+    (8, 4, 4, 1e-3, "conventional"),
+    (4, 9, 3, 0.5, "proposed"),
+    (4, 9, 3, 1e-12, "proposed"),
+    (4, 9, 3, 1e-12, "random"),
+    (16, 8, 4, 1e-6, "conventional"),
+    (3, 5, 2, 2.0, "random"),
+]
+# Designed estimators with N >= K near noiseless: the error is about 1e-6
+# of the channel, so the subtraction of the channel (direct route) and of
+# the identity in F (Gram route) each cost about five digits.
+NEAR_NOISELESS = [
+    (6, 1, 3, 1e-12, "proposed"),
+    (5, 3, 6, 1e-11, "proposed"),  # 1e-12 is at the solver's singularity floor
+    (8, 4, 4, 1e-12, "proposed"),
+]
+
+
+def gram_case(case, index):
+    """Random pilots, gains spread over 1e-6 .. 1 and an estimator matrix."""
+    m, k, n, sigma2, kind = case
+    rng = np.random.default_rng(100 + index)
+    gains = rng.permutation(np.logspace(-6.0, 0.0, k))
+    # the reuse design needs equal powers
+    powers = 1.5 if kind == "conventional" else rng.uniform(0.5, 2.0, k)
+    cfg = SystemConfig(antennas=m, users=k, pilot_len=n, sigma2=sigma2,
+                       powers=powers, gains=gains)
+    x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    x *= np.sqrt(cfg.powers / np.sum(np.abs(x) ** 2, axis=0))
+    if kind == "proposed":
+        b = proposed_estimator(x, cfg)
+    elif kind == "conventional":
+        x = design_reuse_pilots(cfg)
+        b = conventional_estimator(x, cfg)
+    else:
+        b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return cfg, x, b
+
+
+def direct_trials(cfg, x, b, trials, seed):
+    """``(trials, users)`` errors of the direct route, one trial at a time."""
+    return np.stack([harness._trial_errors(cfg, x, b, seed, t) for t in range(trials)])
+
+
+class TestGramEngine:
+    """The Gram evaluation against the direct y @ b - h route it replaces."""
+
+    @pytest.mark.parametrize("index", range(len(GRAM_CASES)))
+    def test_matches_direct_route(self, index):
+        cfg, x, b = gram_case(GRAM_CASES[index], index)
+        trials = _trials_per_chunk(cfg) + 3  # two chunks
+        per_trial, per_user = _evaluate([(cfg, x, b)], trials, seed=21)
+        direct = direct_trials(cfg, x, b, trials, 21)
+        assert np.allclose(per_trial[0], direct.mean(axis=1), rtol=1e-12, atol=0.0)
+        assert np.allclose(per_user[0], direct.mean(axis=0), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("index", range(len(NEAR_NOISELESS)))
+    def test_near_noiseless_both_routes_match_long_double(self, index):
+        cfg, x, b = gram_case(NEAR_NOISELESS[index], len(GRAM_CASES) + index)
+        trials = 30
+        per_trial = _evaluate([(cfg, x, b)], trials, seed=21)[0][0]
+        direct = direct_trials(cfg, x, b, trials, 21).mean(axis=1)
+        # Z F in long double from the same float64 draws, pilots and b
+        z = harness._draws(cfg, 21, 0, trials).astype(np.clongdouble)
+        xl, bl = x.astype(np.clongdouble), b.astype(np.clongdouble)
+        f = np.concatenate([xl.conj().T @ bl - np.eye(cfg.users),
+                            np.sqrt(np.longdouble(cfg.sigma2)) * bl])
+        err = np.sum(np.abs(z @ f) ** 2, axis=1) / (cfg.antennas * cfg.gains)
+        exact = err.mean(axis=1)
+
+        def worst(values):
+            return float(np.max(np.abs(values - exact) / exact))
+
+        # both routes lose the same few digits here (worst seen: 3.4e-11 for
+        # the Gram route, 2.1e-11 for the direct one)
+        assert worst(per_trial) < 1e-9
+        assert worst(direct) < 1e-9
+
+    @pytest.mark.parametrize("index", range(len(GRAM_CASES)))
+    def test_weight_mean_is_analytic_wsmse(self, index):
+        # a row of Z is u D^(1/2) with u ~ CN(0, I) and D = diag(g, 1_N), so
+        # E <R, G> = M tr(D^(1/2) G D^(1/2))
+        cfg, x, b = gram_case(GRAM_CASES[index], index)
+        w = _trial_weight(cfg, _error_map(cfg, x, b))
+        w = w.reshape(2 * (cfg.users + cfg.pilot_len), -1)
+        g = w[0::2, 0::2] + 1j * w[0::2, 1::2]
+        d = np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
+        mean = cfg.antennas * np.trace(d[:, None] * g * d[None, :]).real
+        assert mean == pytest.approx(analytic_wsmse(x, b, cfg).wsmse, rel=1e-12, abs=0.0)
+
+    def test_point_values_do_not_depend_on_company_or_chunk(self, monkeypatch):
+        cfg, x, b = gram_case(GRAM_CASES[5], 5)
+        other = gram_case(GRAM_CASES[4], 4)[1:]
+        trials = 2 * _trials_per_chunk(cfg) + 5
+        alone = _evaluate([(cfg, x, b)], trials, seed=4)
+        shared = _evaluate([(cfg, *other), (cfg, x, b), (cfg, *other)], trials, seed=4)
+        assert np.array_equal(alone[0][0], shared[0][1])
+        assert np.array_equal(alone[1][0], shared[1][1])
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+        assert np.array_equal(_evaluate([(cfg, x, b)], trials, seed=4)[0], alone[0])
+
+    def test_sweep_counts(self, monkeypatch):
+        # a refactor that brings back per-point work changes these counts
+        calls = {"draw_cn": 0, "solve_hermitian": 0, "received_pilot_signal": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(model, "draw_cn")
+        counted(harness, "draw_cn")
+        counted(optimizer, "solve_hermitian")
+        counted(harness, "received_pilot_signal")
+        ecfg = desk_experiment(snr_db_list=[0.0, 10.0], trials=5)
+        assert len(sweep_snr(ecfg)) == 4
+        # one channel and one noise draw per trial, one solve per proposed design
+        assert calls == {"draw_cn": 10, "solve_hermitian": 2, "received_pilot_signal": 0}
 
 
 class TestDesignPilots:
@@ -316,3 +458,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="seed"):
             ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=-1)
         assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=0).seed == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("seed", 1.5), ("max_sweeps", 2.5), ("n_list", [2.6]),
+        ("trials", 3.0), ("n_list", [2, 4.0]),
+    ])
+    def test_integer_fields(self, field, value):
+        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig(base=base, snr_db_list=[0.0], **{field: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        ecfg = ExperimentConfig(base=base, snr_db_list=[0.0], trials=np.int64(3),
+                                seed=np.uint32(7), n_list=[np.int64(1), 2])
+        assert (ecfg.trials, ecfg.seed, ecfg.n_list) == (3, 7, [1, 2])
+        assert all(type(v) is int for v in (ecfg.trials, ecfg.seed, *ecfg.n_list))
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected_before_any_design(self, snr_db):
+        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        with pytest.raises(ConfigurationError, match="snr_db must be finite"):
+            ExperimentConfig(base=base, snr_db_list=[0.0, snr_db])

@@ -72,6 +72,20 @@ class TestSystemConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["antennas", "users", "pilot_len"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+    def test_dimensions_must_be_integers(self, field, value):
+        kwargs = dict(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**kwargs)
+
+    def test_numpy_integer_dimensions_become_ints(self):
+        cfg = SystemConfig(antennas=np.int64(4), users=np.int32(2), pilot_len=2,
+                           sigma2=1.0)
+        assert (cfg.antennas, cfg.users) == (4, 2)
+        assert type(cfg.antennas) is int and type(cfg.users) is int
+
     def test_pilot_len_may_exceed_users(self):
         SystemConfig(antennas=2, users=2, pilot_len=5, sigma2=0.1)
 
@@ -152,3 +166,26 @@ class TestSigma2FromSnr:
             sigma2_from_snr(0.0, [])
         with pytest.raises(ConfigurationError):
             sigma2_from_snr(0.0, [1.0, 0.0])
+        with pytest.raises(ConfigurationError, match="powers"):
+            sigma2_from_snr(0.0, [1.0, float("nan")])
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected_by_name(self, snr_db):
+        # checked before any arithmetic, so no RuntimeWarning escapes
+        with pytest.raises(ConfigurationError, match="snr_db must be finite"):
+            sigma2_from_snr(snr_db, [1.0, 1.0])
+
+    @pytest.mark.parametrize("snr_db, power", [
+        (4000.0, 1.0),      # 10**400 overflows
+        (-4000.0, 1.0),     # 10**-400 is 0
+        (-100.0, 1e300),    # the quotient overflows
+        (300.0, 1e-300),    # the quotient underflows to 0
+    ])
+    def test_noise_variance_beyond_float_range_rejected_by_name(self, snr_db, power):
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            sigma2_from_snr(snr_db, [power])
+
+    def test_powers_whose_mean_overflows_rejected_by_name(self):
+        with pytest.raises(ConfigurationError, match="powers"):
+            sigma2_from_snr(0.0, np.full(8, 1e308))
+        assert sigma2_from_snr(0.0, [1e308]) == 1e308
