@@ -47,10 +47,10 @@ ALGORITHMS = ("proposed", "conventional")
 # ``updates_to_converge`` counts the run as settled.
 FINAL_OBJECTIVE_RTOL = 1e-6
 
-# Bytes of one chunk's draws ``Z`` and Gram matrices ``R`` together: 24
+# Bytes of one chunk's draws ``Z`` and Gram matrices ``R`` together: 31
 # trials at the desk profile (M=32, K=8, N=4), 1 at M=128, K=32, N=16.
-# 1 MiB chunks (97 and 6 trials) were no faster on a 2-core box and
-# raised a run's peak RSS by 0.9 MB (desk) and 1.2 MB (paper).
+# 1 MiB chunks (124 and 7 trials) were no faster on a 2-core box and
+# raised a run's peak RSS by 1.1 MB (desk) and 1.9 MB (paper).
 CHUNK_BYTES = 256 * 1024
 
 
@@ -161,7 +161,7 @@ def _draws(cfg, seed, start, stop):
 def _trials_per_chunk(cfg):
     """Trials whose draws ``Z`` and Gram matrices ``R`` fit in ``CHUNK_BYTES``."""
     width = cfg.users + cfg.pilot_len
-    return max(1, CHUNK_BYTES // (16 * width * (cfg.antennas + 2 * width)))
+    return max(1, CHUNK_BYTES // (16 * width * (cfg.antennas + width)))
 
 
 def trial_errors(cfg, x, algorithm, seed, t):
@@ -186,35 +186,20 @@ def _trial_errors(cfg, x, b, seed, t):
     return err / (cfg.antennas * cfg.gains)
 
 
-def _gram(z):
-    """Each trial's ``R = Z^H Z`` in real form, ``(trials, 2 (K + N), 2 (K + N))``.
-
-    Entry ``[2i + a, 2j + c]`` is the inner product over antennas of
-    part ``a`` of column ``i`` with part ``c`` of column ``j`` (0 real,
-    1 imaginary), so ``R[i, j]`` is ``[2i, 2j] + [2i+1, 2j+1]`` plus
-    ``1j`` times ``[2i, 2j+1] - [2i+1, 2j]``.
-    """
-    v = z.view(np.float64)
-    return v.transpose(0, 2, 1) @ v
-
-
 def _error_map(cfg, x, b):
     """``F = [x^H b - I; sqrt(sigma2) b]``: a trial's estimate minus its channel is ``Z F``."""
     return np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
 
 
 def _trial_weight(cfg, f):
-    """``G = F diag(1 / (K M g)) F^H`` flattened in the real form of :func:`_gram`.
+    """``G = F diag(1 / (K M g)) F^H`` as the float64 view of its entries.
 
-    A trial's WSMSE is ``Re tr(R G)``, the dot product of its flattened
-    real-form Gram matrix with this vector.
+    ``R`` and ``G`` are Hermitian, so a trial's WSMSE ``Re tr(R G)`` is
+    ``sum Re R_ij Re G_ij + Im R_ij Im G_ij``: the dot product of the
+    float64 view of ``R``'s entries with this vector.
     """
     g = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
-    w = np.empty((2 * len(g), 2 * len(g)))
-    w[0::2, 0::2] = w[1::2, 1::2] = g.real
-    w[0::2, 1::2] = g.imag
-    w[1::2, 0::2] = -g.imag
-    return w.ravel()
+    return g.view(np.float64).ravel()
 
 
 def _evaluate(points, trials, seed):
@@ -223,10 +208,10 @@ def _evaluate(points, trials, seed):
     Every point must have the dimensions and gains of the first; they
     may differ in noise variance, pilots and estimator matrix ``b``.
     Trials ``0 .. trials - 1`` are drawn chunk by chunk and each forms
-    its Gram matrix once. Every point then takes one dot product per
-    trial, on its own, so its values do not depend on the other points
-    or on the chunk a trial falls in. The per-user means are quadratic
-    forms ``F_k^H (sum_t R_t) F_k``.
+    its Gram matrix ``R = Z^H Z`` once. Every point then takes one dot
+    product per trial, each reduced along its own row, so its values do
+    not depend on the other points or on the chunk a trial falls in. The
+    per-user means are quadratic forms ``F_k^H (sum_t R_t) F_k``.
     """
     shape = points[0][0]
     step = _trials_per_chunk(shape)
@@ -236,15 +221,15 @@ def _evaluate(points, trials, seed):
     total = 0.0
     for start in range(0, trials, step):
         stop = min(start + step, trials)
-        gram = _gram(_draws(shape, seed, start, stop))
+        z = _draws(shape, seed, start, stop)
+        gram = z.conj().transpose(0, 2, 1) @ z
         total = total + gram.sum(axis=0)
-        flat = gram.reshape(stop - start, -1)
+        flat = gram.reshape(stop - start, -1).view(np.float64)
         for p, w in enumerate(weights):
-            per_trial[p, start:stop] = np.vecdot(flat, w)
+            per_trial[p, start:stop] = (flat * w).sum(axis=1)
 
-    r = total[0::2, 0::2] + total[1::2, 1::2] + 1j * (total[0::2, 1::2] - total[1::2, 0::2])
     scale = trials * shape.antennas * shape.gains
-    per_user = np.array([np.sum(f.conj() * (r @ f), axis=0).real for f in maps]) / scale
+    per_user = np.array([np.sum(f.conj() * (total @ f), axis=0).real for f in maps]) / scale
     return per_trial, per_user
 
 

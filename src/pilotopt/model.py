@@ -217,7 +217,8 @@ def sigma2_from_snr(snr_db, powers):
     powers whose mean overflows, and an SNR whose noise variance falls
     outside the positive float range.
     """
-    if not np.isfinite(snr_db):
+    snr_db = float(snr_db)
+    if not math.isfinite(snr_db):
         raise ConfigurationError(f"snr_db must be finite, got {snr_db}")
     powers = np.asarray(powers, dtype=np.float64)
     if powers.size == 0 or not np.all(np.isfinite(powers)) or np.any(powers <= 0):

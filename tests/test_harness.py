@@ -264,8 +264,7 @@ class TestGramEngine:
         # E <R, G> = M tr(D^(1/2) G D^(1/2))
         cfg, x, b = gram_case(GRAM_CASES[index], index)
         w = _trial_weight(cfg, _error_map(cfg, x, b))
-        w = w.reshape(2 * (cfg.users + cfg.pilot_len), -1)
-        g = w[0::2, 0::2] + 1j * w[0::2, 1::2]
+        g = w.view(np.complex128).reshape(cfg.users + cfg.pilot_len, -1)
         d = np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
         mean = cfg.antennas * np.trace(d[:, None] * g * d[None, :]).real
         assert mean == pytest.approx(analytic_wsmse(x, b, cfg).wsmse, rel=1e-12, abs=0.0)

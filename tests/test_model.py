@@ -180,10 +180,16 @@ class TestSigma2FromSnr:
         (-4000.0, 1.0),     # 10**-400 is 0
         (-100.0, 1e300),    # the quotient overflows
         (300.0, 1e-300),    # the quotient underflows to 0
+        (np.float64(4000.0), 1.0),   # numpy scalars take the same checks
+        (np.float64(-4000.0), 1.0),
     ])
     def test_noise_variance_beyond_float_range_rejected_by_name(self, snr_db, power):
         with pytest.raises(ConfigurationError, match="snr_db"):
             sigma2_from_snr(snr_db, [power])
+
+    def test_numpy_scalar_snr_gives_a_float(self):
+        sigma2 = sigma2_from_snr(np.float64(10.0), [2.0])
+        assert type(sigma2) is float and sigma2 == pytest.approx(0.2, rel=1e-15)
 
     def test_powers_whose_mean_overflows_rejected_by_name(self):
         with pytest.raises(ConfigurationError, match="powers"):
