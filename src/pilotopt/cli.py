@@ -8,25 +8,18 @@ failure.
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .harness import (
     ExperimentConfig,
-    _trial_errors,
     convergence_trace,
     design_pilots,
     sweep_snr,
+    trial_errors,
 )
-from .model import (
-    SystemConfig,
-    _open_out,
-    load_gains,
-    reference_gains,
-    sigma2_from_snr,
-)
+from .model import SystemConfig, _open_out, load_gains, reference_gains
 from .optimizer import save_pilots
 from .report import emit
 
@@ -173,14 +166,9 @@ def _resolve_scenario(args):
     )
 
 
-def _require_single(values, flag):
-    if len(values) != 1:
-        raise ConfigurationError(f"this command needs exactly one {flag} value")
-    return values[0]
-
-
 def _cmd_sweep_snr(ecfg, args):
-    _require_single(ecfg.n_list, "--n")
+    if len(ecfg.n_list) != 1:
+        raise ConfigurationError("this command needs exactly one --n value")
     emit(sweep_snr(ecfg), args.format, args.out, x_field="snr_db")
     return 0
 
@@ -191,24 +179,12 @@ def _cmd_sweep_n(ecfg, args):
 
 
 def _cmd_convergence(ecfg, args):
-    snr = _require_single(ecfg.snr_db_list, "--snr-db")
-    _require_single(ecfg.n_list, "--n")
-    results = convergence_trace(replace(ecfg, snr_db_list=[snr]))
-    emit(results, args.format, args.out)
+    emit(convergence_trace(ecfg), args.format, args.out)
     return 0
 
 
-def _single_point_config(ecfg):
-    snr = _require_single(ecfg.snr_db_list, "--snr-db")
-    n = _require_single(ecfg.n_list, "--n")
-    base = ecfg.base
-    return replace(
-        base, pilot_len=n, sigma2=sigma2_from_snr(snr, base.powers)
-    ), snr
-
-
 def _cmd_optimize(ecfg, args):
-    cfg, _ = _single_point_config(ecfg)
+    _, cfg = ecfg.single_point()
     x_opt, _, _, trace = design_pilots("proposed", cfg, ecfg)
     save_pilots(args.out, x_opt)
     print(
@@ -221,11 +197,11 @@ def _cmd_optimize(ecfg, args):
 
 def _cmd_estimate(ecfg, args):
     """Design each algorithm's pilots and run Monte Carlo trial 0 on them."""
-    cfg, snr = _single_point_config(ecfg)
+    snr, cfg = ecfg.single_point()
     payload = {"snr_db": snr, "n": cfg.pilot_len, "algorithms": {}}
     for algorithm in ecfg.algorithms:
         x, b, ana, _ = design_pilots(algorithm, cfg, ecfg)
-        per_user = _trial_errors(cfg, x, b, ecfg.seed, 0)
+        per_user = trial_errors(cfg, x, b, ecfg.seed, 0)
         payload["algorithms"][algorithm] = {
             "wsmse_analytic": ana.wsmse,
             "wsmse_realized": float(per_user.mean()),

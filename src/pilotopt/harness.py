@@ -1,12 +1,13 @@
 """Monte Carlo experiment drivers: pilot design, trials, sweeps, traces.
 
-Each step has one home: :func:`design_pilots`, the Monte Carlo engine
-behind :func:`run_monte_carlo` and the grid driver :func:`sweep_snr`.
-Trial ``t`` draws its channel from stream id ``t`` and its noise from
-``t + 2**32``, so every trial's draws and WSMSE are reproducible bit for
-bit and independent of how trials are grouped into chunks; the
-optimizer's random initialization, when requested, draws from stream id
-``2**33``.
+Each step has one home: :meth:`ExperimentConfig.point` resolves a
+scenario point, :func:`design_pilots` maps an algorithm name to pilots
+``x`` and estimator matrix ``b``, the evaluators take that ``(x, b)``
+pair and :func:`sweep_snr` is the grid driver. Trial ``t`` draws its
+channel from stream id ``t`` and its noise from ``t + 2**32``, so every
+trial's draws and WSMSE are reproducible bit for bit and independent of
+how trials are grouped into chunks; the optimizer's random
+initialization, when requested, draws from stream id ``2**33``.
 
 A design's estimator ``b`` is fixed by its pilots, so it is built once.
 Its error on a trial is linear in the draws: with ``Z = [h, white]``
@@ -36,7 +37,14 @@ from .model import (
     sigma2_from_snr,
 )
 from .numerics import RandomStream, draw_cn
-from .optimizer import analytic_wsmse, init_pilots, optimize_pilots, proposed_estimator
+from .optimizer import (
+    INIT_KINDS,
+    _check_pilots,
+    analytic_wsmse,
+    init_pilots,
+    optimize_pilots,
+    proposed_estimator,
+)
 
 NOISE_STREAM_OFFSET = 2**32
 INIT_STREAM_ID = 2**33
@@ -58,10 +66,10 @@ CHUNK_BYTES = 256 * 1024
 class ExperimentConfig:
     """One experiment: a base scenario plus sweep axes and run options.
 
-    ``base.sigma2`` is a placeholder; the drivers recompute the noise
-    variance from each SNR point. :func:`sweep_snr` sweeps the pilot
-    lengths in ``n_list``, or ``base.pilot_len`` alone when it is empty;
-    the single-point drivers use ``base.pilot_len``.
+    A scenario point is one SNR of ``snr_db_list`` and one pilot length
+    of :attr:`pilot_lens`. :meth:`point` is where every driver turns one
+    into a :class:`SystemConfig`, so ``base.sigma2`` is never read; each
+    point is checked on construction.
     """
 
     base: SystemConfig
@@ -86,7 +94,8 @@ class ExperimentConfig:
         if not self.snr_db_list:
             raise ConfigurationError("snr_db_list must be non-empty")
         for snr_db in self.snr_db_list:
-            sigma2_from_snr(snr_db, self.base.powers)
+            for n in self.pilot_lens:
+                self.point(snr_db, n)
         if self.mode != "both" and self.mode not in ALGORITHMS:
             raise ConfigurationError(
                 f"mode must be 'both' or one of {ALGORITHMS}, got {self.mode!r}"
@@ -100,6 +109,31 @@ class ExperimentConfig:
     def algorithms(self):
         """The algorithms ``mode`` runs: both for ``"both"``, else the one named."""
         return ALGORITHMS if self.mode == "both" else (self.mode,)
+
+    @property
+    def pilot_lens(self):
+        """The pilot lengths: ``n_list``, or ``base.pilot_len`` when it is empty."""
+        return self.n_list or [self.base.pilot_len]
+
+    def point(self, snr_db, n):
+        """The :class:`SystemConfig` of pilot length ``n`` at ``snr_db``."""
+        base = self.base
+        return replace(base, pilot_len=n, sigma2=sigma2_from_snr(snr_db, base.powers))
+
+    def single_point(self):
+        """``(snr_db, cfg)`` of an experiment that names exactly one point.
+
+        Raises :class:`ConfigurationError` unless there is exactly one
+        SNR and exactly one pilot length.
+        """
+        for values, name in ((self.snr_db_list, "SNR point"),
+                             (self.pilot_lens, "pilot length")):
+            if len(values) != 1:
+                raise ConfigurationError(
+                    f"this run needs exactly one {name}, got {len(values)}"
+                )
+        snr_db = self.snr_db_list[0]
+        return snr_db, self.point(snr_db, self.pilot_lens[0])
 
 
 @dataclass(eq=False)
@@ -127,21 +161,6 @@ class ConvergenceResult:
     updates_to_converge: int
 
 
-def _check_algorithm(algorithm):
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
-        )
-
-
-def _estimator(algorithm, x, cfg):
-    """The ``(pilot_len, users)`` estimator matrix of ``algorithm`` on pilots ``x``."""
-    _check_algorithm(algorithm)
-    if algorithm == "proposed":
-        return proposed_estimator(x, cfg)
-    return conventional_estimator(x, cfg)
-
-
 def _draws(cfg, seed, start, stop):
     """``Z = [h, white]`` of trials ``start .. stop - 1``, ``(trials, antennas, K + N)``.
 
@@ -164,21 +183,17 @@ def _trials_per_chunk(cfg):
     return max(1, CHUNK_BYTES // (16 * width * (cfg.antennas + width)))
 
 
-def trial_errors(cfg, x, algorithm, seed, t):
+def trial_errors(cfg, x, b, seed, t):
     """Per-user normalized squared error of one seeded trial.
 
     Trial ``t`` draws the channel from stream ``t`` and the noise from
-    stream ``t + 2**32``, forms the received training block, runs the
-    ``algorithm`` estimator and returns each user's squared error
-    divided by ``antennas * g_k``. It sees the same draws as trial ``t``
-    of :func:`run_monte_carlo` but shares none of its algebra, so it is
-    the direct check of that engine.
+    stream ``t + 2**32``, forms the received training block on pilots
+    ``x``, estimates the channel as ``y @ b`` and returns each user's
+    squared error divided by ``antennas * g_k``. It sees the same draws
+    as trial ``t`` of :func:`run_monte_carlo` but shares none of its
+    algebra, so it is the direct check of that engine.
     """
-    return _trial_errors(cfg, x, _estimator(algorithm, x, cfg), seed, t)
-
-
-def _trial_errors(cfg, x, b, seed, t):
-    """:func:`trial_errors` of the estimator matrix ``b`` a design already built."""
+    x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     z = _draws(cfg, seed, t, t + 1)[0]
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
@@ -252,19 +267,19 @@ def _monte_carlo(points, trials, seed):
     return reports
 
 
-def run_monte_carlo(cfg, x, algorithm, trials, seed):
-    """Empirical normalized WSMSE of one estimator over seeded trials.
+def run_monte_carlo(cfg, x, b, trials, seed):
+    """Empirical normalized WSMSE of the estimator ``y @ b`` on pilots ``x``.
 
     Evaluates trials ``t = 0 .. trials - 1``, the draws of
-    :func:`trial_errors`, with the estimator built once and each trial's
-    error taken from its Gram matrix (module docstring). The returned
-    :class:`WsmseReport` carries the mean over trials, its standard
-    error, and the per-user means. Results depend only on
-    ``(cfg, x, algorithm, trials, seed)``.
+    :func:`trial_errors`, each trial's error taken from its Gram matrix
+    (module docstring). The returned :class:`WsmseReport` carries the
+    mean over trials, its standard error, and the per-user means.
+    Results depend only on ``(cfg, x, b, trials, seed)``.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    return _monte_carlo([(cfg, x, _estimator(algorithm, x, cfg))], trials, seed)[0]
+    x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
+    return _monte_carlo([(cfg, x, b)], trials, seed)[0]
 
 
 def design_pilots(algorithm, cfg, ecfg):
@@ -273,22 +288,34 @@ def design_pilots(algorithm, cfg, ecfg):
     Returns ``(x, b, analytic, trace)``: the pilots, the algorithm's
     ``(pilot_len, users)`` estimator matrix, its
     :func:`~pilotopt.optimizer.analytic_wsmse` and the optimizer trace.
-    ``proposed`` optimizes from ``ecfg.init`` (random starts draw from
-    stream ``2**33``); ``conventional`` reuses the DFT columns and has
-    ``None`` for its trace.
+    ``proposed`` optimizes from ``ecfg.init``; ``conventional`` reuses
+    the DFT columns and has ``None`` for its trace.
     """
-    _check_algorithm(algorithm)
     if algorithm == "proposed":
-        stream = RandomStream(ecfg.seed, INIT_STREAM_ID)
-        x0 = init_pilots(ecfg.init, cfg, stream=stream)
-        x, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
-    else:
+        x, trace = _optimize_from(ecfg.init, cfg, ecfg)
+        b = proposed_estimator(x, cfg)
+    elif algorithm == "conventional":
         x, trace = design_reuse_pilots(cfg), None
-    b = _estimator(algorithm, x, cfg)
+        b = conventional_estimator(x, cfg)
+    else:
+        raise ConfigurationError(
+            f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
+        )
     return x, b, analytic_wsmse(x, b, cfg), trace
 
 
+def _optimize_from(kind, cfg, ecfg):
+    """Optimize from the ``kind`` start; a random one draws from stream ``2**33``."""
+    x0 = init_pilots(kind, cfg, stream=RandomStream(ecfg.seed, INIT_STREAM_ID))
+    return optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
+
+
 def _consistency_gate(label, analytic, empirical, stderr):
+    if not (np.isfinite(analytic) and np.isfinite(empirical)):
+        raise NumericalError(
+            f"{label}: WSMSE is not finite (analytic {analytic:.6g}, "
+            f"empirical {empirical:.6g})"
+        )
     if not np.isfinite(stderr) or stderr == 0.0:
         return
     if abs(empirical - analytic) > 4.0 * stderr:
@@ -301,24 +328,21 @@ def _consistency_gate(label, analytic, empirical, stderr):
 def sweep_snr(ecfg):
     """Sweep pilot length, SNR and algorithm.
 
-    Pilot lengths come from ``ecfg.n_list``, or ``base.pilot_len`` when
-    it is empty. At every point the noise variance is recomputed from
-    the power budgets and each algorithm designs its own pilots. Returns
-    one :class:`SweepRow` per (pilot length, SNR, algorithm), proposed
-    first when both run; at ``n == users`` both algorithms reduce to
+    Runs every point of ``ecfg`` (:meth:`ExperimentConfig.point`), and
+    at each one every algorithm designs its own pilots. Returns one
+    :class:`SweepRow` per (pilot length, SNR, algorithm), proposed first
+    when both run; at ``n == users`` both algorithms reduce to
     orthogonal pilots and reach the same analytic WSMSE.
 
     All points of one pilot length are designed first, then evaluated
     on the same Monte Carlo draws with the estimator matrices the
     designs built; each row equals its own :func:`run_monte_carlo`.
     """
-    base = ecfg.base
     rows = []
-    for n in ecfg.n_list or [base.pilot_len]:
+    for n in ecfg.pilot_lens:
         points = []
         for snr_db in ecfg.snr_db_list:
-            sigma2 = sigma2_from_snr(snr_db, base.powers)
-            cfg = replace(base, pilot_len=n, sigma2=sigma2)
+            cfg = ecfg.point(snr_db, n)
             for algorithm in ecfg.algorithms:
                 design = design_pilots(algorithm, cfg, ecfg)
                 points.append((snr_db, cfg, algorithm, *design))
@@ -354,7 +378,8 @@ def _updates_to_converge(trace, rtol=FINAL_OBJECTIVE_RTOL):
 def convergence_trace(ecfg):
     """Optimizer objective traces from all three starting points.
 
-    Runs the pilot optimization at a single SNR from the DFT-reuse,
+    Runs the pilot optimization at the single point of ``ecfg``
+    (:meth:`ExperimentConfig.single_point`) from the DFT-reuse,
     truncated-DFT, and seeded-random initializations and returns one
     :class:`ConvergenceResult` per run.
 
@@ -366,18 +391,10 @@ def convergence_trace(ecfg):
     off that set descends further. The returned ``final_objective``
     fields let callers compare.
     """
-    if len(ecfg.snr_db_list) != 1:
-        raise ConfigurationError(
-            "convergence_trace expects exactly one SNR point, got "
-            f"{len(ecfg.snr_db_list)}"
-        )
-    snr_db = ecfg.snr_db_list[0]
-    cfg = replace(ecfg.base, sigma2=sigma2_from_snr(snr_db, ecfg.base.powers))
+    snr_db, cfg = ecfg.single_point()
     results = []
-    for kind in ("dft-reuse", "dft-k", "random"):
-        stream = RandomStream(ecfg.seed, INIT_STREAM_ID)
-        x0 = init_pilots(kind, cfg, stream=stream)
-        _, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
+    for kind in INIT_KINDS:
+        _, trace = _optimize_from(kind, cfg, ecfg)
         results.append(
             ConvergenceResult(
                 init=kind,

@@ -60,6 +60,13 @@ class SystemConfig:
         vector, not on per-symbol power). Scalars broadcast to all users.
     gains : float or array_like
         Per-user average path-loss gains, all positive. Scalars broadcast.
+
+    Raises
+    ------
+    ConfigurationError
+        For invalid values, and for a scenario whose algebra would leave
+        the float range: ``2 (sum_k g_k P_k + sigma2)``, ``pilot_len /
+        sigma2`` and ``1 / (users * antennas * g_k)`` must be finite.
     """
 
     antennas: int
@@ -87,6 +94,28 @@ class SystemConfig:
             raise ConfigurationError("all per-user powers must be finite and > 0")
         if not np.all(np.isfinite(self.gains)) or np.any(self.gains <= 0):
             raise ConfigurationError("all path-loss gains must be finite and > 0")
+        # the algebra stays in the float range: every entry of the pilot Gram
+        # matrix A is at most sum_k g_k P_k + sigma2 and its symmetrization
+        # adds two of them, tr(A^-1) <= pilot_len / sigma2, and the WSMSE
+        # weighs user k by 1 / (users * antennas * g_k)
+        with np.errstate(over="ignore"):
+            entry_bound = float(np.dot(self.gains, self.powers)) + self.sigma2
+        if math.isinf(2.0 * entry_bound):
+            _mean_power(self.powers)  # powers whose mean overflows say so first
+            raise ConfigurationError(
+                "powers and gains are too large: 2 * (sum_k g_k P_k + sigma2) "
+                "overflows in the pilot Gram matrix"
+            )
+        if self.sigma2 > 0 and math.isinf(self.pilot_len / self.sigma2):
+            raise ConfigurationError(
+                f"sigma2 {self.sigma2} is too small: pilot_len / sigma2 overflows"
+            )
+        weight = 1.0 / (self.users * self.antennas * float(self.gains.min()))
+        if math.isinf(weight):
+            raise ConfigurationError(
+                "gains are too small: the WSMSE weight 1 / (users * antennas * g_k) "
+                "overflows"
+            )
 
 
 @dataclass(eq=False)
@@ -208,6 +237,22 @@ def check_received(y, cfg):
     return y
 
 
+def _mean_power(powers):
+    """The mean of ``powers``, the reference power of every SNR.
+
+    Raises :class:`ConfigurationError` for powers that are empty, not
+    finite or not positive, and for powers whose mean overflows.
+    """
+    powers = np.asarray(powers, dtype=np.float64)
+    if powers.size == 0 or not np.all(np.isfinite(powers)) or np.any(powers <= 0):
+        raise ConfigurationError("powers must be non-empty, finite and positive")
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(powers))
+    if math.isinf(mean):
+        raise ConfigurationError("powers are too large: their mean overflows")
+    return mean
+
+
 def sigma2_from_snr(snr_db, powers):
     """Noise variance realizing a target SNR in dB.
 
@@ -220,13 +265,7 @@ def sigma2_from_snr(snr_db, powers):
     snr_db = float(snr_db)
     if not math.isfinite(snr_db):
         raise ConfigurationError(f"snr_db must be finite, got {snr_db}")
-    powers = np.asarray(powers, dtype=np.float64)
-    if powers.size == 0 or not np.all(np.isfinite(powers)) or np.any(powers <= 0):
-        raise ConfigurationError("powers must be non-empty, finite and positive")
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(powers))
-    if math.isinf(mean):
-        raise ConfigurationError("powers are too large: their mean overflows")
+    mean = _mean_power(powers)
     try:
         sigma2 = mean / 10.0 ** (snr_db / 10.0)
     except OverflowError:

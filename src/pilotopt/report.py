@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -9,16 +10,7 @@ from .errors import ConfigurationError
 from .harness import ConvergenceResult, SweepRow
 from .model import _open_out
 
-SWEEP_HEADER = [
-    "snr_db",
-    "n",
-    "algorithm",
-    "wsmse_analytic",
-    "wsmse_empirical",
-    "stderr",
-    "trials",
-    "sweeps",
-]
+SWEEP_HEADER = [f.name for f in fields(SweepRow)]
 
 TRACE_HEADER = ["init", "update_index", "objective"]
 
@@ -98,19 +90,6 @@ def read_trace_csv(path):
     return out
 
 
-def _row_dict(row):
-    return {
-        "snr_db": row.snr_db,
-        "n": row.n,
-        "algorithm": row.algorithm,
-        "wsmse_analytic": row.wsmse_analytic,
-        "wsmse_empirical": row.wsmse_empirical,
-        "stderr": row.stderr,
-        "trials": row.trials,
-        "sweeps": row.sweeps,
-    }
-
-
 def _trace_dict(res):
     return {
         "init": res.init,
@@ -127,7 +106,7 @@ def _trace_dict(res):
 def write_json(items, path):
     """Write sweep rows or convergence results as a JSON array."""
     payload = [
-        _row_dict(item) if isinstance(item, SweepRow) else _trace_dict(item)
+        asdict(item) if isinstance(item, SweepRow) else _trace_dict(item)
         for item in items
     ]
     with _open_out(path) as fh:
@@ -167,7 +146,7 @@ def _ticks_linear(lo, hi, count=6):
     return [float(v) for v in raw]
 
 
-def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
+def write_svg(path, series, x_label="", y_label="", title=""):
     """Hand-rolled single-panel line chart: one ``<polyline>`` per series.
 
     ``series`` is a list of ``(label, xs, ys)``. The y axis is log
@@ -177,8 +156,7 @@ def write_svg(path, series, x_label="", y_label="", title="", log_y=True):
     """
     all_x = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series]) if series else np.array([0.0, 1.0])
     all_y = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series]) if series else np.array([0.1, 1.0])
-    if log_y and np.any(all_y <= 0):
-        log_y = False
+    log_y = not np.any(all_y <= 0)
     x_lo, x_hi = float(all_x.min()), float(all_x.max())
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5

@@ -226,14 +226,15 @@ def test_criterion_5_analytic_empirical_agreement():
         x0 = init_pilots("dft-reuse", cfg)
         x_opt, _ = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
         checks = [
-            ("proposed", x_opt, wsmse(x_opt, proposed_estimator, cfg)),
+            ("proposed", x_opt, proposed_estimator),
         ]
         x_base = design_reuse_pilots(cfg)
         checks.append(
-            ("conventional", x_base, wsmse(x_base, conventional_estimator, cfg))
+            ("conventional", x_base, conventional_estimator)
         )
-        for label, x, analytic in checks:
-            emp = run_monte_carlo(cfg, x, label, trials=5000, seed=20100)
+        for label, x, estimator in checks:
+            analytic = wsmse(x, estimator, cfg)
+            emp = run_monte_carlo(cfg, x, estimator(x, cfg), trials=5000, seed=20100)
             rel = abs(emp.wsmse - analytic) / analytic
             if rel > 0.02:
                 failures.append(f"{label} @ {snr_db} dB: {rel:.3%} relative error")

@@ -206,8 +206,8 @@ class TestEstimateCommand:
         ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=31,
                                 init="random")
         for algorithm in ("proposed", "conventional"):
-            x, _, ana, _ = design_pilots(algorithm, cfg, ecfg)
-            rep = run_monte_carlo(cfg, x, algorithm, trials=1, seed=31)
+            x, b, ana, _ = design_pilots(algorithm, cfg, ecfg)
+            rep = run_monte_carlo(cfg, x, b, trials=1, seed=31)
             entry = data["algorithms"][algorithm]
             # estimate takes trial 0 on the direct route, the engine through R
             assert np.allclose(entry["per_user_realized"], rep.per_user,
@@ -233,8 +233,8 @@ class TestEstimateCommand:
                            sigma2=sigma2_from_snr(10.0, np.ones(8)))
         ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=5)
         for algorithm in ("proposed", "conventional"):
-            x, _, _, _ = design_pilots(algorithm, cfg, ecfg)
-            expected = trial_errors(cfg, x, algorithm, 5, 0)
+            x, b, _, _ = design_pilots(algorithm, cfg, ecfg)
+            expected = trial_errors(cfg, x, b, 5, 0)
             entry = data["algorithms"][algorithm]
             assert entry["per_user_realized"] == [float(v) for v in expected]
 
@@ -359,6 +359,39 @@ class TestExitCodes:
                          "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["optimize", "--power", "1e308", "--k", "1", "--m", "4", "--n", "1"],
+         "powers and gains are too large: 2 * (sum_k g_k P_k + sigma2) overflows in "
+         "the pilot Gram matrix"),
+        (["estimate", "--power", "1e-320"],
+         "sigma2 1e-320 is too small: pilot_len / sigma2 overflows"),
+        (["sweep-snr", "--k", "4", "--m", "8", "--n", "2", "--gains", "GAINS",
+          "--trials", "20"],
+         "gains are too small: the WSMSE weight 1 / (users * antennas * g_k) overflows"),
+    ])
+    def test_float_range_inputs_rejected_by_name(self, args, message, tmp_path,
+                                                 capsys):
+        gains = tmp_path / "gains.txt"
+        gains.write_text("5e-324\n1\n1\n1\n")
+        args = [str(gains) if a == "GAINS" else a for a in args]
+        out = tmp_path / "out.txt"
+        assert cli.main([*args, "--snr-db", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "estimate"])
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "2", "--snr-db", "0,3"], "one SNR point, got 2"),
+        (["--n", "1,2", "--snr-db", "0"], "one pilot length, got 2"),
+    ])
+    def test_single_point_commands_need_one_point(self, command, args, message,
+                                                  tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        code = cli.main([command, "--m", "4", "--k", "3", *args, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_numerical_failure_maps_to_three(self, monkeypatch):

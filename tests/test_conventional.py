@@ -136,7 +136,8 @@ class TestConventionalAnalyticWsmse:
                                sigma2=0.8, gains=[0.9, 0.4, 0.6, 0.2])
             x = design_reuse_pilots(cfg)
             analytic = baseline_wsmse(cfg)
-            empirical = run_monte_carlo(cfg, x, "conventional", 10000, seed=202)
+            b = conventional_estimator(x, cfg)
+            empirical = run_monte_carlo(cfg, x, b, 10000, seed=202)
             assert empirical.wsmse == pytest.approx(analytic.wsmse, rel=0.02)
 
     def test_decreasing_in_snr_without_contamination(self):

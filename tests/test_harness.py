@@ -8,7 +8,9 @@ import pilotopt.model as model
 import pilotopt.optimizer as optimizer
 from pilotopt import (
     ConfigurationError,
+    ContractViolation,
     ExperimentConfig,
+    NumericalError,
     RandomStream,
     SystemConfig,
     analytic_wsmse,
@@ -21,6 +23,7 @@ from pilotopt import (
     generate_channel,
     init_pilots,
     objective,
+    optimize_pilots,
     proposed_estimate,
     proposed_estimator,
     received_pilot_signal,
@@ -34,6 +37,7 @@ from pilotopt.harness import _error_map, _evaluate, _trial_weight, _trials_per_c
 
 DESK_GAINS = reference_gains()[:8]
 ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimate}
+ESTIMATORS = {"proposed": proposed_estimator, "conventional": conventional_estimator}
 
 
 def reference_monte_carlo(cfg, x, algorithm, trials, seed):
@@ -77,28 +81,30 @@ class TestRunMonteCarlo:
     def test_near_noiseless_recovery(self):
         cfg = SystemConfig(antennas=8, users=4, pilot_len=4, sigma2=1e-9)
         x = init_pilots("dft-reuse", cfg)
-        rep = run_monte_carlo(cfg, x, "proposed", trials=50, seed=7)
+        rep = run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials=50, seed=7)
         assert rep.wsmse < 1e-6
 
     def test_scalar_reference_many_trials(self):
         cfg = SystemConfig(antennas=8, users=1, pilot_len=1, sigma2=1.0)
         x = init_pilots("dft-reuse", cfg)
-        rep = run_monte_carlo(cfg, x, "proposed", trials=100000, seed=9)
+        rep = run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials=100000, seed=9)
         assert rep.wsmse == pytest.approx(0.5, rel=0.02)
 
     def test_single_contaminator_reference(self):
         cfg = SystemConfig(antennas=16, users=2, pilot_len=1, sigma2=1.0)
         x = design_reuse_pilots(cfg)
-        rep = run_monte_carlo(cfg, x, "conventional", trials=10000, seed=42)
+        rep = run_monte_carlo(cfg, x, conventional_estimator(x, cfg), trials=10000,
+                              seed=42)
         assert rep.wsmse == pytest.approx(0.75, rel=0.02)
 
     def test_deterministic_and_worker_independent(self):
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
                            gains=[0.9, 0.4, 0.7, 0.2])
         x = design_reuse_pilots(cfg)
+        est = conventional_estimator(x, cfg)
         trials = 2 * _trials_per_chunk(cfg) + 7  # three chunks
-        a = run_monte_carlo(cfg, x, "conventional", trials=trials, seed=5)
-        b = run_monte_carlo(cfg, x, "conventional", trials=trials, seed=5)
+        a = run_monte_carlo(cfg, x, est, trials=trials, seed=5)
+        b = run_monte_carlo(cfg, x, est, trials=trials, seed=5)
         assert a.wsmse == b.wsmse
         assert np.array_equal(a.per_user, b.per_user)
         assert a.stderr == b.stderr
@@ -110,7 +116,7 @@ class TestRunMonteCarlo:
                            gains=[0.9, 0.4, 0.7, 0.2])
         x = design_reuse_pilots(cfg)
         for name in ("proposed", "conventional"):
-            rep = run_monte_carlo(cfg, x, name, trials=200, seed=11)
+            rep = run_monte_carlo(cfg, x, ESTIMATORS[name](x, cfg), trials=200, seed=11)
             assert_matches_reference(rep, cfg, x, name, 200, 11)
 
     @pytest.mark.parametrize("dims", [(8, 4, 2), (8, 1, 1), (4, 9, 3), (5, 3, 6)])
@@ -124,25 +130,28 @@ class TestRunMonteCarlo:
         trials = 1 if offset is None else _trials_per_chunk(cfg) + offset
         x = design_reuse_pilots(cfg)
         for algorithm in ("proposed", "conventional"):
-            rep = run_monte_carlo(cfg, x, algorithm, trials=trials, seed=3)
+            b = ESTIMATORS[algorithm](x, cfg)
+            rep = run_monte_carlo(cfg, x, b, trials=trials, seed=3)
             assert rep.trials == trials
             assert_matches_reference(rep, cfg, x, algorithm, trials, 3)
-            first = trial_errors(cfg, x, algorithm, 3, 0)
+            first = trial_errors(cfg, x, b, 3, 0)
             assert np.allclose(
-                run_monte_carlo(cfg, x, algorithm, trials=1, seed=3).per_user, first,
+                run_monte_carlo(cfg, x, b, trials=1, seed=3).per_user, first,
                 rtol=1e-13, atol=0.0,
             )
 
-    def test_rejects_bad_mode_and_trials(self):
-        cfg = SystemConfig(antennas=2, users=1, pilot_len=1, sigma2=1.0)
+    def test_rejects_bad_estimator_and_trials(self):
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
         x = init_pilots("dft-reuse", cfg)
+        b = proposed_estimator(x, cfg)
+        # a (pilot_len, 1) estimator would broadcast against the channel
+        for bad_x, bad_b, name in [(x, b[:, :1], "b"), (x, b.T, "b"), (x.T, b, "x")]:
+            with pytest.raises(ContractViolation, match=f"^{name} shape"):
+                run_monte_carlo(cfg, bad_x, bad_b, trials=10, seed=1)
+            with pytest.raises(ContractViolation, match=f"^{name} shape"):
+                trial_errors(cfg, bad_x, bad_b, 1, 0)
         with pytest.raises(ConfigurationError):
-            run_monte_carlo(cfg, x, "bogus", trials=10, seed=1)
-        # each algorithm designs its own pilots, so one call runs one estimator
-        with pytest.raises(ConfigurationError):
-            run_monte_carlo(cfg, x, "both", trials=10, seed=1)
-        with pytest.raises(ConfigurationError):
-            run_monte_carlo(cfg, x, "proposed", trials=0, seed=1)
+            run_monte_carlo(cfg, x, b, trials=0, seed=1)
 
     def test_per_user_agreement_with_analytic(self):
         from pilotopt import (
@@ -158,14 +167,15 @@ class TestRunMonteCarlo:
         x0 = init_pilots("random", cfg, stream=RandomStream(1, 0))
         x, _ = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=100)
         expected = analytic_wsmse(x, proposed_estimator(x, cfg), cfg).per_user
-        rep = run_monte_carlo(cfg, x, "proposed", trials=10000, seed=606)
+        rep = run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials=10000,
+                              seed=606)
         assert np.all(np.abs(rep.per_user - expected) / expected < 0.02)
 
     def test_stderr_scales_with_trials(self):
         cfg = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
         x = init_pilots("dft-reuse", cfg)
-        small = run_monte_carlo(cfg, x, "proposed", trials=200, seed=3)
-        large = run_monte_carlo(cfg, x, "proposed", trials=3200, seed=3)
+        small = run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials=200, seed=3)
+        large = run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials=3200, seed=3)
         assert large.stderr < small.stderr
         assert large.trials == 3200
 
@@ -219,7 +229,7 @@ def gram_case(case, index):
 
 def direct_trials(cfg, x, b, trials, seed):
     """``(trials, users)`` errors of the direct route, one trial at a time."""
-    return np.stack([harness._trial_errors(cfg, x, b, seed, t) for t in range(trials)])
+    return np.stack([trial_errors(cfg, x, b, seed, t) for t in range(trials)])
 
 
 class TestGramEngine:
@@ -367,11 +377,26 @@ class TestSweepSnr:
         for row in rows:
             cfg = replace(ecfg.base, pilot_len=row.n,
                           sigma2=sigma2_from_snr(row.snr_db, ecfg.base.powers))
-            x, _, ana, _ = design_pilots(row.algorithm, cfg, ecfg)
-            emp = run_monte_carlo(cfg, x, row.algorithm, trials, ecfg.seed)
+            x, b, ana, _ = design_pilots(row.algorithm, cfg, ecfg)
+            emp = run_monte_carlo(cfg, x, b, trials, ecfg.seed)
             assert row.wsmse_analytic == ana.wsmse
             assert row.wsmse_empirical == emp.wsmse
             assert row.stderr == emp.stderr
+
+
+    def test_non_finite_wsmse_is_a_numerical_error(self, monkeypatch):
+        evaluate = harness._evaluate
+
+        def poisoned(points, trials, seed):
+            per_trial, per_user = evaluate(points, trials, seed)
+            per_trial[-1, 0] = np.nan
+            return per_trial, per_user
+
+        monkeypatch.setattr(harness, "_evaluate", poisoned)
+        with pytest.raises(NumericalError, match="WSMSE is not finite"):
+            sweep_snr(desk_experiment(trials=5))
+        with pytest.raises(NumericalError, match="WSMSE is not finite"):
+            harness._consistency_gate("p", float("inf"), 0.5, 0.01)
 
 
 class TestSweepPilotLength:
@@ -440,6 +465,11 @@ class TestConvergenceTrace:
         with pytest.raises(ConfigurationError):
             convergence_trace(ecfg)
 
+    def test_requires_single_pilot_length(self):
+        ecfg = desk_experiment(snr_db_list=[0.0], n_list=[2, 4], trials=10)
+        with pytest.raises(ConfigurationError, match="one pilot length, got 2"):
+            convergence_trace(ecfg)
+
 
 class TestExperimentConfig:
     def test_validation(self):
@@ -457,6 +487,49 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="seed"):
             ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=-1)
         assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=0).seed == 0
+
+    def test_every_point_checked_on_construction(self):
+        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0,
+                            powers=1e-300)
+        ExperimentConfig(base=base, snr_db_list=[0.0])
+        # 1e-300 at 200 dB is a noise variance of 1e-320: N / sigma2 overflows
+        with pytest.raises(ConfigurationError, match="sigma2 1e-320 is too small"):
+            ExperimentConfig(base=base, snr_db_list=[0.0, 200.0])
+        with pytest.raises(ConfigurationError, match="dimensions must be positive"):
+            ExperimentConfig(base=base, snr_db_list=[0.0], n_list=[2, 0])
+
+    def test_drivers_resolve_the_same_point(self):
+        # base.pilot_len and base.sigma2 are not the point: n_list and the SNR are
+        base = SystemConfig(antennas=8, users=4, pilot_len=4, sigma2=1.0,
+                            gains=DESK_GAINS[:4])
+        ecfg = ExperimentConfig(base=base, snr_db_list=[3.0], n_list=[2], trials=20,
+                                seed=8)
+        assert ecfg.pilot_lens == [2]
+        snr_db, cfg = ecfg.single_point()
+        assert (snr_db, cfg.pilot_len) == (3.0, 2)
+        assert cfg.sigma2 == sigma2_from_snr(3.0, base.powers)
+        assert vars(ecfg.point(3.0, 2)) == vars(cfg)
+
+        rows = sweep_snr(ecfg)
+        assert [r.n for r in rows] == [2, 2]
+        for row in rows:
+            assert row.wsmse_analytic == design_pilots(row.algorithm, cfg, ecfg)[2].wsmse
+
+        for res in convergence_trace(ecfg):
+            stream = RandomStream(ecfg.seed, 2**33)
+            x0 = init_pilots(res.init, cfg, stream=stream)
+            _, trace = optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
+            assert res.trace.initial_objective == objective(x0, cfg)
+            assert res.final_objective == trace.objective_per_update[-1]
+
+    def test_single_point_needs_one_snr_and_one_pilot_length(self):
+        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        assert ExperimentConfig(base=base, snr_db_list=[1.0]).pilot_lens == [2]
+        assert ExperimentConfig(base=base, snr_db_list=[1.0]).single_point()[1].pilot_len == 2
+        with pytest.raises(ConfigurationError, match="one SNR point, got 2"):
+            ExperimentConfig(base=base, snr_db_list=[1.0, 2.0]).single_point()
+        with pytest.raises(ConfigurationError, match="one pilot length, got 2"):
+            ExperimentConfig(base=base, snr_db_list=[1.0], n_list=[1, 2]).single_point()
 
     @pytest.mark.parametrize("field, value", [
         ("trials", 2.5), ("seed", 1.5), ("max_sweeps", 2.5), ("n_list", [2.6]),

@@ -89,6 +89,33 @@ class TestSystemConfig:
     def test_pilot_len_may_exceed_users(self):
         SystemConfig(antennas=2, users=2, pilot_len=5, sigma2=0.1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # 2 (sum_k g_k P_k + sigma2) bounds the symmetrized Gram matrix entries
+        (dict(users=1, powers=1e308, sigma2=1e308), "powers and gains are too large"),
+        (dict(powers=1.0, gains=1e308), "powers and gains are too large"),
+        (dict(powers=[8e307, 8e307], sigma2=1.0), "powers and gains are too large"),
+        # tr(A^-1) <= pilot_len / sigma2
+        (dict(powers=1e-320, sigma2=1e-320), "sigma2 1e-320 is too small"),
+        (dict(pilot_len=4, sigma2=2e-308), "sigma2 2e-308 is too small"),
+        # the WSMSE weight 1 / (users * antennas * g_k)
+        (dict(gains=[5e-324, 1.0]), "gains are too small"),
+        (dict(antennas=1024, gains=[1e-312, 1.0]), "gains are too small"),
+        # the reference power of the SNR
+        (dict(users=3, powers=1e308), "powers are too large: their mean overflows"),
+    ])
+    def test_float_range_bounds_rejected_by_name(self, kwargs, message):
+        full = dict(antennas=4, users=2, pilot_len=1, sigma2=1.0) | kwargs
+        with pytest.raises(ConfigurationError, match=f"^{message}"):
+            SystemConfig(**full)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(users=1, powers=4e307, sigma2=4e307),
+        dict(pilot_len=1, sigma2=1e-308),
+        dict(antennas=1, gains=[1e-308, 1.0]),
+    ])
+    def test_float_range_bounds_admit_their_edge(self, kwargs):
+        SystemConfig(**(dict(antennas=4, users=2, pilot_len=1, sigma2=1.0) | kwargs))
+
 
 class TestGenerateChannel:
     def test_per_user_power(self):
