@@ -2,17 +2,18 @@
 
 Subcommands: ``sweep-snr``, ``sweep-n``, ``convergence``, ``optimize``,
 ``estimate``. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+failure. Flag choices, option defaults and value checks come from the
+library types that own them; this module parses text and reads files.
 """
 
 import argparse
 import json
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .harness import (
+    MODES,
     ExperimentConfig,
     convergence_trace,
     design_pilots,
@@ -20,8 +21,8 @@ from .harness import (
     trial_errors,
 )
 from .model import SystemConfig, _open_out, load_gains, reference_gains
-from .optimizer import save_pilots
-from .report import emit
+from .optimizer import INIT_KINDS, save_pilots
+from .report import FORMATS, emit
 
 DEFAULT_SNR_GRID = [float(v) for v in range(-10, 21, 2)]
 
@@ -41,12 +42,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the flags only some commands read (the sweeps read all four);
-    # add_flags gives every command the scenario, optimizer and output flags
+    # add_flags gives every command the scenario, optimizer and output flags.
+    # An ExperimentConfig option left unset takes that field's default.
     optional = {
-        "trials": {"type": int, "default": None, "help": "Monte Carlo trials per point"},
-        "init": {"default": "dft-reuse", "choices": ["dft-reuse", "dft-k", "random"]},
-        "mode": {"default": "both", "choices": ["proposed", "conventional", "both"]},
-        "format": {"default": "csv", "choices": ["csv", "json", "svg"]},
+        "trials": {"type": int, "help": "Monte Carlo trials per point"},
+        "init": {"choices": INIT_KINDS},
+        "mode": {"choices": MODES},
+        "format": {"default": "csv", "choices": FORMATS},
     }
 
     def add_flags(sp, extra):
@@ -58,14 +60,14 @@ def build_parser():
                         help="pilot length; sweep-n accepts a comma list")
         sp.add_argument("--snr-db", default=None,
                         help="comma list of SNR points in dB (default -10..20 step 2)")
-        sp.add_argument("--seed", type=int, default=12345)
+        sp.add_argument("--seed", type=int)
         sp.add_argument("--gains", default=None,
                         help="gains file, or 'paper' for the bundled 32-user table")
         sp.add_argument("--power", default="1.0",
                         help="per-user power budget: a number or a file")
-        sp.add_argument("--tol", type=float, default=1e-8,
+        sp.add_argument("--tol", type=float,
                         help="relative per-sweep objective decrease for convergence")
-        sp.add_argument("--max-sweeps", type=int, default=100)
+        sp.add_argument("--max-sweeps", type=int)
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
         for flag in extra:
             sp.add_argument(f"--{flag}", **optional[flag])
@@ -100,70 +102,42 @@ def _parse_int_list(text):
 
 
 def _resolve_scenario(args):
+    """The :class:`ExperimentConfig` that ``args`` describe."""
     profile = _PROFILES[args.profile]
-    m = args.m if args.m is not None else profile["m"]
-    k = args.k if args.k is not None else profile["k"]
-    gains_arg = args.gains if args.gains is not None else profile["gains"]
-
-    if gains_arg is None:
-        gains = np.ones(k)
-    elif gains_arg == "paper":
+    gains = args.gains if args.gains is not None else profile["gains"]
+    if gains is None:
+        gains = 1.0
+    elif gains == "paper":
         gains = reference_gains()
-        if len(gains) != k:
-            raise ConfigurationError(
-                f"the bundled gain table has {len(gains)} users but --k is {k}"
-            )
     else:
-        gains = load_gains(gains_arg)
-        if len(gains) != k:
-            raise ConfigurationError(
-                f"{gains_arg}: expected {k} gains, found {len(gains)}"
-            )
-
+        gains = load_gains(gains)
     try:
-        powers = np.full(k, float(args.power))
+        powers = float(args.power)
     except ValueError:
         powers = load_gains(args.power)
-        if len(powers) != k:
-            raise ConfigurationError(
-                f"{args.power}: expected {k} powers, found {len(powers)}"
-            )
 
-    n_text = args.n if args.n is not None else str(profile["n"])
-    n_list = _parse_int_list(n_text)
+    n_list = _parse_int_list(args.n if args.n is not None else str(profile["n"]))
     if not n_list:
         raise ConfigurationError("--n must name at least one pilot length")
-
     snr_list = (
         _parse_float_list(args.snr_db) if args.snr_db is not None else DEFAULT_SNR_GRID
     )
-    if not snr_list:
-        raise ConfigurationError("--snr-db must name at least one SNR point")
-
     base = SystemConfig(
-        antennas=m,
-        users=k,
+        antennas=args.m if args.m is not None else profile["m"],
+        users=args.k if args.k is not None else profile["k"],
         pilot_len=n_list[0],
         sigma2=1.0,
         powers=powers,
         gains=gains,
     )
-    # a command without --trials, --init or --mode runs the ExperimentConfig
-    # defaults
-    options = {
-        key: getattr(args, key) for key in ("mode", "init") if hasattr(args, key)
-    }
-    if hasattr(args, "trials"):
-        options["trials"] = args.trials if args.trials is not None else profile["trials"]
-    return ExperimentConfig(
-        base=base,
-        snr_db_list=snr_list,
-        n_list=n_list,
-        seed=args.seed,
-        tol=args.tol,
-        max_sweeps=args.max_sweeps,
-        **options,
-    )
+    # unset options are left to ExperimentConfig, except that the commands
+    # with --trials take the profile's trial count
+    flags = vars(args)
+    options = {f.name: flags[f.name] for f in fields(ExperimentConfig)
+               if flags.get(f.name) is not None}
+    if "trials" in flags:
+        options.setdefault("trials", profile["trials"])
+    return ExperimentConfig(base=base, snr_db_list=snr_list, n_list=n_list, **options)
 
 
 def _cmd_sweep_snr(ecfg, args):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .model import check_received
-from .optimizer import init_pilots
+from .optimizer import _check_pilots, init_pilots
 
 
 def design_reuse_pilots(cfg):
@@ -58,9 +58,7 @@ def conventional_estimator(x, cfg):
     contamination; :func:`~pilotopt.optimizer.analytic_wsmse` of ``b``
     counts it.
     """
-    x = np.asarray(x)
-    if x.shape != (cfg.pilot_len, cfg.users):
-        raise ContractViolation(f"x shape {x.shape} does not match (pilot_len, users)")
+    x = _check_pilots(x, cfg)
     return x * (cfg.gains / (_uniform_power(x) * cfg.gains + cfg.sigma2))
 
 

@@ -50,6 +50,7 @@ NOISE_STREAM_OFFSET = 2**32
 INIT_STREAM_ID = 2**33
 
 ALGORITHMS = ("proposed", "conventional")
+MODES = (*ALGORITHMS, "both")
 
 # Relative distance to a run's final objective at which
 # ``updates_to_converge`` counts the run as settled.
@@ -83,27 +84,19 @@ class ExperimentConfig:
     max_sweeps: int = 100
 
     def __post_init__(self):
-        self.trials = _as_index(self.trials, "trials")
-        self.seed = _as_index(self.seed, "seed")
-        self.max_sweeps = _as_index(self.max_sweeps, "max_sweeps")
+        self.trials = _as_index(self.trials, "trials", 1)
+        self.seed = _as_index(self.seed, "seed", 0)
+        self.max_sweeps = _as_index(self.max_sweeps, "max_sweeps", 1)
         self.n_list = [_as_index(n, "n_list entries") for n in self.n_list]
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_db_list:
             raise ConfigurationError("snr_db_list must be non-empty")
         for snr_db in self.snr_db_list:
             for n in self.pilot_lens:
                 self.point(snr_db, n)
-        if self.mode != "both" and self.mode not in ALGORITHMS:
-            raise ConfigurationError(
-                f"mode must be 'both' or one of {ALGORITHMS}, got {self.mode!r}"
-            )
+        if self.mode not in MODES:
+            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not np.isfinite(self.tol) or self.tol < 0:
             raise ConfigurationError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.max_sweeps < 1:
-            raise ConfigurationError("max_sweeps must be >= 1")
 
     @property
     def algorithms(self):
@@ -191,9 +184,11 @@ def trial_errors(cfg, x, b, seed, t):
     ``x``, estimates the channel as ``y @ b`` and returns each user's
     squared error divided by ``antennas * g_k``. It sees the same draws
     as trial ``t`` of :func:`run_monte_carlo` but shares none of its
-    algebra, so it is the direct check of that engine.
+    algebra, so it is the direct check of that engine. ``seed`` and ``t``
+    must be integers >= 0.
     """
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
+    seed, t = _as_index(seed, "seed", 0), _as_index(t, "t", 0)
     z = _draws(cfg, seed, t, t + 1)[0]
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
@@ -274,10 +269,10 @@ def run_monte_carlo(cfg, x, b, trials, seed):
     :func:`trial_errors`, each trial's error taken from its Gram matrix
     (module docstring). The returned :class:`WsmseReport` carries the
     mean over trials, its standard error, and the per-user means.
-    Results depend only on ``(cfg, x, b, trials, seed)``.
+    Results depend only on ``(cfg, x, b, trials, seed)``; ``trials``
+    must be an integer >= 1 and ``seed`` one >= 0.
     """
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
+    trials, seed = _as_index(trials, "trials", 1), _as_index(seed, "seed", 0)
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     return _monte_carlo([(cfg, x, b)], trials, seed)[0]
 

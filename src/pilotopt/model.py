@@ -20,12 +20,15 @@ from .errors import ConfigurationError, ContractViolation
 from .numerics import draw_cn
 
 
-def _as_index(value, name):
-    """``value`` as a Python int; a float, even a whole one, is rejected."""
+def _as_index(value, name, low=None):
+    """``value`` as a Python int of at least ``low``; a float, even a whole one, is rejected."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _as_per_user(value, count, name):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractViolation, NumericalError, SingularMatrixError
 
 # Hermitian inputs are built as X*diag*X^H + sigma^2*I, so any asymmetry
-# beyond rounding indicates caller error.
+# beyond rounding, relative to the largest entry, indicates caller error.
 HERMITIAN_TOL = 1e-10
 
 # Relative eigenvalue floor below which a matrix is treated as singular.
@@ -72,11 +72,12 @@ def _require_square(h, name):
 
 def _require_hermitian(h, name):
     h = _require_square(h, name)
-    asym = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if asym > HERMITIAN_TOL:
+    asym = np.max(np.abs(h - h.conj().T), initial=0.0)
+    scale = np.max(np.abs(h), initial=0.0)
+    if asym > HERMITIAN_TOL * scale:
         raise ContractViolation(
             f"{name} is not Hermitian: max |h - h^H| = {asym:.3e} "
-            f"exceeds {HERMITIAN_TOL:.0e}"
+            f"exceeds {HERMITIAN_TOL:.0e} times max |h| = {scale:.3e}"
         )
     return h
 

@@ -56,16 +56,16 @@ def _check_pilots(x, cfg, name="x"):
     return x
 
 
-def _hermitize(a):
+def _covariance(x, gains, sigma2):
+    """``x diag(gains) x^H + sigma2 * I``, made exactly Hermitian."""
+    a = (x * gains) @ x.conj().T
+    a[np.diag_indices_from(a)] += sigma2
     return 0.5 * (a + a.conj().T)
 
 
 def gram_matrix(x, cfg):
     """Pilot-domain covariance ``A = sum_k g_k x_k x_k^H + sigma2 * I``."""
-    x = _check_pilots(x, cfg)
-    a = (x * cfg.gains[np.newaxis, :]) @ x.conj().T
-    a[np.diag_indices_from(a)] += cfg.sigma2
-    return _hermitize(a)
+    return _covariance(_check_pilots(x, cfg), cfg.gains, cfg.sigma2)
 
 
 def objective(x, cfg):
@@ -77,11 +77,8 @@ def objective(x, cfg):
 
 def leave_one_out(x, k, cfg):
     """Covariance with user k removed: ``Q_k = A - g_k x_k x_k^H``."""
-    x = _check_pilots(x, cfg)
     others = np.delete(np.arange(cfg.users), k)
-    q = (x[:, others] * cfg.gains[others]) @ x[:, others].conj().T
-    q[np.diag_indices_from(q)] += cfg.sigma2
-    return _hermitize(q)
+    return _covariance(_check_pilots(x, cfg)[:, others], cfg.gains[others], cfg.sigma2)
 
 
 def rayleigh_update(x, k, cfg):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,30 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_negative_user_count(self, command, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        assert cli.main([command, "--k", "-1", "--snr-db", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dimensions must be positive, got antennas=32, users=-1, pilot_len=4\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--gains", "FILE"], "gains must be a scalar or a length-4 sequence, got shape (2,)"),
+        (["--gains", "paper"], "gains must be a scalar or a length-4 sequence, got shape (32,)"),
+        (["--power", "FILE"], "powers must be a scalar or a length-4 sequence, got shape (2,)"),
+    ])
+    def test_per_user_inputs_of_the_wrong_length(self, args, message, tmp_path, capsys):
+        values = tmp_path / "values.txt"
+        values.write_text("0.5\n0.5\n")
+        args = [str(values) if a == "FILE" else a for a in args]
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep-snr", "--k", "4", "--n", "2", *args, "--trials", "1",
+                         "--snr-db", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_numerical_failure_maps_to_three(self, monkeypatch):
         def boom(_):
             raise NumericalError("synthetic failure")
@@ -404,6 +429,37 @@ class TestExitCodes:
             "--snr-db", "0",
         ])
         assert code == 3
+
+
+class TestExperimentOptions:
+    OPTIONS = ("seed", "tol", "max_sweeps", "init", "mode")
+
+    @staticmethod
+    def resolve(monkeypatch, argv):
+        """The :class:`ExperimentConfig` that ``pilotopt argv`` hands its command."""
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, argv[0], lambda ecfg, _: seen.append(ecfg) or 0)
+        assert cli.main(argv) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_unset_options_take_the_field_defaults(self, command, profile, monkeypatch):
+        ecfg = self.resolve(monkeypatch, [command, "--profile", profile, "--snr-db", "0"])
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        for name in self.OPTIONS:
+            assert getattr(ecfg, name) == defaults[name]
+        # the sweeps take the profile's trial count, the others never read one
+        sweep = command.startswith("sweep")
+        assert ecfg.trials == (cli._PROFILES[profile]["trials"] if sweep else defaults["trials"])
+
+    def test_given_options_pass_through(self, monkeypatch):
+        ecfg = self.resolve(monkeypatch, [
+            "sweep-snr", "--snr-db", "0", "--seed", "0", "--tol", "0", "--max-sweeps", "7",
+            "--init", "dft-k", "--mode", "proposed", "--trials", "9",
+        ])
+        assert (ecfg.seed, ecfg.tol, ecfg.max_sweeps, ecfg.init, ecfg.mode, ecfg.trials) == (
+            0, 0.0, 7, "dft-k", "proposed", 9)
 
 
 @pytest.mark.parametrize("command", ["optimize", "estimate"])

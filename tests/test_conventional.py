@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,12 @@ class TestConventionalEstimate:
         x = np.array([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(Exception):
             conventional_estimate(np.zeros((2, 2)), x, cfg)
+
+    def test_rejects_pilots_of_the_wrong_shape_by_dimensions(self):
+        cfg = SystemConfig(antennas=2, users=3, pilot_len=2, sigma2=1.0)
+        message = "x shape (3, 2) does not match (pilot_len, users) = (2, 3)"
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            conventional_estimator(np.ones((3, 2)), cfg)
 
     def test_uniform_energy_check_scales_with_power(self):
         # energies 1e-300 and 9e-300 differ by 8 budgets, which an absolute

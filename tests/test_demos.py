@@ -5,9 +5,11 @@ Each script under ``demos/`` and each fenced ``python`` block of
 writes files. Every ``from pilotopt... import name`` must resolve, so a
 removed or renamed public name breaks this test instead of the demo or
 the documented example. Likewise every ``pilotopt`` command line of the
-README's ``sh`` blocks must parse.
+README's ``sh`` blocks must parse, and the README's per-command flag
+table must list the flags each subcommand takes.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -73,3 +75,31 @@ def test_readme_commands_found():
 @pytest.mark.parametrize("line", README_COMMANDS, ids=lambda line: line.split()[1])
 def test_readme_commands_parse(line):
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_flag_table_matches_the_parser():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    flags = {
+        name: {
+            a.option_strings[0]
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sub in commands.items()
+    }
+    common = set.intersection(*flags.values())
+    prose = re.search(r"Every command takes (.*?)The others", README, flags=re.DOTALL)
+    assert set(re.findall(r"`(--[a-z-]+)`", prose.group(1))) == common
+
+    lines = README.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith("| command"))
+    rows = []
+    for line in lines[start:]:
+        if not line.strip().startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip().strip("|").split("|")])
+    header, body = rows[0][1:], rows[2:]
+    table = {row[0]: {f for f, cell in zip(header, row[1:]) if cell == "yes"} for row in body}
+    assert table == {name: options - common for name, options in flags.items()}

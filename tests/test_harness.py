@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,40 @@ class TestRunMonteCarlo:
                 trial_errors(cfg, bad_x, bad_b, 1, 0)
         with pytest.raises(ConfigurationError):
             run_monte_carlo(cfg, x, b, trials=0, seed=1)
+
+    @pytest.mark.parametrize("trials, seed, message", [
+        (2.5, 1, "trials must be an integer, got 2.5"),
+        (3.0, 1, "trials must be an integer, got 3.0"),
+        (0, 1, "trials must be >= 1, got 0"),
+        (2, 1.5, "seed must be an integer, got 1.5"),
+        (2, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_monte_carlo_integer_inputs_rejected_by_name(self, trials, seed, message):
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
+        x = init_pilots("dft-reuse", cfg)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials, seed)
+
+    @pytest.mark.parametrize("seed, t, message", [
+        (1.5, 0, "seed must be an integer, got 1.5"),
+        (-1, 0, "seed must be >= 0, got -1"),
+        (1, 0.0, "t must be an integer, got 0.0"),
+        (1, -1, "t must be >= 0, got -1"),
+    ])
+    def test_trial_integer_inputs_rejected_by_name(self, seed, t, message):
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
+        x = init_pilots("dft-reuse", cfg)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            trial_errors(cfg, x, proposed_estimator(x, cfg), seed, t)
+
+    def test_integer_inputs_accept_numpy_integers(self):
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
+        x = init_pilots("dft-reuse", cfg)
+        b = proposed_estimator(x, cfg)
+        rep = run_monte_carlo(cfg, x, b, np.int64(3), np.uint32(7))
+        assert rep.wsmse == run_monte_carlo(cfg, x, b, 3, 7).wsmse
+        assert np.array_equal(trial_errors(cfg, x, b, np.int64(7), np.int32(2)),
+                              trial_errors(cfg, x, b, 7, 2))
 
     def test_per_user_agreement_with_analytic(self):
         from pilotopt import (

@@ -82,6 +82,25 @@ class TestHermitianEig:
         with pytest.raises(ContractViolation):
             hermitian_eig(np.ones((2, 3)))
 
+    def test_hermitian_check_scales_with_the_matrix(self):
+        # Hermitian to rounding, but its asymmetry (about 1e-9) exceeded the
+        # former absolute 1e-10
+        x = draw_cn(RandomStream(4, 0), 16, 32)
+        h = 1e6 * (x * np.linspace(0.1, 1.0, 32)) @ x.conj().T + np.eye(16)
+        assert np.max(np.abs(h - h.conj().T)) > 1e-10
+        w, _ = hermitian_eig(h)
+        assert np.all(w > 0)
+        assert np.linalg.norm(h @ solve_hermitian(h, np.ones(16)) - 1.0) < 1e-9 * 16
+
+    def test_rejects_small_non_hermitian(self):
+        # its whole asymmetry lies below the former absolute 1e-10, and the
+        # singularity check reads only the lower triangle
+        bad = np.array([[1e-12, 5e-11], [0.0, 1e-12]])
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            hermitian_eig(bad)
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            solve_hermitian(bad, np.ones(2))
+
 
 class TestUnitaryDft:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 32, 33])
