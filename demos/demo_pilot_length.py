@@ -1,8 +1,8 @@
 """Trading training overhead for estimation quality.
 
 Sweeps the pilot sequence length from a single symbol up to the user
-count at two SNR points. Below the user count the optimizer spreads the
-contamination it cannot avoid; at full length both schemes coincide
+count at two SNR points. Below the user count the optimal pilots spread
+the contamination that cannot be avoided; at full length both schemes coincide
 with orthogonal pilots and the curves meet exactly.
 
 Run:  python demos/demo_pilot_length.py

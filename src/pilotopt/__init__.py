@@ -7,7 +7,8 @@ The package provides three layers:
   training signal model,
 * :mod:`pilotopt.conventional` and :mod:`pilotopt.optimizer` — the
   reused-orthogonal-pilot MMSE baseline and the WSMSE-optimal pilot
-  design with its matched estimator,
+  design (constructed in closed form, or by the paper's cyclic
+  updates) with its matched estimator,
 * :mod:`pilotopt.harness`, :mod:`pilotopt.report`, :mod:`pilotopt.cli`
   — Monte Carlo experiment drivers, CSV/JSON/SVG emitters, and the
   command line front end.
@@ -75,11 +76,13 @@ from .optimizer import (
     OptimizerTrace,
     analytic_wsmse,
     combiner,
+    construct_pilots,
     gram_matrix,
     init_pilots,
     leave_one_out,
     load_pilots,
     objective,
+    optimality_bound,
     optimize_pilots,
     proposed_estimate,
     proposed_estimator,
@@ -104,6 +107,7 @@ __all__ = [
     "WsmseReport",
     "analytic_wsmse",
     "combiner",
+    "construct_pilots",
     "conventional_estimate",
     "conventional_estimator",
     "convergence_trace",
@@ -119,6 +123,7 @@ __all__ = [
     "load_gains",
     "load_pilots",
     "objective",
+    "optimality_bound",
     "optimize_pilots",
     "proposed_estimate",
     "proposed_estimator",

@@ -3,11 +3,18 @@
 Each step has one home: :meth:`ExperimentConfig.point` resolves a
 scenario point, :func:`design_pilots` maps an algorithm name to pilots
 ``x`` and estimator matrix ``b``, the evaluators take that ``(x, b)``
-pair and :func:`sweep_snr` is the grid driver. Trial ``t`` draws its
-channel from stream id ``t`` and its noise from ``t + 2**32``, so every
-trial's draws and WSMSE are reproducible bit for bit and independent of
-how trials are grouped into chunks; the optimizer's random
-initialization, when requested, draws from stream id ``2**33``.
+pair and :func:`sweep_snr` is the grid driver. Trial ``t < 2**32``
+draws its channel from stream id ``t`` and its noise from ``t + 2**32``,
+so every trial's draws and WSMSE are reproducible bit for bit and
+independent of how trials are grouped into chunks; the optimizer's
+random initialization, when requested, draws from stream id ``2**33``.
+
+The default proposed design is :func:`~pilotopt.optimizer.construct_pilots`,
+the optimum at every noise variance; ``ExperimentConfig.init`` names a
+start for the paper's cyclic optimizer instead. The constructed and the
+baseline pilots depend on the gains, powers and pilot length only, so
+:func:`sweep_snr` builds them once per pilot length and each SNR point
+forms only its estimator.
 
 A design's estimator ``b`` is fixed by its pilots, so it is built once.
 Its error on a trial is linear in the draws: with ``Z = [h, white]``
@@ -41,6 +48,7 @@ from .optimizer import (
     INIT_KINDS,
     _check_pilots,
     analytic_wsmse,
+    construct_pilots,
     init_pilots,
     optimize_pilots,
     proposed_estimator,
@@ -70,7 +78,10 @@ class ExperimentConfig:
     A scenario point is one SNR of ``snr_db_list`` and one pilot length
     of :attr:`pilot_lens`. :meth:`point` is where every driver turns one
     into a :class:`SystemConfig`, so ``base.sigma2`` is never read; each
-    point is checked on construction.
+    point is checked on construction. ``init`` ``None`` designs the
+    proposed pilots by :func:`~pilotopt.optimizer.construct_pilots`; a
+    kind of :data:`~pilotopt.optimizer.INIT_KINDS` runs the cyclic
+    optimizer from that start.
     """
 
     base: SystemConfig
@@ -79,12 +90,12 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 12345
     mode: str = "both"
-    init: str = "dft-reuse"
+    init: str | None = None
     tol: float = 1e-8
     max_sweeps: int = 100
 
     def __post_init__(self):
-        self.trials = _as_index(self.trials, "trials", 1)
+        self.trials = _as_index(self.trials, "trials", 1, NOISE_STREAM_OFFSET)
         self.seed = _as_index(self.seed, "seed", 0)
         self.max_sweeps = _as_index(self.max_sweeps, "max_sweeps", 1)
         self.n_list = [_as_index(n, "n_list entries") for n in self.n_list]
@@ -184,11 +195,13 @@ def trial_errors(cfg, x, b, seed, t):
     ``x``, estimates the channel as ``y @ b`` and returns each user's
     squared error divided by ``antennas * g_k``. It sees the same draws
     as trial ``t`` of :func:`run_monte_carlo` but shares none of its
-    algebra, so it is the direct check of that engine. ``seed`` and ``t``
-    must be integers >= 0.
+    algebra, so it is the direct check of that engine. ``seed`` must be
+    an integer >= 0 and ``t`` one in ``[0, 2**32)``, so that no trial
+    draws from another's noise stream.
     """
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
-    seed, t = _as_index(seed, "seed", 0), _as_index(t, "t", 0)
+    seed = _as_index(seed, "seed", 0)
+    t = _as_index(t, "t", 0, NOISE_STREAM_OFFSET - 1)
     z = _draws(cfg, seed, t, t + 1)[0]
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
@@ -270,32 +283,43 @@ def run_monte_carlo(cfg, x, b, trials, seed):
     (module docstring). The returned :class:`WsmseReport` carries the
     mean over trials, its standard error, and the per-user means.
     Results depend only on ``(cfg, x, b, trials, seed)``; ``trials``
-    must be an integer >= 1 and ``seed`` one >= 0.
+    must be an integer in ``[1, 2**32]`` and ``seed`` one >= 0.
     """
-    trials, seed = _as_index(trials, "trials", 1), _as_index(seed, "seed", 0)
+    trials = _as_index(trials, "trials", 1, NOISE_STREAM_OFFSET)
+    seed = _as_index(seed, "seed", 0)
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     return _monte_carlo([(cfg, x, b)], trials, seed)[0]
 
 
-def design_pilots(algorithm, cfg, ecfg):
+def design_pilots(algorithm, cfg, ecfg, x=None):
     """Pilots of one algorithm at one scenario, with estimator and analytic WSMSE.
 
     Returns ``(x, b, analytic, trace)``: the pilots, the algorithm's
     ``(pilot_len, users)`` estimator matrix, its
     :func:`~pilotopt.optimizer.analytic_wsmse` and the optimizer trace.
-    ``proposed`` optimizes from ``ecfg.init``; ``conventional`` reuses
-    the DFT columns and has ``None`` for its trace.
+    ``proposed`` constructs the optimum when ``ecfg.init`` is ``None``
+    and otherwise runs the cyclic optimizer from ``ecfg.init``;
+    ``conventional`` reuses the DFT columns. The trace is ``None`` unless
+    the optimizer ran. Pilots with no trace do not depend on the noise
+    variance: given back as ``x`` at another SNR of the same pilot
+    length, they skip the design and only the estimator is built.
     """
-    if algorithm == "proposed":
-        x, trace = _optimize_from(ecfg.init, cfg, ecfg)
-        b = proposed_estimator(x, cfg)
-    elif algorithm == "conventional":
-        x, trace = design_reuse_pilots(cfg), None
-        b = conventional_estimator(x, cfg)
-    else:
+    if algorithm not in ALGORITHMS:
         raise ConfigurationError(
             f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
         )
+    trace = None
+    if x is None:
+        if algorithm == "conventional":
+            x = design_reuse_pilots(cfg)
+        elif ecfg.init is None:
+            x = construct_pilots(cfg)
+        else:
+            x, trace = _optimize_from(ecfg.init, cfg, ecfg)
+    if algorithm == "proposed":
+        b = proposed_estimator(x, cfg)
+    else:
+        b = conventional_estimator(x, cfg)
     return x, b, analytic_wsmse(x, b, cfg), trace
 
 
@@ -332,14 +356,19 @@ def sweep_snr(ecfg):
     All points of one pilot length are designed first, then evaluated
     on the same Monte Carlo draws with the estimator matrices the
     designs built; each row equals its own :func:`run_monte_carlo`.
+    Pilots that do not depend on the noise variance are designed once
+    per pilot length, at its first SNR point.
     """
     rows = []
     for n in ecfg.pilot_lens:
         points = []
+        shared = {}
         for snr_db in ecfg.snr_db_list:
             cfg = ecfg.point(snr_db, n)
             for algorithm in ecfg.algorithms:
-                design = design_pilots(algorithm, cfg, ecfg)
+                design = design_pilots(algorithm, cfg, ecfg, shared.get(algorithm))
+                if design[3] is None:  # no optimizer ran, no sigma2 in the pilots
+                    shared[algorithm] = design[0]
                 points.append((snr_db, cfg, algorithm, *design))
         reports = _monte_carlo(
             [(cfg, x, b) for _, cfg, _, x, b, _, _ in points], ecfg.trials, ecfg.seed

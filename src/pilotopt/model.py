@@ -20,14 +20,16 @@ from .errors import ConfigurationError, ContractViolation
 from .numerics import draw_cn
 
 
-def _as_index(value, name, low=None):
-    """``value`` as a Python int of at least ``low``; a float, even a whole one, is rejected."""
+def _as_index(value, name, low=None, high=None):
+    """``value`` as a Python int in ``[low, high]``; a float, even a whole one, is rejected."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigurationError(f"{name} must be <= {high}, got {value}")
     return value
 
 

@@ -1,4 +1,4 @@
-"""Pilot sequence optimization by cyclic per-user interference avoidance.
+"""Pilot sequence design: the closed-form optimum and the paper's cyclic updates.
 
 The design target is the weighted sum MSE of per-user MMSE channel
 estimates, with weights 1/g_k so every user is estimated to comparable
@@ -18,13 +18,21 @@ since tr(A^{-1}) depends on the eigenvalues only. Each single-user
 update can only decrease tr(A^{-1}), so the sweep objective is monotone
 and the iteration always converges.
 
-The two boundary regimes have closed-form optima, and both are the
-reuse-DFT frame ``init_pilots("dft-reuse", cfg)``: at a single pilot
-symbol every full-power pilot is optimal, with objective
-``1 / (sum_k g_k P_k + sigma2)``, and at pilot length equal to the user
-count the orthogonal full-power DFT columns are, with objective
-``sum_k 1 / (g_k P_k + sigma2)``. The iteration started from that frame
-stops after one sweep at both.
+The optimum itself has a closed form at every pilot length.
+``tr(A^{-1})`` depends only on the spectrum of ``S = sum_k g_k x_k
+x_k^H``, the spectra that full-power pilots can give ``S`` are those
+that majorize the energies ``e_k = g_k P_k`` (Schur-Horn), and the most
+uniform of them minimizes every Schur-convex function of the spectrum
+(Viswanath & Anantharam, IEEE T-IT 1999). So one spectrum, free of
+``sigma2``, attains :func:`optimality_bound` at every noise variance,
+and :func:`construct_pilots` builds pilots with it in ``K`` Givens
+steps (Chan & Li, J. Math. Anal. Appl. 1983). Where the reuse-DFT frame
+``init_pilots("dft-reuse", cfg)`` already has that spectrum (a single
+pilot symbol, ``pilot_len >= users``, equal energies on every reused
+column) it is the construction. The cyclic iteration is the paper's
+algorithm; from the reuse-DFT frame at unequal gains it stops on a
+saddle above the bound, since the per-user update keeps every pilot on
+one of the frame's directions.
 """
 
 from dataclasses import dataclass
@@ -134,6 +142,8 @@ class OptimizerTrace:
     ``objective_per_update`` holds ``tr(A^{-1})`` after every
     single-user update (``users`` entries per sweep); it is non
     increasing. ``sweeps_completed`` counts full passes over the users.
+    ``gap`` is the final objective's relative distance above
+    :func:`optimality_bound`, ``(final - bound) / bound``.
     """
 
     objective_per_update: np.ndarray
@@ -141,6 +151,7 @@ class OptimizerTrace:
     converged: bool
     initial_objective: float
     degenerate_updates: int = 0
+    gap: float = float("nan")
 
 
 def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
@@ -167,6 +178,7 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
 
     history = []
     degenerate = 0
+    bound = optimality_bound(cfg)
     initial = objective(x, cfg)
     current = initial
     converged = False
@@ -198,6 +210,7 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
         converged=converged,
         initial_objective=initial,
         degenerate_updates=degenerate,
+        gap=(current - bound) / bound,
     )
     return x, trace
 
@@ -320,6 +333,105 @@ def init_pilots(kind, cfg, stream=None):
         raw = draw_cn(stream, cfg.pilot_len, cfg.users)
         return raw / np.linalg.norm(raw, axis=0)[np.newaxis, :] * scale
     raise ConfigurationError(f"unknown init kind {kind!r}; expected one of {INIT_KINDS}")
+
+
+# --- the optimum in closed form ------------------------------------------
+
+
+def _optimal_spectrum(cfg):
+    """The most uniform spectrum of ``S = sum_k g_k x_k x_k^H``, non-increasing.
+
+    Full-power pilots can give ``S`` any spectrum (padded with zeros to
+    ``users`` entries) that majorizes the energies ``e_k = g_k P_k``.
+    The most uniform one gives each oversized user, one whose energy
+    exceeds the mean of the energies left over the dimensions left, a
+    dimension of its own and spreads the others evenly over the rest.
+    Returns ``pilot_len`` values; past ``users`` they are zero.
+    """
+    energies = np.sort(cfg.gains * cfg.powers)[::-1]
+    dims = cfg.pilot_len
+    oversized = []
+    while dims > 1 and energies.size and energies[0] > energies[1:].sum() / (dims - 1):
+        oversized.append(energies[0])
+        energies = energies[1:]
+        dims -= 1
+    return np.concatenate([oversized, np.full(dims, energies.sum() / dims)])
+
+
+def optimality_bound(cfg):
+    """Global lower bound on ``tr(A^{-1})`` over all pilots within budget.
+
+    ``sum_i 1 / (lambda*_i + sigma2)`` for the most uniform spectrum
+    ``lambda*`` that the energies ``g_k P_k`` allow (Schur-Horn and
+    Viswanath & Anantharam, IEEE T-IT 1999). :func:`construct_pilots`
+    attains it; it is infinite when ``sigma2 = 0`` and
+    ``pilot_len > users``.
+    """
+    with np.errstate(divide="ignore"):
+        return float(np.sum(1.0 / (_optimal_spectrum(cfg) + cfg.sigma2)))
+
+
+def construct_pilots(cfg):
+    """Full-power pilots that attain :func:`optimality_bound` at every ``sigma2``.
+
+    ``S = sum_k g_k x_k x_k^H`` gets the spectrum ``lambda*`` of
+    :func:`optimality_bound` and column k the energy ``P_k``. When the
+    reuse-DFT frame ``init_pilots("dft-reuse", cfg)`` already has that
+    spectrum to ``1e-12`` relative per eigenvalue (one pilot symbol,
+    ``pilot_len >= users``, equal energies on every reused column) it is
+    returned. Otherwise the pilots are real and built as
+    ``V = diag(sqrt(l)) W``, whose Gram matrix ``W^T diag(l) W`` has
+    ``l = (lambda*, 0, ...)`` as its spectrum and needs ``e_k = g_k P_k``
+    on its diagonal (Chan & Li, J. Math. Anal. Appl. 1983). The users
+    take a coordinate each in decreasing ``e_k``: a Givens rotation of
+    the free coordinates ``i`` with the smallest ``l_i >= e_k`` and ``j``
+    with the largest ``l_j <= e_k`` gives user k the value ``e_k``, and
+    ``j`` stays free with ``l_i + l_j - e_k``. Where rounding leaves no
+    free value on one side of ``e_k`` the nearest one is taken as it
+    is. Then ``x_k = V[:pilot_len, k] / sqrt(g_k)``, rescaled to the
+    energy ``P_k`` exactly, which keeps full relative accuracy for
+    energies far below the others. Depends on the gains, powers and
+    pilot length only.
+    """
+    spectrum = _optimal_spectrum(cfg)
+    energies = cfg.gains * cfg.powers
+    frame = np.bincount(
+        np.arange(cfg.users) % cfg.pilot_len, weights=energies, minlength=cfg.pilot_len
+    )
+    if np.all(np.abs(np.sort(frame)[::-1] - spectrum) <= 1e-12 * spectrum):
+        return init_pilots("dft-reuse", cfg)
+
+    # the frame's spectrum is the energies themselves when pilot_len >= users,
+    # so here pilot_len < users
+    level = np.concatenate([spectrum, np.zeros(cfg.users - cfg.pilot_len)])
+    basis = np.eye(cfg.users)
+    free = np.ones(cfg.users, dtype=bool)
+    w = np.empty((cfg.users, cfg.users))
+    for k in np.argsort(-energies, kind="stable"):
+        e = energies[k]
+        idx = np.flatnonzero(free)
+        vals = level[idx]
+        above, below = vals >= e, vals <= e
+        if above.any() and below.any():
+            i = idx[above][np.argmin(vals[above])]
+            j = idx[below][np.argmax(vals[below])]
+        else:
+            i = j = idx[np.argmin(np.abs(vals - e))]
+        span = level[i] - level[j]
+        if span > 0:
+            c, s = np.sqrt((e - level[j]) / span), np.sqrt((level[i] - e) / span)
+            w[:, k] = c * basis[:, i] + s * basis[:, j]
+            basis[:, j] = c * basis[:, j] - s * basis[:, i]
+            level[j] = level[i] + level[j] - e
+        else:
+            w[:, k] = basis[:, i]
+        free[i] = False
+    x = np.sqrt(spectrum)[:, np.newaxis] * w[: cfg.pilot_len] / np.sqrt(cfg.gains)
+    # an energy below the rounding of the others' can be left without a
+    # direction; at full power any one leaves the spectrum as it is
+    x[0, ~np.any(x, axis=0)] = 1.0
+    x *= np.sqrt(cfg.powers) / np.linalg.norm(x, axis=0)
+    return x.astype(np.complex128)
 
 
 # --- pilot matrix text format --------------------------------------------

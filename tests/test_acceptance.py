@@ -2,10 +2,12 @@
 
 Each test prints one ``ACCEPTANCE <n> PASS/FAIL`` line (visible with
 ``pytest -s``) and enforces its stated tolerance. Criterion 3 measures
-every optimizer run against the Schur-Horn lower bound on the objective:
-off-frame starts reach it, while the DFT-reuse start stays inside its
-orthogonal direction set and stops on a saddle above it (a small
-perturbation of that endpoint descends to the bound).
+every optimizer run against the Schur-Horn lower bound on the objective,
+:func:`~pilotopt.optimizer.optimality_bound`: off-frame starts reach
+it, while the DFT-reuse start stays inside its orthogonal direction set
+and stops on a saddle above it (a small perturbation of that endpoint
+descends to the bound). The default design, constructed pilots, meets
+the bound on every sweep row.
 """
 
 import time
@@ -15,6 +17,7 @@ import pytest
 
 import pilotopt.cli as cli
 from pilotopt import (
+    ExperimentConfig,
     RandomStream,
     SystemConfig,
     analytic_wsmse,
@@ -25,6 +28,7 @@ from pilotopt import (
     init_pilots,
     leave_one_out,
     objective,
+    optimality_bound,
     optimize_pilots,
     proposed_estimator,
     rayleigh_update,
@@ -32,6 +36,7 @@ from pilotopt import (
     reference_gains,
     run_monte_carlo,
     sigma2_from_snr,
+    sweep_snr,
 )
 
 SNR_GRID = [float(s) for s in range(-10, 21, 2)]
@@ -97,28 +102,6 @@ def test_criterion_2_orthogonal_point_equality():
     assert not failures, "; ".join(failures)
 
 
-def _schur_horn_bound(cfg):
-    """Global lower bound on ``tr(A^{-1})`` over all feasible pilots.
-
-    The objective depends only on the spectrum of ``sum_k g_k x_k x_k^H``,
-    whose feasible set (Schur-Horn) is every spectrum majorizing the
-    energies ``e_k = g_k P_k``. Its most uniform member (Viswanath &
-    Anantharam, IEEE T-IT 1999) gives each oversized user -- one whose
-    energy exceeds the mean of the remaining energies over the remaining
-    dimensions -- a dimension of its own and spreads the other users
-    evenly over the dimensions left.
-    """
-    energies = np.sort(cfg.gains * cfg.powers)[::-1]
-    dims = cfg.pilot_len
-    oversized = []
-    while dims > 1 and energies.size and energies[0] > energies[1:].sum() / (dims - 1):
-        oversized.append(energies[0])
-        energies = energies[1:]
-        dims -= 1
-    spectrum = np.concatenate([oversized, np.full(dims, energies.sum() / dims)])
-    return float(np.sum(1.0 / (spectrum + cfg.sigma2)))
-
-
 def test_schur_horn_bound_matches_closed_forms():
     cfg_one = reference_cfg(0.0, pilot_len=1)
     cfg_full = reference_cfg(0.0, pilot_len=32)
@@ -127,7 +110,7 @@ def test_schur_horn_bound_matches_closed_forms():
         ("N=K", cfg_full, objective(init_pilots("dft-reuse", cfg_full), cfg_full)),
     ]
     for label, cfg, closed in cases:
-        bound = _schur_horn_bound(cfg)
+        bound = optimality_bound(cfg)
         assert abs(bound - closed) <= 1e-12 * closed, f"{label}: {bound} != {closed}"
 
 
@@ -144,7 +127,7 @@ def test_criterion_3_convergence_speed_and_common_objective():
     gaps = []
     for snr_db in (0.0, 3.0):
         cfg = reference_cfg(snr_db)
-        bound = _schur_horn_bound(cfg)
+        bound = optimality_bound(cfg)
         frame = np.fft.fft(np.eye(cfg.pilot_len)) / np.sqrt(cfg.pilot_len)
         finals = {}
         for kind in ("dft-reuse", "dft-k", "random"):
@@ -185,6 +168,22 @@ def test_criterion_3_convergence_speed_and_common_objective():
            f"convergence to the Schur-Horn bound, gap/sweeps "
            f"{', '.join(gaps)} ({elapsed:.1f}s)")
     assert not failures, "; ".join(failures)
+
+
+def test_criterion_3_default_design_meets_the_bound():
+    # every proposed row of a default sweep, at every pilot length, has the
+    # WSMSE 1 - N/K + (sigma2/K) bound of the constructed optimum
+    ecfg = ExperimentConfig(base=reference_cfg(0.0), snr_db_list=[0.0, 3.0],
+                            n_list=[1, 4, 8, 16, 24, 32], trials=200, mode="proposed")
+    worst = 0.0
+    for row in sweep_snr(ecfg):
+        cfg = ecfg.point(row.snr_db, row.n)
+        best = 1.0 - row.n / cfg.users + cfg.sigma2 / cfg.users * optimality_bound(cfg)
+        worst = max(worst, abs(row.wsmse_analytic - best) / best)
+    passed = worst <= 1e-12
+    report(3, passed, f"constructed pilots meet the bound on every sweep row "
+           f"(worst relative WSMSE gap {worst:.1e})")
+    assert passed
 
 
 def test_criterion_4_objective_never_increases():

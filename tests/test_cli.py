@@ -170,6 +170,19 @@ class TestOptimizeCommand:
         save_pilots(expected, design_pilots("proposed", cfg, ecfg)[0])
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("init, how", [
+        (None, "constructed"),
+        ("dft-reuse", "after 1 sweeps (converged=True)"),
+    ])
+    def test_reports_the_gap_to_the_bound(self, init, how, tmp_path, capsys):
+        # unit gains: the reuse frame is optimal, so both paths reach the bound
+        args = ["optimize", "--m", "8", "--k", "4", "--n", "2", "--snr-db", "0",
+                "--out", str(tmp_path / "pilots.txt")]
+        assert cli.main(args + (["--init", init] if init else [])) == 0
+        assert capsys.readouterr().err == (
+            f"objective 0.666666666667 {how}, 0.00e+00 relative above the bound "
+            "0.666666666667\n")
+
     def test_conventional_mode_is_a_configuration_error(self, tmp_path, capsys):
         out = tmp_path / "pilots.txt"
         code = cli.main([

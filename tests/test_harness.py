@@ -160,6 +160,8 @@ class TestRunMonteCarlo:
         (0, 1, "trials must be >= 1, got 0"),
         (2, 1.5, "seed must be an integer, got 1.5"),
         (2, -1, "seed must be >= 0, got -1"),
+        # trial ids stop below the noise stream offset 2**32
+        (2**32 + 1, 1, "trials must be <= 4294967296, got 4294967297"),
     ])
     def test_monte_carlo_integer_inputs_rejected_by_name(self, trials, seed, message):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
@@ -172,12 +174,22 @@ class TestRunMonteCarlo:
         (-1, 0, "seed must be >= 0, got -1"),
         (1, 0.0, "t must be an integer, got 0.0"),
         (1, -1, "t must be >= 0, got -1"),
+        # t = 2**32 would draw its channel from trial 0's noise stream, and
+        # 2**33 from the optimizer's random start
+        (1, 2**32, "t must be <= 4294967295, got 4294967296"),
+        (1, 2**33, "t must be <= 4294967295, got 8589934592"),
     ])
     def test_trial_integer_inputs_rejected_by_name(self, seed, t, message):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
         x = init_pilots("dft-reuse", cfg)
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             trial_errors(cfg, x, proposed_estimator(x, cfg), seed, t)
+
+    def test_last_trial_id_is_accepted(self):
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
+        x = init_pilots("dft-reuse", cfg)
+        last = trial_errors(cfg, x, proposed_estimator(x, cfg), 1, 2**32 - 1)
+        assert last.shape == (2,) and np.all(np.isfinite(last))
 
     def test_integer_inputs_accept_numpy_integers(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
@@ -347,6 +359,34 @@ class TestGramEngine:
         # one channel and one noise draw per trial, one solve per proposed design
         assert calls == {"draw_cn": 10, "solve_hermitian": 2, "received_pilot_signal": 0}
 
+    def test_desk_sweep_designs_once(self, monkeypatch):
+        # the default design and the baseline do not depend on the noise
+        # variance: a 16-point desk sweep builds each once and only forms one
+        # estimator per proposed point (the cyclic optimizer from dft-reuse
+        # made 128 updates across 16 runs here)
+        calls = dict.fromkeys(
+            ["construct_pilots", "design_reuse_pilots", "rayleigh_update", "solve_hermitian"], 0)
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(harness, "construct_pilots")
+        counted(harness, "design_reuse_pilots")
+        counted(optimizer, "rayleigh_update")
+        counted(optimizer, "solve_hermitian")
+        base = SystemConfig(antennas=32, users=8, pilot_len=4, sigma2=1.0)
+        grid = [float(v) for v in range(-10, 21, 2)]
+        ecfg = ExperimentConfig(base=base, snr_db_list=grid, trials=200, seed=1)
+        assert len(sweep_snr(ecfg)) == 32
+        assert calls == {"construct_pilots": 1, "design_reuse_pilots": 1,
+                         "rayleigh_update": 0, "solve_hermitian": 16}
+
 
 class TestDesignPilots:
     @pytest.mark.parametrize("algorithm", ["proposed", "conventional"])
@@ -385,8 +425,14 @@ class TestSweepSnr:
             by_snr[r.snr_db][r.algorithm] = r
         for snr, pair in by_snr.items():
             assert pair["proposed"].wsmse_analytic <= pair["conventional"].wsmse_analytic
-            assert pair["proposed"].sweeps >= 1
+            # the constructed design runs no optimizer
+            assert pair["proposed"].sweeps is None
             assert pair["conventional"].sweeps is None
+
+    def test_cyclic_rows_carry_their_sweeps(self):
+        rows = sweep_snr(desk_experiment(init="dft-reuse", trials=5))
+        assert [r.sweeps is None for r in rows] == [False, True, False, True]
+        assert all(r.sweeps >= 1 for r in rows if r.algorithm == "proposed")
 
     def test_proposed_decreasing_in_snr(self):
         ecfg = desk_experiment(
@@ -574,6 +620,12 @@ class TestExperimentConfig:
         base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(base=base, snr_db_list=[0.0], **{field: value})
+
+    def test_trials_stop_at_the_noise_stream_offset(self):
+        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=2**32).trials == 2**32
+        with pytest.raises(ConfigurationError, match="^trials must be <= 4294967296, got "):
+            ExperimentConfig(base=base, snr_db_list=[0.0], trials=2**32 + 1)
 
     def test_integer_fields_accept_numpy_integers(self):
         base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pilotopt import (
     SystemConfig,
     analytic_wsmse,
     combiner,
+    construct_pilots,
     draw_cn,
     gram_matrix,
     hermitian_eig,
@@ -16,6 +19,7 @@ from pilotopt import (
     leave_one_out,
     load_pilots,
     objective,
+    optimality_bound,
     optimize_pilots,
     proposed_estimate,
     proposed_estimator,
@@ -327,6 +331,45 @@ class TestClosedForms:
                                sigma2=0.3, powers=powers, gains=gains)
             got = objective(init_pilots("dft-reuse", cfg), cfg)
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestConstructPilots:
+    """The optimum at every pilot length, built once for all noise variances."""
+
+    @pytest.mark.parametrize("users, pilot_len, gains", [
+        (5, 1, [0.9, 0.3, 0.6, 0.2, 0.7]),
+        (4, 4, [0.9, 0.3, 0.6, 0.2]),
+        (3, 5, [0.9, 0.3, 0.6]),
+        (8, 4, 1.0),
+    ])
+    def test_reuse_frame_where_it_is_optimal(self, users, pilot_len, gains):
+        cfg = SystemConfig(antennas=2, users=users, pilot_len=pilot_len, sigma2=0.3,
+                           gains=gains)
+        assert np.array_equal(construct_pilots(cfg), init_pilots("dft-reuse", cfg))
+
+    def test_paper_point_is_real_full_power_and_free_of_sigma2(self):
+        cfg = SystemConfig(antennas=2, users=32, pilot_len=16, sigma2=1.0,
+                           gains=reference_gains())
+        x = construct_pilots(cfg)
+        assert not np.any(x.imag)
+        assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), 1.0, rtol=1e-14, atol=0.0)
+        assert np.array_equal(construct_pilots(replace(cfg, sigma2=1e-3)), x)
+        # the reuse frame's cyclic optimum stops 3.8e-3 above this at 0 dB
+        assert objective(x, cfg) == pytest.approx(8.2791630284, rel=1e-10)
+        assert objective(x, cfg) == pytest.approx(optimality_bound(cfg), rel=1e-14)
+
+    def test_bound_is_infinite_without_noise_and_spare_dimensions(self):
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=3, sigma2=0.0)
+        assert optimality_bound(cfg) == np.inf
+        assert optimality_bound(replace(cfg, pilot_len=2)) == 2.0
+
+    def test_trace_gap_is_relative_to_the_bound(self):
+        cfg = random_cfg(5)
+        x0 = init_pilots("random", cfg, stream=RandomStream(5, 0))
+        _, trace = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=3)
+        bound = optimality_bound(cfg)
+        assert trace.gap == (trace.objective_per_update[-1] - bound) / bound
+        assert trace.gap >= -1e-12
 
 
 class TestCombiner:

@@ -29,6 +29,7 @@ PUBLIC_NAMES = {
     "WsmseReport",
     "analytic_wsmse",
     "combiner",
+    "construct_pilots",
     "conventional_estimate",
     "conventional_estimator",
     "convergence_trace",
@@ -44,6 +45,7 @@ PUBLIC_NAMES = {
     "load_gains",
     "load_pilots",
     "objective",
+    "optimality_bound",
     "optimize_pilots",
     "proposed_estimate",
     "proposed_estimator",
@@ -62,7 +64,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names():
-    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 42
+    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 44
     assert set(pilotopt.__all__) == PUBLIC_NAMES
 
 
