@@ -3,11 +3,7 @@
 Each step has one home: :meth:`ExperimentConfig.point` resolves a
 scenario point, :func:`design_pilots` maps an algorithm name to pilots
 ``x`` and estimator matrix ``b``, the evaluators take that ``(x, b)``
-pair and :func:`sweep_snr` is the grid driver. Trial ``t < 2**32``
-draws its channel from stream id ``t`` and its noise from ``t + 2**32``,
-so every trial's draws and WSMSE are reproducible bit for bit and
-independent of how trials are grouped into chunks; the optimizer's
-random initialization, when requested, draws from stream id ``2**33``.
+pair and :func:`sweep_snr` is the grid driver.
 
 The default proposed design is :func:`~pilotopt.optimizer.construct_pilots`,
 the optimum at every noise variance; ``ExperimentConfig.init`` names a
@@ -23,13 +19,27 @@ sqrt(sigma2) b]``, the estimate minus the channel is ``Z F``. A trial's
 WSMSE is therefore the inner product of its Gram matrix ``R = Z^H Z``
 with ``G = F diag(1 / (K M g)) F^H``. ``R`` holds no design and no noise
 variance, so within one pilot length every SNR point and both
-algorithms share it: :func:`sweep_snr` draws each trial and forms its
-``R`` once per pilot length, and each point adds one inner product per
-trial. :func:`trial_errors` stays on the direct route (received block,
-``y @ b - h``) as the independent check of that algebra.
+algorithms share it, and each point adds one inner product per trial.
+
+``Z``'s rows are ``antennas`` independent ``CN(0, D)`` vectors with
+``D = diag(g, 1_N)``, so ``R`` is complex Wishart and is drawn from its
+Bartlett factor, ``R = D^(1/2) L L^H D^(1/2)`` (Goodman 1963), at a cost
+that does not grow with the antenna count. ``L`` is ``(K + N) x r``
+lower trapezoidal, ``r = min(K + N, antennas)``: ``L_ii =
+sqrt(Gamma(antennas - i, 1))`` for ``i < r`` and i.i.d. ``CN(0, 1)``
+entries below the diagonal. Trial ``t < 2**32`` draws its ``L`` from
+stream id ``t`` alone, so every trial's draws and WSMSE are reproducible
+bit for bit and independent of how trials are grouped into chunks; the
+optimizer's random initialization, when requested, draws from stream id
+``2**33``. ``D^(1/2)`` is folded into each point's weight and into the
+trials' summed ``L L^H``, never applied to a trial. :func:`trial_errors`
+builds ``Z = [L^H; 0] D^(1/2)``, whose Gram matrix is ``R``, and stays
+on the direct route (received block, ``y @ b - h``) as the independent
+check of that algebra.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,11 +49,10 @@ from .model import (
     SystemConfig,
     WsmseReport,
     _as_index,
-    generate_channel,
     received_pilot_signal,
     sigma2_from_snr,
 )
-from .numerics import RandomStream, draw_cn
+from .numerics import RandomStream
 from .optimizer import (
     INIT_KINDS,
     _check_pilots,
@@ -54,7 +63,8 @@ from .optimizer import (
     proposed_estimator,
 )
 
-NOISE_STREAM_OFFSET = 2**32
+# Trial ids lie in [0, 2**32), below the random start's stream id.
+MAX_TRIALS = 2**32
 INIT_STREAM_ID = 2**33
 
 ALGORITHMS = ("proposed", "conventional")
@@ -64,10 +74,10 @@ MODES = (*ALGORITHMS, "both")
 # ``updates_to_converge`` counts the run as settled.
 FINAL_OBJECTIVE_RTOL = 1e-6
 
-# Bytes of one chunk's draws ``Z`` and Gram matrices ``R`` together: 31
-# trials at the desk profile (M=32, K=8, N=4), 1 at M=128, K=32, N=16.
-# 1 MiB chunks (124 and 7 trials) were no faster on a 2-core box and
-# raised a run's peak RSS by 1.1 MB (desk) and 1.9 MB (paper).
+# Bytes of one chunk's factors ``L`` and Gram matrices ``L L^H`` together,
+# budgeted as ``2 (K + N)^2`` complex entries a trial: 56 trials at the
+# desk profile (K=8, N=4), 3 at the paper profile (K=32, N=16), whatever
+# the antenna count.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -95,7 +105,7 @@ class ExperimentConfig:
     max_sweeps: int = 100
 
     def __post_init__(self):
-        self.trials = _as_index(self.trials, "trials", 1, NOISE_STREAM_OFFSET)
+        self.trials = _as_index(self.trials, "trials", 1, MAX_TRIALS)
         self.seed = _as_index(self.seed, "seed", 0)
         self.max_sweeps = _as_index(self.max_sweeps, "max_sweeps", 1)
         self.n_list = [_as_index(n, "n_list entries") for n in self.n_list]
@@ -166,43 +176,74 @@ class ConvergenceResult:
 
 
 def _draws(cfg, seed, start, stop):
-    """``Z = [h, white]`` of trials ``start .. stop - 1``, ``(trials, antennas, K + N)``.
+    """Bartlett factors ``L`` of trials ``start .. stop - 1``, ``(trials, K + N, r)``.
 
-    Each trial's channel fills its first ``users`` columns and its
-    unit-variance noise the last ``pilot_len``.
+    ``r = min(K + N, antennas)``. Trial ``t`` draws from stream ``t``:
+    first ``Gamma(antennas - i, 1)`` for ``i < r``, whose square roots
+    fill the diagonal, then the entries strictly below the diagonal row
+    by row, each a pair of standard normals (real, imaginary) times
+    ``1/sqrt(2)``, as :func:`~pilotopt.numerics.draw_cn` scales them.
+    ``L L^H`` then has the law of the Gram matrix of ``antennas`` white
+    rows of ``K + N`` entries.
     """
-    k = cfg.users
-    z = np.empty((stop - start, cfg.antennas, k + cfg.pilot_len), dtype=np.complex128)
+    width = cfg.users + cfg.pilot_len
+    r = min(width, cfg.antennas)
+    rows, cols = _below_diagonal(width, r)
+    shapes = cfg.antennas - np.arange(r, dtype=np.float64)
+    gammas = np.empty((stop - start, r))
+    normals = np.empty((stop - start, 2 * rows.size))
     for i, t in enumerate(range(start, stop)):
-        z[i, :, :k] = generate_channel(cfg, RandomStream(seed, t))
-        z[i, :, k:] = draw_cn(
-            RandomStream(seed, NOISE_STREAM_OFFSET + t), cfg.antennas, cfg.pilot_len
-        )
-    return z
+        rng = RandomStream(seed, t).generator()
+        rng.standard_gamma(shapes, out=gammas[i])
+        rng.standard_normal(out=normals[i])
+    normals *= 1.0 / np.sqrt(2.0)
+    low = np.zeros((stop - start, width, r), dtype=np.complex128)
+    low[:, np.arange(r), np.arange(r)] = np.sqrt(gammas)
+    low[:, rows, cols] = normals.view(np.complex128)
+    return low
+
+
+@lru_cache(maxsize=8)
+def _below_diagonal(width, r):
+    """Row and column indices of a ``width x r`` matrix's strictly lower part, row by row.
+
+    Cached, so every caller shares the arrays: they are read-only.
+    """
+    rows, cols = np.tril_indices(width, -1, r)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _trials_per_chunk(cfg):
-    """Trials whose draws ``Z`` and Gram matrices ``R`` fit in ``CHUNK_BYTES``."""
+    """Trials whose factors ``L`` and Gram matrices ``L L^H`` fit in ``CHUNK_BYTES``."""
     width = cfg.users + cfg.pilot_len
-    return max(1, CHUNK_BYTES // (16 * width * (cfg.antennas + width)))
+    return max(1, CHUNK_BYTES // (32 * width * width))
+
+
+def _root_scale(cfg):
+    """The diagonal of ``D^(1/2) = diag(sqrt(g), 1_N)``: ``R = D^(1/2) L L^H D^(1/2)``."""
+    return np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
 
 
 def trial_errors(cfg, x, b, seed, t):
     """Per-user normalized squared error of one seeded trial.
 
-    Trial ``t`` draws the channel from stream ``t`` and the noise from
-    stream ``t + 2**32``, forms the received training block on pilots
-    ``x``, estimates the channel as ``y @ b`` and returns each user's
-    squared error divided by ``antennas * g_k``. It sees the same draws
-    as trial ``t`` of :func:`run_monte_carlo` but shares none of its
-    algebra, so it is the direct check of that engine. ``seed`` must be
-    an integer >= 0 and ``t`` one in ``[0, 2**32)``, so that no trial
-    draws from another's noise stream.
+    Trial ``t`` draws its Bartlett factor ``L`` from stream ``t`` and
+    builds the channel and the unit-variance noise as the columns of
+    ``Z = [L^H; 0] D^(1/2)`` (module docstring). It forms the received
+    training block on pilots ``x``, estimates the channel as ``y @ b``
+    and returns each user's squared error divided by ``antennas * g_k``.
+    It sees the same draws as trial ``t`` of :func:`run_monte_carlo` but
+    shares none of its algebra, so it is the direct check of that
+    engine. ``seed`` must be an integer >= 0 and ``t`` one in ``[0,
+    2**32)``, so that no trial draws from the optimizer's random start.
     """
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     seed = _as_index(seed, "seed", 0)
-    t = _as_index(t, "t", 0, NOISE_STREAM_OFFSET - 1)
-    z = _draws(cfg, seed, t, t + 1)[0]
+    t = _as_index(t, "t", 0, MAX_TRIALS - 1)
+    low = _draws(cfg, seed, t, t + 1)[0]
+    z = np.zeros((cfg.antennas, low.shape[0]), dtype=np.complex128)
+    z[: low.shape[1]] = low.conj().T * _root_scale(cfg)
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
     err = np.sum(np.abs(y @ b - h) ** 2, axis=0)
@@ -231,25 +272,28 @@ def _evaluate(points, trials, seed):
     Every point must have the dimensions and gains of the first; they
     may differ in noise variance, pilots and estimator matrix ``b``.
     Trials ``0 .. trials - 1`` are drawn chunk by chunk and each forms
-    its Gram matrix ``R = Z^H Z`` once. Every point then takes one dot
-    product per trial, each reduced along its own row, so its values do
+    ``L L^H`` once. ``D^(1/2)`` scales each point's ``F`` instead, so a
+    trial's WSMSE is the inner product of ``L L^H`` with ``D^(1/2) G
+    D^(1/2)``. One ``einsum`` takes every point's product on a chunk; it
+    reduces each output along its own row without BLAS, so the values do
     not depend on the other points or on the chunk a trial falls in. The
-    per-user means are quadratic forms ``F_k^H (sum_t R_t) F_k``.
+    per-user means are quadratic forms ``F_k^H D^(1/2) (sum_t L_t L_t^H)
+    D^(1/2) F_k``.
     """
     shape = points[0][0]
     step = _trials_per_chunk(shape)
-    maps = [_error_map(cfg, x, b) for cfg, x, b in points]
-    weights = [_trial_weight(cfg, f) for (cfg, _, _), f in zip(points, maps)]
+    root = _root_scale(shape)
+    maps = [root[:, None] * _error_map(cfg, x, b) for cfg, x, b in points]
+    weights = np.stack([_trial_weight(cfg, f) for (cfg, _, _), f in zip(points, maps)])
     per_trial = np.empty((len(points), trials))
     total = 0.0
     for start in range(0, trials, step):
         stop = min(start + step, trials)
-        z = _draws(shape, seed, start, stop)
-        gram = z.conj().transpose(0, 2, 1) @ z
+        low = _draws(shape, seed, start, stop)
+        gram = low @ low.conj().transpose(0, 2, 1)
         total = total + gram.sum(axis=0)
         flat = gram.reshape(stop - start, -1).view(np.float64)
-        for p, w in enumerate(weights):
-            per_trial[p, start:stop] = (flat * w).sum(axis=1)
+        per_trial[:, start:stop] = np.einsum("tl,pl->pt", flat, weights)
 
     scale = trials * shape.antennas * shape.gains
     per_user = np.array([np.sum(f.conj() * (total @ f), axis=0).real for f in maps]) / scale
@@ -285,7 +329,7 @@ def run_monte_carlo(cfg, x, b, trials, seed):
     Results depend only on ``(cfg, x, b, trials, seed)``; ``trials``
     must be an integer in ``[1, 2**32]`` and ``seed`` one >= 0.
     """
-    trials = _as_index(trials, "trials", 1, NOISE_STREAM_OFFSET)
+    trials = _as_index(trials, "trials", 1, MAX_TRIALS)
     seed = _as_index(seed, "seed", 0)
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     return _monte_carlo([(cfg, x, b)], trials, seed)[0]

@@ -6,6 +6,7 @@ import pytest
 
 import pilotopt.harness as harness
 import pilotopt.model as model
+import pilotopt.numerics as numerics
 import pilotopt.optimizer as optimizer
 from pilotopt import (
     ConfigurationError,
@@ -15,13 +16,12 @@ from pilotopt import (
     RandomStream,
     SystemConfig,
     analytic_wsmse,
+    construct_pilots,
     conventional_estimate,
     conventional_estimator,
     convergence_trace,
     design_pilots,
     design_reuse_pilots,
-    draw_cn,
-    generate_channel,
     init_pilots,
     objective,
     optimize_pilots,
@@ -41,6 +41,36 @@ ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimat
 ESTIMATORS = {"proposed": proposed_estimator, "conventional": conventional_estimator}
 
 
+def bartlett_draw(cfg, seed, t):
+    """Trial ``t``'s ``Z = [h, white]``, ``(antennas, K + N)``, from the Wishart law.
+
+    The rows of ``Z`` are ``antennas`` independent ``CN(0, D)`` vectors,
+    ``D = diag(g, 1_N)``, so ``R = Z^H Z`` is complex Wishart and equals
+    ``D^(1/2) L L^H D^(1/2)`` for its Bartlett factor ``L``: ``(K + N) x
+    min(K + N, M)`` lower trapezoidal with ``L_ii = sqrt(Gamma(M - i, 1))``
+    and ``CN(0, 1)`` entries below the diagonal. Stream ``(seed, t)``
+    gives the gammas first, then one (real, imaginary) pair of standard
+    normals per entry below the diagonal, row by row. ``Z = [L^H; 0]
+    D^(1/2)`` has that Gram matrix.
+    """
+    m, width = cfg.antennas, cfg.users + cfg.pilot_len
+    r = min(width, m)
+    rng = RandomStream(seed, t).generator()
+    gammas = rng.standard_gamma(m - np.arange(r, dtype=float))
+    below = sum(min(i, m) for i in range(width))
+    pairs = iter(rng.standard_normal((below, 2)) / np.sqrt(2.0))
+    low = np.zeros((width, r), dtype=complex)
+    for i in range(width):
+        if i < r:
+            low[i, i] = np.sqrt(gammas[i])
+        for j in range(min(i, m)):
+            re, im = next(pairs)
+            low[i, j] = complex(re, im)
+    z = np.zeros((m, width), dtype=complex)
+    z[:r] = low.conj().T
+    return z * np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
+
+
 def reference_monte_carlo(cfg, x, algorithm, trials, seed):
     """Trial-by-trial loop over the public layer functions.
 
@@ -49,10 +79,9 @@ def reference_monte_carlo(cfg, x, algorithm, trials, seed):
     """
     errs = []
     for t in range(trials):
-        h = generate_channel(cfg, RandomStream(seed, t))
-        noise = np.sqrt(cfg.sigma2) * draw_cn(
-            RandomStream(seed, 2**32 + t), cfg.antennas, cfg.pilot_len)
-        y = received_pilot_signal(h, x, noise)
+        z = bartlett_draw(cfg, seed, t)
+        h = z[:, : cfg.users]
+        y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * z[:, cfg.users :])
         err = np.sum(np.abs(ESTIMATES[algorithm](y, x, cfg) - h) ** 2, axis=0)
         errs.append(err / (cfg.antennas * cfg.gains))
     errs = np.stack(errs)
@@ -112,7 +141,7 @@ class TestRunMonteCarlo:
 
     def test_both_mode_shares_realizations(self):
         # one run per algorithm, but both see the same draws: the reference
-        # loop draws trial t from streams t and 2**32 + t for either one
+        # loop draws trial t from stream t for either one
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
                            gains=[0.9, 0.4, 0.7, 0.2])
         x = design_reuse_pilots(cfg)
@@ -160,7 +189,7 @@ class TestRunMonteCarlo:
         (0, 1, "trials must be >= 1, got 0"),
         (2, 1.5, "seed must be an integer, got 1.5"),
         (2, -1, "seed must be >= 0, got -1"),
-        # trial ids stop below the noise stream offset 2**32
+        # trial ids stop below 2**32, under the random start's stream 2**33
         (2**32 + 1, 1, "trials must be <= 4294967296, got 4294967297"),
     ])
     def test_monte_carlo_integer_inputs_rejected_by_name(self, trials, seed, message):
@@ -174,8 +203,7 @@ class TestRunMonteCarlo:
         (-1, 0, "seed must be >= 0, got -1"),
         (1, 0.0, "t must be an integer, got 0.0"),
         (1, -1, "t must be >= 0, got -1"),
-        # t = 2**32 would draw its channel from trial 0's noise stream, and
-        # 2**33 from the optimizer's random start
+        # trial ids stop below 2**32; 2**33 is the optimizer's random start
         (1, 2**32, "t must be <= 4294967295, got 4294967296"),
         (1, 2**33, "t must be <= 4294967295, got 8589934592"),
     ])
@@ -300,7 +328,8 @@ class TestGramEngine:
         per_trial = _evaluate([(cfg, x, b)], trials, seed=21)[0][0]
         direct = direct_trials(cfg, x, b, trials, 21).mean(axis=1)
         # Z F in long double from the same float64 draws, pilots and b
-        z = harness._draws(cfg, 21, 0, trials).astype(np.clongdouble)
+        z = np.stack([bartlett_draw(cfg, 21, t) for t in range(trials)])
+        z = z.astype(np.clongdouble)
         xl, bl = x.astype(np.clongdouble), b.astype(np.clongdouble)
         f = np.concatenate([xl.conj().T @ bl - np.eye(cfg.users),
                             np.sqrt(np.longdouble(cfg.sigma2)) * bl])
@@ -339,25 +368,29 @@ class TestGramEngine:
 
     def test_sweep_counts(self, monkeypatch):
         # a refactor that brings back per-point work changes these counts
-        calls = {"draw_cn": 0, "solve_hermitian": 0, "received_pilot_signal": 0}
+        calls = dict.fromkeys(
+            ["draw_cn", "generator", "solve_hermitian", "received_pilot_signal"], 0)
 
-        def counted(module, name):
-            inner = getattr(module, name)
+        def counted(owner, name):
+            inner = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
+        counted(numerics, "draw_cn")
         counted(model, "draw_cn")
-        counted(harness, "draw_cn")
+        counted(optimizer, "draw_cn")
+        counted(RandomStream, "generator")
         counted(optimizer, "solve_hermitian")
         counted(harness, "received_pilot_signal")
         ecfg = desk_experiment(snr_db_list=[0.0, 10.0], trials=5)
         assert len(sweep_snr(ecfg)) == 4
-        # one channel and one noise draw per trial, one solve per proposed design
-        assert calls == {"draw_cn": 10, "solve_hermitian": 2, "received_pilot_signal": 0}
+        # one random stream per trial, one solve per proposed design
+        assert calls == {"draw_cn": 0, "generator": 5, "solve_hermitian": 2,
+                         "received_pilot_signal": 0}
 
     def test_desk_sweep_designs_once(self, monkeypatch):
         # the default design and the baseline do not depend on the noise
@@ -386,6 +419,72 @@ class TestGramEngine:
         assert len(sweep_snr(ecfg)) == 32
         assert calls == {"construct_pilots": 1, "design_reuse_pilots": 1,
                          "rayleigh_update": 0, "solve_hermitian": 16}
+
+
+# (antennas, users, pilot_len): M >= K + N, and M < K + N, where the
+# Bartlett factor is trapezoidal
+LAW_CASES = [(6, 3, 2), (4, 3, 4)]
+LAW_TRIALS = 20000
+
+
+def law_case(case):
+    m, k, n = case
+    cfg = SystemConfig(antennas=m, users=k, pilot_len=n, sigma2=0.5,
+                       gains=np.linspace(0.2, 1.0, k)[::-1])
+    return cfg, np.concatenate([cfg.gains, np.ones(n)])
+
+
+class TestFactorLaw:
+    """The factor route's draws against the complex Wishart law ``CW(M, D)``.
+
+    ``R = D^(1/2) L L^H D^(1/2)`` must be the Gram matrix of ``M`` i.i.d.
+    ``CN(0, D)`` rows. Each check holds a sample moment over
+    ``LAW_TRIALS`` trials at a fixed seed within 5 of the law's own
+    standard errors of that moment.
+    """
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_gram_moments(self, case):
+        cfg, d = law_case(case)
+        m, trials = cfg.antennas, LAW_TRIALS
+        low = harness._draws(cfg, 8, 0, trials)
+        root = np.sqrt(d)
+        r = root[:, None] * (low @ low.conj().transpose(0, 2, 1)) * root[None, :]
+        dd = np.outer(d, d)
+        # E R = M D, and E|R_ij - E R_ij|^2 = M d_i d_j for every entry
+        mean = r.mean(axis=0)
+        assert np.all(np.abs(mean - m * np.diag(d)) <= 5 * np.sqrt(m * dd / trials))
+        # off the diagonal E|R_ij|^2 = M d_i d_j, with variance (M^2 + 2M) (d_i d_j)^2
+        second = (np.abs(r) ** 2).mean(axis=0)
+        off = ~np.eye(len(d), dtype=bool)
+        se = np.sqrt((m * m + 2 * m) / trials) * dd
+        assert np.all(np.abs(second - m * dd)[off] <= 5 * se[off])
+        # R_ii / d_i ~ Gamma(M, 1): E R_ii^2 = M (M + 1) d_i^2, and R_ii^2 has
+        # variance (M (M+1) (M+2) (M+3) - M^2 (M+1)^2) d_i^4
+        fourth = m * (m + 1) * (m + 2) * (m + 3) - (m * (m + 1)) ** 2
+        se = np.sqrt(fourth / trials) * d**2
+        assert np.all(np.abs(second.diagonal() - m * (m + 1) * d**2) <= 5 * se)
+
+    @pytest.mark.parametrize("case", LAW_CASES)
+    def test_wsmse_mean_and_variance(self, case):
+        # a trial's WSMSE is sum_m u_m C u_m^H with u_m ~ CN(0, I) and
+        # C = D^(1/2) G D^(1/2): mean M tr(C), variance M ||C||_F^2, and the
+        # sample variance has variance kappa_4 / T + 2 kappa_2^2 / (T - 1)
+        # with kappa_r = M (r - 1)! sum_i c_i^r over C's eigenvalues c_i
+        cfg, d = law_case(case)
+        m, trials = cfg.antennas, LAW_TRIALS
+        x = construct_pilots(cfg)
+        b = proposed_estimator(x, cfg)
+        per_trial = _evaluate([(cfg, x, b)], trials, seed=9)[0][0]
+        w = _trial_weight(cfg, _error_map(cfg, x, b))
+        g = w.view(np.complex128).reshape(len(d), -1)
+        c = np.linalg.eigvalsh(np.sqrt(d)[:, None] * g * np.sqrt(d)[None, :])
+        mean = analytic_wsmse(x, b, cfg).wsmse
+        assert mean == pytest.approx(m * c.sum(), rel=1e-12)
+        kappa2, kappa4 = m * np.sum(c**2), 6 * m * np.sum(c**4)
+        assert abs(per_trial.mean() - mean) <= 5 * np.sqrt(kappa2 / trials)
+        se = np.sqrt(kappa4 / trials + 2 * kappa2**2 / (trials - 1))
+        assert abs(per_trial.var(ddof=1) - kappa2) <= 5 * se
 
 
 class TestDesignPilots:
