@@ -40,13 +40,15 @@ x_reuse, b_reuse, conv_ana, _ = design_pilots("conventional", cfg, experiment)
 conv_per_user = trial_errors(cfg, x_reuse, b_reuse, SEED, 0)
 conv_expect = conv_ana.per_user
 
-# optimized pilots (from the DFT-reuse start) with the matched combiner
+# optimized pilots with the matched combiner: constructed as the optimum
+# unless the experiment names an optimizer start
 x_opt, b_opt, prop_ana, trace = design_pilots("proposed", cfg, experiment)
 prop_per_user = trial_errors(cfg, x_opt, b_opt, SEED, 0)
 prop_expect = prop_ana.per_user
 
+how = "constructed" if trace is None else f"optimized in {trace.sweeps_completed} sweeps"
 print(f"SNR {SNR_DB:g} dB, {cfg.users} users, {cfg.pilot_len} pilot symbols, "
-      f"optimizer converged in {trace.sweeps_completed} sweeps\n")
+      f"optimized pilots {how}\n")
 print(f"{'user':>4} {'gain':>7} {'clashes':>9} "
       f"{'reuse err':>10} {'(expect)':>9} {'optimized':>10} {'(expect)':>9}")
 n = cfg.pilot_len

@@ -45,6 +45,6 @@ full = [r for r in rows if r.n == 8 and r.snr_db == 0.0]
 gap = abs(full[0].wsmse_analytic - full[1].wsmse_analytic)
 print(f"\nat N = K the two schemes agree to {gap:.1e}")
 
-emit(rows, "csv", "pilot_length_sweep.csv", x_field="n")
-emit(rows, "svg", "pilot_length_sweep.svg", x_field="n")
+emit(rows, "csv", "pilot_length_sweep.csv")
+emit(rows, "svg", "pilot_length_sweep.svg")
 print("wrote pilot_length_sweep.csv and pilot_length_sweep.svg")

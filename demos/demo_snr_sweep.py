@@ -42,8 +42,8 @@ for row in rows:
         f"{row.wsmse_empirical:10.5f} {row.stderr:9.2e}"
     )
 
-emit(rows, "csv", "snr_sweep.csv", x_field="snr_db")
-emit(rows, "svg", "snr_sweep.svg", x_field="snr_db")
+emit(rows, "csv", "snr_sweep.csv")
+emit(rows, "svg", "snr_sweep.svg")
 print("\nwrote snr_sweep.csv and snr_sweep.svg")
 
 proposed = np.array([r.wsmse_analytic for r in rows if r.algorithm == "proposed"])

@@ -1,9 +1,10 @@
 """Command line front end.
 
-Subcommands: ``sweep-snr``, ``sweep-n``, ``convergence``, ``optimize``,
-``estimate``. Exit codes: 0 success, 2 configuration error, 3 numerical
-failure. Flag choices, option defaults and value checks come from the
-library types that own them; this module parses text and reads files.
+Subcommands: ``sweep-snr`` (alias ``sweep-n``), ``convergence``,
+``optimize``, ``estimate``. Exit codes: 0 success, 2 configuration error,
+3 numerical failure. Flag choices, option defaults and value checks come
+from the library types that own them; this module parses text and reads
+files.
 """
 
 import argparse
@@ -41,7 +42,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags only some commands read (the sweeps read all four);
+    # the flags only some commands read (the sweep reads all four);
     # add_flags gives every command the scenario, optimizer and output flags.
     # An ExperimentConfig option left unset takes that field's default.
     optional = {
@@ -59,7 +60,7 @@ def build_parser():
         sp.add_argument("--m", type=int, default=None, help="base station antennas")
         sp.add_argument("--k", type=int, default=None, help="number of users")
         sp.add_argument("--n", default=None,
-                        help="pilot length; sweep-n accepts a comma list")
+                        help="pilot length; sweep-snr (sweep-n) accepts a comma list")
         sp.add_argument("--snr-db", default=None,
                         help="comma list of SNR points in dB (default -10..20 step 2)")
         sp.add_argument("--seed", type=int)
@@ -74,18 +75,16 @@ def build_parser():
         for flag in extra:
             sp.add_argument(f"--{flag}", **optional[flag])
 
-    sweep_flags = tuple(optional)
-    for name, extra, text in [
-        ("sweep-snr", sweep_flags,
-         "normalized WSMSE across an SNR grid at fixed pilot length"),
-        ("sweep-n", sweep_flags, "normalized WSMSE across pilot lengths and SNR points"),
-        ("convergence", ("format",),
+    for name, aliases, extra, text in [
+        ("sweep-snr", ["sweep-n"], tuple(optional),
+         "normalized WSMSE across SNR points and pilot lengths"),
+        ("convergence", [], ("format",),
          "optimizer objective traces from all three initializations"),
-        ("optimize", ("init",), "emit one optimized pilot matrix in the text format"),
-        ("estimate", ("init", "mode"),
+        ("optimize", [], ("init",), "emit one optimized pilot matrix in the text format"),
+        ("estimate", [], ("init", "mode"),
          "single-realization estimation demo (JSON report)"),
     ]:
-        add_flags(sub.add_parser(name, help=text), extra)
+        add_flags(sub.add_parser(name, aliases=aliases, help=text), extra)
     return parser
 
 
@@ -142,15 +141,8 @@ def _resolve_scenario(args):
     return ExperimentConfig(base=base, snr_db_list=snr_list, n_list=n_list, **options)
 
 
-def _cmd_sweep_snr(ecfg, args):
-    if len(ecfg.n_list) != 1:
-        raise ConfigurationError("this command needs exactly one --n value")
-    emit(sweep_snr(ecfg), args.format, args.out, x_field="snr_db")
-    return 0
-
-
-def _cmd_sweep_n(ecfg, args):
-    emit(sweep_snr(ecfg), args.format, args.out, x_field="n")
+def _cmd_sweep(ecfg, args):
+    emit(sweep_snr(ecfg), args.format, args.out)
     return 0
 
 
@@ -192,9 +184,10 @@ def _cmd_estimate(ecfg, args):
     return 0
 
 
+# keyed by every name the parser accepts, the alias included
 _COMMANDS = {
-    "sweep-snr": _cmd_sweep_snr,
-    "sweep-n": _cmd_sweep_n,
+    "sweep-snr": _cmd_sweep,
+    "sweep-n": _cmd_sweep,
     "convergence": _cmd_convergence,
     "optimize": _cmd_optimize,
     "estimate": _cmd_estimate,

@@ -397,41 +397,39 @@ def sweep_snr(ecfg):
     when both run; at ``n == users`` both algorithms reduce to
     orthogonal pilots and reach the same analytic WSMSE.
 
-    All points of one pilot length are designed first, then evaluated
-    on the same Monte Carlo draws with the estimator matrices the
-    designs built; each row equals its own :func:`run_monte_carlo`.
-    Pilots that do not depend on the noise variance are designed once
-    per pilot length, at its first SNR point.
+    All points of one pilot length are designed first, each row built
+    with its analytic WSMSE and optimizer sweeps, then evaluated on the
+    same Monte Carlo draws with the estimator matrices the designs built,
+    which fills in each row's empirical WSMSE and standard error; each
+    row equals its own :func:`run_monte_carlo`. Pilots that do not
+    depend on the noise variance are designed once per pilot length, at
+    its first SNR point.
     """
     rows = []
     for n in ecfg.pilot_lens:
-        points = []
-        shared = {}
+        points, designed, shared = [], [], {}
         for snr_db in ecfg.snr_db_list:
             cfg = ecfg.point(snr_db, n)
             for algorithm in ecfg.algorithms:
-                design = design_pilots(algorithm, cfg, ecfg, shared.get(algorithm))
-                if design[3] is None:  # no optimizer ran, no sigma2 in the pilots
-                    shared[algorithm] = design[0]
-                points.append((snr_db, cfg, algorithm, *design))
-        reports = _monte_carlo(
-            [(cfg, x, b) for _, cfg, _, x, b, _, _ in points], ecfg.trials, ecfg.seed
-        )
-        for (snr_db, cfg, algorithm, _, _, ana, trace), emp in zip(points, reports):
-            label = f"{algorithm} @ {snr_db} dB"
-            _consistency_gate(label, ana.wsmse, emp.wsmse, emp.stderr)
-            rows.append(
-                SweepRow(
+                x, b, ana, trace = design_pilots(algorithm, cfg, ecfg, shared.get(algorithm))
+                if trace is None:  # no optimizer ran, no sigma2 in the pilots
+                    shared[algorithm] = x
+                points.append((cfg, x, b))
+                designed.append(SweepRow(
                     snr_db=snr_db,
                     n=cfg.pilot_len,
                     algorithm=algorithm,
                     wsmse_analytic=ana.wsmse,
-                    wsmse_empirical=emp.wsmse,
-                    stderr=emp.stderr,
+                    wsmse_empirical=float("nan"),
+                    stderr=float("nan"),
                     trials=ecfg.trials,
                     sweeps=None if trace is None else trace.sweeps_completed,
-                )
-            )
+                ))
+        for row, emp in zip(designed, _monte_carlo(points, ecfg.trials, ecfg.seed)):
+            label = f"{row.algorithm} @ {row.snr_db} dB"
+            _consistency_gate(label, row.wsmse_analytic, emp.wsmse, emp.stderr)
+            row.wsmse_empirical, row.stderr = emp.wsmse, emp.stderr
+        rows += designed
     return rows
 
 

@@ -164,25 +164,34 @@ def reference_gains():
     """
     path = resources.files("pilotopt.data").joinpath("gains32.txt")
     with path.open("r", encoding="utf-8") as fh:
-        return _parse_gains(fh)
+        return _parse_gains(fh, path)
 
 
-def _parse_gains(lines):
+def _parse_gains(lines, path):
     values = []
-    for raw in lines:
+    for number, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
-        values.append(float(text))
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ConfigurationError(
+                f"{path} line {number}: expected one number, got {text!r}"
+            ) from None
     if not values:
-        raise ConfigurationError("gains file contains no values")
+        raise ConfigurationError(f"{path}: gains file contains no values")
     return np.asarray(values, dtype=np.float64)
 
 
 def load_gains(path):
-    """Read a gains file: one decimal gain per line, '#' comments allowed."""
+    """Read a gains file: one decimal gain per line, '#' comments allowed.
+
+    Raises :class:`ConfigurationError` naming the file and the line of an
+    entry that is not one number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_gains(fh)
+        return _parse_gains(fh, path)
 
 
 def save_gains(path, gains):

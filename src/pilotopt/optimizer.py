@@ -456,19 +456,31 @@ def save_pilots(path, x):
 
 
 def load_pilots(path):
-    """Read a pilot matrix written by :func:`save_pilots`."""
+    """Read a pilot matrix written by :func:`save_pilots`.
+
+    Raises :class:`ConfigurationError` naming the file and the line of a
+    header that is not two counts >= 0 or an entry that is not two
+    numbers, and for a file whose entry count does not match its header.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ConfigurationError(f"{path}: malformed pilot file header")
+        if len(header) != 2 or not all(v.isdecimal() for v in header):
+            raise ConfigurationError(
+                f"{path} line 1: malformed pilot file header {' '.join(header)!r}"
+            )
         n, k = int(header[0]), int(header[1])
         values = []
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            re_part, im_part = line.split()
-            values.append(complex(float(re_part), float(im_part)))
+            try:
+                re_part, im_part = (float(v) for v in line.split())
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path} line {number}: expected two numbers, got {line!r}"
+                ) from None
+            values.append(complex(re_part, im_part))
     if len(values) != n * k:
         raise ConfigurationError(
             f"{path}: expected {n * k} entries, found {len(values)}"

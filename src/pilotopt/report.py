@@ -10,7 +10,14 @@ from .errors import ConfigurationError
 from .harness import ConvergenceResult, SweepRow
 from .model import _open_out
 
-SWEEP_HEADER = [f.name for f in fields(SweepRow)]
+# The type of each SweepRow field's CSV cell, in header order. A field
+# whose default is None (``sweeps``: no optimizer ran) writes None as an
+# empty cell; no other cell may be empty.
+_CELL_TYPES = {"snr_db": float, "n": int, "algorithm": str, "wsmse_analytic": float,
+               "wsmse_empirical": float, "stderr": float, "trials": int, "sweeps": int}
+_MAY_BE_EMPTY = {f.name for f in fields(SweepRow) if f.default is None}
+
+SWEEP_HEADER = list(_CELL_TYPES)
 
 TRACE_HEADER = ["init", "update_index", "objective"]
 
@@ -22,28 +29,37 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _cell(kind, value):
+    if value is None:
+        return ""
+    return _fmt(value) if kind is float else str(kind(value))
+
+
 def write_sweep_csv(rows, path):
     """Write sweep rows with the fixed header; deterministic bytes."""
     with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    _fmt(r.snr_db),
-                    str(int(r.n)),
-                    r.algorithm,
-                    _fmt(r.wsmse_analytic),
-                    _fmt(r.wsmse_empirical),
-                    _fmt(r.stderr),
-                    str(int(r.trials)),
-                    "" if r.sweeps is None else str(int(r.sweeps)),
-                ]
-            )
+            writer.writerow([_cell(kind, getattr(r, name)) for name, kind in _CELL_TYPES.items()])
+
+
+def _read_cell(name, text, where):
+    if text == "" and name in _MAY_BE_EMPTY:
+        return None
+    kind = _CELL_TYPES[name]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigurationError(f"{where}: {name} {text!r} is not {kind.__name__}") from None
 
 
 def read_sweep_csv(path):
-    """Parse a sweep CSV back into :class:`SweepRow` objects."""
+    """Parse a sweep CSV back into :class:`SweepRow` objects.
+
+    Raises :class:`ConfigurationError` naming the line of a row whose
+    cell count or cell values do not match the header.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -51,18 +67,13 @@ def read_sweep_csv(path):
             raise ConfigurationError(f"{path}: unexpected sweep CSV header {header}")
         rows = []
         for rec in reader:
-            rows.append(
-                SweepRow(
-                    snr_db=float(rec[0]),
-                    n=int(rec[1]),
-                    algorithm=rec[2],
-                    wsmse_analytic=float(rec[3]),
-                    wsmse_empirical=float(rec[4]),
-                    stderr=float(rec[5]),
-                    trials=int(rec[6]),
-                    sweeps=None if rec[7] == "" else int(rec[7]),
+            where = f"{path} line {reader.line_num}"
+            if len(rec) != len(SWEEP_HEADER):
+                raise ConfigurationError(
+                    f"{where}: expected {len(SWEEP_HEADER)} cells, found {len(rec)}"
                 )
-            )
+            rows.append(SweepRow(**{name: _read_cell(name, text, where)
+                                    for name, text in zip(SWEEP_HEADER, rec)}))
     return rows
 
 
@@ -140,10 +151,7 @@ def _escape(text):
 
 
 def _ticks_linear(lo, hi, count=6):
-    if lo == hi:
-        return [lo]
-    raw = np.linspace(lo, hi, count)
-    return [float(v) for v in raw]
+    return [float(v) for v in np.linspace(lo, hi, count)]
 
 
 def write_svg(path, series, x_label="", y_label="", title=""):
@@ -153,6 +161,8 @@ def write_svg(path, series, x_label="", y_label="", title=""):
     scaled when all values are positive (the usual case for MSE curves),
     otherwise it falls back to linear. The legend is one column right of
     the plot; the canvas grows taller when the legend would outgrow it.
+    Every data point also gets a small ``<circle>`` marker in its series'
+    colour, so a series of one point is visible too.
     """
     all_x = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series]) if series else np.array([0.0, 1.0])
     all_y = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series]) if series else np.array([0.1, 1.0])
@@ -236,8 +246,11 @@ def write_svg(path, series, x_label="", y_label="", title=""):
     # series
     for i, (label, xs, ys) in enumerate(series):
         stroke = _stroke(i)
-        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{pts}" fill="none" {stroke}/>')
+        xy = [(f"{sx(float(x)):.2f}", f"{sy(float(y)):.2f}") for x, y in zip(xs, ys)]
+        parts.append(f'<polyline points="{" ".join(f"{px},{py}" for px, py in xy)}" '
+                     f'fill="none" {stroke}/>')
+        parts += [f'<circle cx="{px}" cy="{py}" r="2.5" fill="{_PALETTE[i % len(_PALETTE)]}"/>'
+                  for px, py in xy]
         ly = _TOP + 16 + _LEGEND_ROW * i
         lx = _LEFT + plot_w + 14
         parts.append(
@@ -251,22 +264,23 @@ def write_svg(path, series, x_label="", y_label="", title=""):
         fh.write("\n".join(parts) + "\n")
 
 
-def _sweep_series(rows, x_field):
-    """One series per algorithm and per value of the axis ``x_field`` is not.
+def _sweep_series(rows):
+    """The x axis label and one series per algorithm and per value of the other axis.
 
-    The label names that other value only when the rows hold more than one.
+    The x axis is the pilot length when the rows hold more than one,
+    otherwise the SNR. A label names its SNR only when the rows hold more
+    than one.
     """
-    other = "n" if x_field == "snr_db" else "snr_db"
-    unit = "{:g} dB" if other == "snr_db" else "N = {}"
+    by_n = len({r.n for r in rows}) > 1
+    x_field, other = ("n", "snr_db") if by_n else ("snr_db", "n")
     several = len({getattr(r, other) for r in rows}) > 1
     series = []
     for key in dict.fromkeys((r.algorithm, getattr(r, other)) for r in rows):
         sub = [r for r in rows if (r.algorithm, getattr(r, other)) == key]
         xs = [getattr(r, x_field) for r in sub]
         ys = [r.wsmse_analytic for r in sub]
-        label = f"{key[0]}, {unit.format(key[1])}" if several else key[0]
-        series.append((label, xs, ys))
-    return series
+        series.append((f"{key[0]}, {key[1]:g} dB" if several else key[0], xs, ys))
+    return ("pilot length" if by_n else "SNR (dB)"), series
 
 
 def _trace_series(results):
@@ -279,13 +293,14 @@ def _trace_series(results):
     return series
 
 
-def emit(items, fmt, path, x_field="snr_db"):
+def emit(items, fmt, path):
     """Write sweep rows or convergence results in the requested format.
 
     CSV uses the fixed headers above; JSON mirrors the row fields; SVG
-    draws one polyline per algorithm and value of the other sweep axis
-    (sweeps, against ``x_field``) or per initialization (traces, against
-    the update index).
+    draws one polyline per initialization against the update index
+    (traces), or per algorithm and SNR point against the pilot length
+    when the rows hold several, otherwise per algorithm against the SNR
+    (sweeps).
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -298,22 +313,20 @@ def emit(items, fmt, path, x_field="snr_db"):
             write_sweep_csv(items, path)
     elif fmt == "json":
         write_json(items, path)
+    elif is_trace:
+        write_svg(
+            path,
+            _trace_series(items),
+            x_label="update index",
+            y_label="design objective",
+            title="optimizer convergence",
+        )
     else:
-        if is_trace:
-            write_svg(
-                path,
-                _trace_series(items),
-                x_label="update index",
-                y_label="design objective",
-                title="optimizer convergence",
-            )
-        else:
-            label = "SNR (dB)" if x_field == "snr_db" else "pilot length"
-            write_svg(
-                path,
-                _sweep_series(items, x_field),
-                x_label=label,
-                y_label="normalized WSMSE",
-                title="normalized WSMSE",
-            )
-    return path
+        x_label, series = _sweep_series(items)
+        write_svg(
+            path,
+            series,
+            x_label=x_label,
+            y_label="normalized WSMSE",
+            title="normalized WSMSE",
+        )

@@ -64,8 +64,39 @@ class TestSweepSnrCommand:
         data = json.loads(out.read_text())
         assert len(data) == 6
 
+    def test_one_point_svg_marks_every_row(self, tmp_path):
+        # one SNR: each series is a single point, which a polyline cannot draw
+        out = tmp_path / "rows.svg"
+        code = cli.main(["sweep-snr", "--m", "8", "--k", "4", "--n", "2", "--trials", "20",
+                         "--snr-db", "0", "--format", "svg", "--out", str(out)])
+        assert code == 0
+        ns = "{http://www.w3.org/2000/svg}"
+        root = ET.fromstring(out.read_text())
+        markers = root.findall(f"{ns}circle")
+        polylines = root.findall(f"{ns}polyline")
+        assert len(markers) == len(polylines) == 2
+        for marker, line in zip(markers, polylines):
+            assert marker.get("fill") == line.get("stroke")
+            assert line.get("points") == f"{marker.get('cx')},{marker.get('cy')}"
+
 
 class TestSweepNCommand:
+    def test_alias_of_sweep_snr(self, tmp_path):
+        outs = {name: tmp_path / f"{name}.csv" for name in ("sweep-snr", "sweep-n")}
+        for name, out in outs.items():
+            assert cli.main([name, "--m", "8", "--k", "4", "--n", "1,4", "--trials", "20",
+                             "--snr-db", "0,10", "--out", str(out)]) == 0
+        assert outs["sweep-snr"].read_bytes() == outs["sweep-n"].read_bytes()
+        assert [r.n for r in read_sweep_csv(outs["sweep-n"])] == [1] * 4 + [4] * 4
+
+    def test_one_length_svg_is_drawn_against_snr(self, tmp_path):
+        out = tmp_path / "rows.svg"
+        assert cli.main(["sweep-n", "--m", "8", "--k", "4", "--n", "4", "--trials", "20",
+                         "--snr-db", "0,10", "--format", "svg", "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert ">SNR (dB)</text>" in svg
+        assert len(re.findall(r'<polyline points="[^" ]+ [^" ]+"', svg)) == 2
+
     def test_multiple_lengths(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = cli.main([
@@ -306,6 +337,23 @@ class TestExitCodes:
             "--trials", "1", "--snr-db", "0", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--gains", "--power"])
+    @pytest.mark.parametrize("text, entry", [
+        ("0.5\nabc\n", "'abc'"),
+        ("0.5\n0.5 0.6\n", "'0.5 0.6'"),
+    ], ids=["not-a-number", "two-numbers"])
+    def test_malformed_number_file(self, flag, text, entry, tmp_path, capsys):
+        values = tmp_path / "bad.txt"
+        values.write_text(text)
+        out = tmp_path / "rows.csv"
+        code = cli.main(["sweep-snr", "--snr-db", "0", "--trials", "5", "--k", "2",
+                         flag, str(values), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {values} line 2: expected one number, got {entry}\n"
+        )
+        assert not out.exists()
 
     def test_unwritable_output(self):
         code = cli.main([

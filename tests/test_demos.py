@@ -1,19 +1,23 @@
-"""The demos and the README examples use only names and flags the package provides.
+"""The demos run, and the README examples use only names and flags the package provides.
 
-Each script under ``demos/`` and each fenced ``python`` block of
-``README.md`` is parsed, not run: running the demos takes minutes and
-writes files. Every ``from pilotopt... import name`` must resolve, so a
-removed or renamed public name breaks this test instead of the demo or
-the documented example. Likewise every ``pilotopt`` command line of the
-README's ``sh`` blocks must parse, and the README's per-command flag
-table must list the flags each subcommand takes.
+Each script under ``demos/`` runs to exit 0 in a temporary directory,
+where it writes its files. Each script and each fenced ``python`` block
+of ``README.md`` is also parsed: every ``from pilotopt... import name``
+must resolve, so a removed or renamed public name breaks this test
+instead of the demo or the documented example. Likewise every
+``pilotopt`` command line of the README's ``sh`` blocks must parse, and
+the README's per-command flag table must list the flags each subcommand
+takes.
 """
 
 import argparse
 import ast
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,15 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_resolve(path):
     _assert_imports_resolve(path.read_text(encoding="utf-8"), path.name)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("index", range(len(README_BLOCKS)))

@@ -611,3 +611,19 @@ class TestPilotFileFormat:
         path.write_text("2 2\n1 0\n0 1\n")
         with pytest.raises(ConfigurationError):
             load_pilots(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2\n1 0\n0 1\n", "line 1: malformed pilot file header '2'"),
+        ("2 x\n1 0\n0 1\n", "line 1: malformed pilot file header '2 x'"),
+        ("2 -1\n", "line 1: malformed pilot file header '2 -1'"),
+        ("2 1\n1 0\n0 y\n", "line 3: expected two numbers, got '0 y'"),
+        ("2 1\n1 0 0\n0 1\n", "line 2: expected two numbers, got '1 0 0'"),
+        ("1 1\n1\n", "line 2: expected two numbers, got '1'"),
+    ], ids=["one-count", "not-a-count", "negative-count", "not-a-number",
+            "three-numbers", "one-number"])
+    def test_malformed_file_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "pilots.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as err:
+            load_pilots(path)
+        assert str(err.value) == f"{path} {message}"

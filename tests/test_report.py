@@ -68,6 +68,19 @@ class TestSweepCsv:
         with pytest.raises(ConfigurationError):
             read_sweep_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.0,4,proposed,0.7,0.7,0.002,500", "expected 8 cells, found 7"),
+        ("0.0,4,proposed,0.7,abc,0.002,500,", "wsmse_empirical 'abc' is not float"),
+        ("0.0,4,proposed,0.7,0.7,0.002,,", "trials '' is not int"),
+    ], ids=["short", "not-a-number", "empty"])
+    def test_rejects_malformed_rows(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        write_sweep_csv(sample_rows()[:1], path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ConfigurationError) as err:
+            read_sweep_csv(path)
+        assert str(err.value) == f"{path} line 3: {message}"
+
 
 class TestTraceCsv:
     def test_layout_and_round_trip(self, tmp_path):
@@ -133,7 +146,7 @@ class TestEmit:
         rows = sample_rows()
         emit(rows, "csv", tmp_path / "r.csv")
         emit(rows, "json", tmp_path / "r.json")
-        emit(rows, "svg", tmp_path / "r.svg", x_field="snr_db")
+        emit(rows, "svg", tmp_path / "r.svg")
         assert (tmp_path / "r.csv").exists()
         assert (tmp_path / "r.json").exists()
         root = ET.fromstring((tmp_path / "r.svg").read_text())
