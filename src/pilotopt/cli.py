@@ -8,6 +8,7 @@ files.
 """
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import fields
@@ -215,6 +216,9 @@ def main(argv=None):
 
 
 def entrypoint():
+    # the imported modules live until exit, so neither the run's collections
+    # nor the interpreter's exit should traverse or free them
+    gc.freeze()
     sys.exit(main())
 
 

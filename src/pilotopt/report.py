@@ -19,7 +19,9 @@ _MAY_BE_EMPTY = {f.name for f in fields(SweepRow) if f.default is None}
 
 SWEEP_HEADER = list(_CELL_TYPES)
 
-TRACE_HEADER = ["init", "update_index", "objective"]
+_TRACE_CELL_TYPES = {"init": str, "update_index": int, "objective": float}
+
+TRACE_HEADER = list(_TRACE_CELL_TYPES)
 
 FORMATS = ("csv", "json", "svg")
 
@@ -44,14 +46,37 @@ def write_sweep_csv(rows, path):
             writer.writerow([_cell(kind, getattr(r, name)) for name, kind in _CELL_TYPES.items()])
 
 
-def _read_cell(name, text, where):
+def _read_cell(name, kind, text, where):
     if text == "" and name in _MAY_BE_EMPTY:
         return None
-    kind = _CELL_TYPES[name]
     try:
         return kind(text)
     except ValueError:
         raise ConfigurationError(f"{where}: {name} {text!r} is not {kind.__name__}") from None
+
+
+def _read_rows(path, cell_types, what):
+    """The rows of a CSV file under the header ``list(cell_types)``, as dicts of typed cells.
+
+    Raises :class:`ConfigurationError` on another header, or naming the
+    line of a row whose cell count or cell values do not match it.
+    """
+    header = list(cell_types)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            raise ConfigurationError(f"{path}: unexpected {what} CSV header {found}")
+        rows = []
+        for rec in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(rec) != len(header):
+                raise ConfigurationError(
+                    f"{where}: expected {len(header)} cells, found {len(rec)}"
+                )
+            rows.append({name: _read_cell(name, kind, text, where)
+                         for (name, kind), text in zip(cell_types.items(), rec)})
+    return rows
 
 
 def read_sweep_csv(path):
@@ -60,21 +85,7 @@ def read_sweep_csv(path):
     Raises :class:`ConfigurationError` naming the line of a row whose
     cell count or cell values do not match the header.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SWEEP_HEADER:
-            raise ConfigurationError(f"{path}: unexpected sweep CSV header {header}")
-        rows = []
-        for rec in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(rec) != len(SWEEP_HEADER):
-                raise ConfigurationError(
-                    f"{where}: expected {len(SWEEP_HEADER)} cells, found {len(rec)}"
-                )
-            rows.append(SweepRow(**{name: _read_cell(name, text, where)
-                                    for name, text in zip(SWEEP_HEADER, rec)}))
-    return rows
+    return [SweepRow(**row) for row in _read_rows(path, _CELL_TYPES, "sweep")]
 
 
 def write_trace_csv(results, path):
@@ -89,15 +100,13 @@ def write_trace_csv(results, path):
 
 
 def read_trace_csv(path):
-    """Parse a convergence CSV into ``{init: [objective, ...]}`` keyed by init."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_HEADER:
-            raise ConfigurationError(f"{path}: unexpected trace CSV header {header}")
-        out = {}
-        for rec in reader:
-            out.setdefault(rec[0], []).append(float(rec[2]))
+    """Parse a convergence CSV into ``{init: [objective, ...]}`` keyed by init.
+
+    Raises :class:`ConfigurationError` as :func:`read_sweep_csv` does.
+    """
+    out = {}
+    for row in _read_rows(path, _TRACE_CELL_TYPES, "trace"):
+        out.setdefault(row["init"], []).append(row["objective"])
     return out
 
 
@@ -161,8 +170,8 @@ def write_svg(path, series, x_label="", y_label="", title=""):
     scaled when all values are positive (the usual case for MSE curves),
     otherwise it falls back to linear. The legend is one column right of
     the plot; the canvas grows taller when the legend would outgrow it.
-    Every data point also gets a small ``<circle>`` marker in its series'
-    colour, so a series of one point is visible too.
+    A series of one point, which its polyline cannot draw, gets a small
+    ``<circle>`` marker in its series' colour instead.
     """
     all_x = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series]) if series else np.array([0.0, 1.0])
     all_y = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series]) if series else np.array([0.1, 1.0])
@@ -250,7 +259,7 @@ def write_svg(path, series, x_label="", y_label="", title=""):
         parts.append(f'<polyline points="{" ".join(f"{px},{py}" for px, py in xy)}" '
                      f'fill="none" {stroke}/>')
         parts += [f'<circle cx="{px}" cy="{py}" r="2.5" fill="{_PALETTE[i % len(_PALETTE)]}"/>'
-                  for px, py in xy]
+                  for px, py in xy if len(xy) == 1]
         ly = _TOP + 16 + _LEGEND_ROW * i
         lx = _LEFT + plot_w + 14
         parts.append(

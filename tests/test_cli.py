@@ -523,11 +523,12 @@ class TestExperimentOptions:
             0, 0.0, 7, "dft-k", "proposed", 9)
 
 
-@pytest.mark.parametrize("command", ["optimize", "estimate"])
+@pytest.mark.parametrize("command", ["optimize", "estimate", "sweep-snr"])
 def test_stdout_appends_to_redirected_file(command, tmp_path):
-    # `pilotopt optimize >> log` must add to log, not truncate it
+    # `pilotopt optimize >> log` must add to log, not truncate it; the
+    # subprocess runs the entry point, which freezes the heap first
     args = [command, "--m", "8", "--k", "4", "--n", "2", "--snr-db", "3",
-            "--seed", "5"]
+            "--seed", "5", *(["--trials", "20"] if command == "sweep-snr" else [])]
     out = tmp_path / "out.txt"
     assert cli.main([*args, "--out", str(out)]) == 0
     log = tmp_path / "log.txt"
@@ -560,6 +561,44 @@ def test_import_loads_no_scipy():
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SWEEP_ARGV = ["sweep-snr", "--m", "4", "--k", "2", "--n", "2", "--trials", "20",
+              "--snr-db", "0,10", "--seed", "3"]
+
+
+def test_entrypoint_freezes_the_heap(tmp_path):
+    # the exit hook runs after sys.exit, so it sees the heap as the run left it
+    out = tmp_path / "rows.csv"
+    assert cli.main([*SWEEP_ARGV, "--out", str(out)]) == 0
+    probe = (
+        "import atexit, gc, sys, pilotopt.cli\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['pilotopt', *{SWEEP_ARGV!r}]\n"
+        "pilotopt.cli.entrypoint()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, check=True,
+    )
+    assert int(done.stderr) > 0
+    assert done.stdout == out.read_bytes()
+
+
+def test_library_callers_never_freeze(tmp_path):
+    # the heap belongs to the host: only the command line entry point freezes
+    probe = (
+        "import gc, pilotopt, pilotopt.cli\n"
+        f"code = pilotopt.cli.main([*{SWEEP_ARGV!r}, '--out', {str(tmp_path / 'r.csv')!r}])\n"
+        "print(code, gc.get_freeze_count())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == ["0", "0"]
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 

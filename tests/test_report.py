@@ -93,6 +93,24 @@ class TestTraceCsv:
         assert parsed["dft-reuse"] == [2.8, 2.5, 2.4, 2.35, 2.35]
         assert parsed["dft-k"][0] == 3.1
 
+    @pytest.mark.parametrize("row, message", [
+        ("dft-k,0", "expected 3 cells, found 2"),
+        ("dft-k,1,abc", "objective 'abc' is not float"),
+    ], ids=["short", "not-a-number"])
+    def test_rejects_malformed_rows(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRACE_HEADER) + "\n" + row + "\n")
+        with pytest.raises(ConfigurationError) as err:
+            read_trace_csv(path)
+        assert str(err.value) == f"{path} line 2: {message}"
+
+    @pytest.mark.parametrize("read", [read_sweep_csv, read_trace_csv])
+    def test_rejects_empty_file(self, tmp_path, read):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ConfigurationError, match="unexpected .* CSV header None"):
+            read(path)
+
 
 class TestJson:
     def test_sweep_fields_mirrored(self, tmp_path):
@@ -134,6 +152,19 @@ class TestSvg:
         assert len(polylines) == 2
         for pl in polylines:
             assert pl.get("points")
+
+    def test_markers_only_on_one_point_series(self, tmp_path):
+        # a polyline draws a line of two points or more, but nothing of one
+        ns = "{http://www.w3.org/2000/svg}"
+        emit(sample_rows()[:2], "svg", tmp_path / "point.svg")
+        root = ET.fromstring((tmp_path / "point.svg").read_text())
+        circles = root.findall(f"{ns}circle")
+        assert len(circles) == len(root.findall(f"{ns}polyline")) == 2
+        assert len({c.get("fill") for c in circles}) == 2
+        emit(sample_traces(), "svg", tmp_path / "trace.svg")
+        root = ET.fromstring((tmp_path / "trace.svg").read_text())
+        assert len(root.findall(f"{ns}polyline")) == 2
+        assert root.findall(f"{ns}circle") == []
 
     def test_nonpositive_values_fall_back_to_linear(self, tmp_path):
         path = tmp_path / "linear.svg"
