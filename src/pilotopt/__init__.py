@@ -3,15 +3,15 @@
 The package provides three layers:
 
 * :mod:`pilotopt.numerics` and :mod:`pilotopt.model` — small complex
-  linear algebra kernels, reproducible Gaussian streams, and the uplink
-  training signal model,
+  linear algebra kernels, reproducible Gaussian streams, the uplink
+  training signal model and its input files (gains and powers),
 * :mod:`pilotopt.conventional` and :mod:`pilotopt.optimizer` — the
   reused-orthogonal-pilot MMSE baseline and the WSMSE-optimal pilot
   design (constructed in closed form, or by the paper's cyclic
   updates) with its matched estimator,
 * :mod:`pilotopt.harness`, :mod:`pilotopt.report`, :mod:`pilotopt.cli`
-  — Monte Carlo experiment drivers, CSV/JSON/SVG emitters, and the
-  command line front end.
+  — Monte Carlo experiment drivers, every output file (CSV/JSON/SVG
+  results and the pilot text file), and the command line front end.
 
 Importing the package pins numpy's OpenBLAS to one thread, because its
 matrices are too small for a second thread to do anything but spin. The
@@ -62,7 +62,6 @@ from .model import (
     load_gains,
     received_pilot_signal,
     reference_gains,
-    save_gains,
     sigma2_from_snr,
 )
 from .numerics import (
@@ -80,7 +79,6 @@ from .optimizer import (
     gram_matrix,
     init_pilots,
     leave_one_out,
-    load_pilots,
     objective,
     optimality_bound,
     optimize_pilots,
@@ -88,8 +86,8 @@ from .optimizer import (
     proposed_estimator,
     rayleigh_update,
     receiver_scalar,
-    save_pilots,
 )
+from .report import save_pilots
 
 __version__ = "0.1.0"
 
@@ -121,7 +119,6 @@ __all__ = [
     "inv_sqrt_psd",
     "leave_one_out",
     "load_gains",
-    "load_pilots",
     "objective",
     "optimality_bound",
     "optimize_pilots",
@@ -132,7 +129,6 @@ __all__ = [
     "receiver_scalar",
     "reference_gains",
     "run_monte_carlo",
-    "save_gains",
     "save_pilots",
     "sigma2_from_snr",
     "solve_hermitian",

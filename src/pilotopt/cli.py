@@ -3,13 +3,13 @@
 Subcommands: ``sweep-snr`` (alias ``sweep-n``), ``convergence``,
 ``optimize``, ``estimate``. Exit codes: 0 success, 2 configuration error,
 3 numerical failure. Flag choices, option defaults and value checks come
-from the library types that own them; this module parses text and reads
-files.
+from the library types that own them; this module parses text, and
+:mod:`pilotopt.model` reads the input files and :mod:`pilotopt.report`
+writes every output.
 """
 
 import argparse
 import gc
-import json
 import sys
 from dataclasses import fields
 
@@ -22,9 +22,9 @@ from .harness import (
     sweep_snr,
     trial_errors,
 )
-from .model import SystemConfig, _open_out, load_gains, reference_gains
-from .optimizer import INIT_KINDS, objective, optimality_bound, save_pilots
-from .report import FORMATS, emit
+from .model import SystemConfig, load_gains, reference_gains
+from .optimizer import INIT_KINDS, objective, optimality_bound
+from .report import FORMATS, emit, save_pilots, write_json
 
 DEFAULT_SNR_GRID = [float(v) for v in range(-10, 21, 2)]
 
@@ -180,8 +180,7 @@ def _cmd_estimate(ecfg, args):
             "wsmse_realized": float(per_user.mean()),
             "per_user_realized": [float(v) for v in per_user],
         }
-    with _open_out(args.out) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    write_json(payload, args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""System configuration, channel statistics, and the uplink pilot signal.
+"""System configuration, channel statistics, the uplink pilot signal and input files.
 
 The physical setup: a base station with ``antennas`` receive antennas
 serves ``users`` single-antenna terminals. During training, every user
@@ -9,8 +9,6 @@ channels plus additive noise and estimates the per-user channel vectors.
 
 import math
 import operator
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -71,7 +69,9 @@ class SystemConfig:
     ConfigurationError
         For invalid values, and for a scenario whose algebra would leave
         the float range: ``2 (sum_k g_k P_k + sigma2)``, ``pilot_len /
-        sigma2`` and ``1 / (users * antennas * g_k)`` must be finite.
+        sigma2`` and ``1 / (users * antennas * g_k)`` must be finite. The
+        dimensions must leave the largest arrays, ``max(antennas, users +
+        pilot_len) x (users + pilot_len)`` complex, in the address space.
     """
 
     antennas: int
@@ -89,6 +89,14 @@ class SystemConfig:
             raise ConfigurationError(
                 f"dimensions must be positive, got antennas={self.antennas}, "
                 f"users={self.users}, pilot_len={self.pilot_len}"
+            )
+        # the largest arrays, a trial's Gram matrix and its received signal,
+        # have users + pilot_len columns of complex entries
+        side = self.users + self.pilot_len
+        if 16 * side * max(side, self.antennas) > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"dimensions are too large: {max(side, self.antennas)} x {side} "
+                "complex arrays exceed the address space"
             )
         self.sigma2 = float(self.sigma2)
         if not np.isfinite(self.sigma2) or self.sigma2 < 0:
@@ -140,20 +148,6 @@ class WsmseReport:
     trials: int | None = None
 
 
-@contextmanager
-def _open_out(path):
-    """Text stream for writing ``path``, or the open standard output for ``"-"``.
-
-    Standard output is written where it already points, so a shell
-    redirection that appends (``>>``) keeps what the file held.
-    """
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
 def reference_gains():
     """Return the bundled 32-user path-loss gain table.
 
@@ -192,14 +186,6 @@ def load_gains(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_gains(fh, path)
-
-
-def save_gains(path, gains):
-    """Write gains in the one-value-per-line text format."""
-    gains = np.asarray(gains, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in gains:
-            fh.write(f"{g:.17g}\n")
 
 
 def generate_channel(cfg, stream):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
-from .model import WsmseReport, _open_out, check_received
+from .model import WsmseReport, check_received
 from .numerics import (
     draw_cn,
     hermitian_eig,
@@ -432,57 +432,3 @@ def construct_pilots(cfg):
     x[0, ~np.any(x, axis=0)] = 1.0
     x *= np.sqrt(cfg.powers) / np.linalg.norm(x, axis=0)
     return x.astype(np.complex128)
-
-
-# --- pilot matrix text format --------------------------------------------
-
-
-def save_pilots(path, x):
-    """Write a pilot matrix as text: header ``N K``, then ``re im`` lines.
-
-    Entries are listed column by column at 17 significant digits, which
-    round-trips IEEE doubles exactly. A ``path`` of ``"-"`` writes to
-    standard output.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2:
-        raise ContractViolation("pilot matrix must be 2-D")
-    with _open_out(path) as fh:
-        fh.write(f"{x.shape[0]} {x.shape[1]}\n")
-        for col in range(x.shape[1]):
-            for row in range(x.shape[0]):
-                v = x[row, col]
-                fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
-
-
-def load_pilots(path):
-    """Read a pilot matrix written by :func:`save_pilots`.
-
-    Raises :class:`ConfigurationError` naming the file and the line of a
-    header that is not two counts >= 0 or an entry that is not two
-    numbers, and for a file whose entry count does not match its header.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(v.isdecimal() for v in header):
-            raise ConfigurationError(
-                f"{path} line 1: malformed pilot file header {' '.join(header)!r}"
-            )
-        n, k = int(header[0]), int(header[1])
-        values = []
-        for number, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                re_part, im_part = (float(v) for v in line.split())
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path} line {number}: expected two numbers, got {line!r}"
-                ) from None
-            values.append(complex(re_part, im_part))
-    if len(values) != n * k:
-        raise ConfigurationError(
-            f"{path}: expected {n * k} entries, found {len(values)}"
-        )
-    return np.asarray(values, dtype=np.complex128).reshape((k, n)).T

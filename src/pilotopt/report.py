@@ -1,29 +1,40 @@
-"""Result emitters: CSV, JSON, and single-panel SVG line charts."""
+"""Every output file: CSV/JSON/SVG results, the pilot text file and the estimate report."""
 
 import csv
 import json
-from dataclasses import asdict, fields
+import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .harness import ConvergenceResult, SweepRow
-from .model import _open_out
+from .errors import ConfigurationError, ContractViolation
+from .harness import ConvergenceResult
 
 # The type of each SweepRow field's CSV cell, in header order. A field
-# whose default is None (``sweeps``: no optimizer ran) writes None as an
-# empty cell; no other cell may be empty.
+# whose value is None (``sweeps``: no optimizer ran) writes an empty cell.
 _CELL_TYPES = {"snr_db": float, "n": int, "algorithm": str, "wsmse_analytic": float,
                "wsmse_empirical": float, "stderr": float, "trials": int, "sweeps": int}
-_MAY_BE_EMPTY = {f.name for f in fields(SweepRow) if f.default is None}
 
 SWEEP_HEADER = list(_CELL_TYPES)
 
-_TRACE_CELL_TYPES = {"init": str, "update_index": int, "objective": float}
-
-TRACE_HEADER = list(_TRACE_CELL_TYPES)
+TRACE_HEADER = ["init", "update_index", "objective"]
 
 FORMATS = ("csv", "json", "svg")
+
+
+@contextmanager
+def _open_out(path):
+    """Text stream for writing ``path``, or the open standard output for ``"-"``.
+
+    Standard output is written where it already points, so a shell
+    redirection that appends (``>>``) keeps what the file held.
+    """
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _fmt(value):
@@ -46,48 +57,6 @@ def write_sweep_csv(rows, path):
             writer.writerow([_cell(kind, getattr(r, name)) for name, kind in _CELL_TYPES.items()])
 
 
-def _read_cell(name, kind, text, where):
-    if text == "" and name in _MAY_BE_EMPTY:
-        return None
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigurationError(f"{where}: {name} {text!r} is not {kind.__name__}") from None
-
-
-def _read_rows(path, cell_types, what):
-    """The rows of a CSV file under the header ``list(cell_types)``, as dicts of typed cells.
-
-    Raises :class:`ConfigurationError` on another header, or naming the
-    line of a row whose cell count or cell values do not match it.
-    """
-    header = list(cell_types)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ConfigurationError(f"{path}: unexpected {what} CSV header {found}")
-        rows = []
-        for rec in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(rec) != len(header):
-                raise ConfigurationError(
-                    f"{where}: expected {len(header)} cells, found {len(rec)}"
-                )
-            rows.append({name: _read_cell(name, kind, text, where)
-                         for (name, kind), text in zip(cell_types.items(), rec)})
-    return rows
-
-
-def read_sweep_csv(path):
-    """Parse a sweep CSV back into :class:`SweepRow` objects.
-
-    Raises :class:`ConfigurationError` naming the line of a row whose
-    cell count or cell values do not match the header.
-    """
-    return [SweepRow(**row) for row in _read_rows(path, _CELL_TYPES, "sweep")]
-
-
 def write_trace_csv(results, path):
     """Write convergence traces; update index 0 is the starting objective."""
     with _open_out(path) as fh:
@@ -97,17 +66,6 @@ def write_trace_csv(results, path):
             writer.writerow([res.init, "0", _fmt(res.trace.initial_objective)])
             for i, obj in enumerate(res.trace.objective_per_update, start=1):
                 writer.writerow([res.init, str(i), _fmt(obj)])
-
-
-def read_trace_csv(path):
-    """Parse a convergence CSV into ``{init: [objective, ...]}`` keyed by init.
-
-    Raises :class:`ConfigurationError` as :func:`read_sweep_csv` does.
-    """
-    out = {}
-    for row in _read_rows(path, _TRACE_CELL_TYPES, "trace"):
-        out.setdefault(row["init"], []).append(row["objective"])
-    return out
 
 
 def _trace_dict(res):
@@ -123,15 +81,42 @@ def _trace_dict(res):
     }
 
 
-def write_json(items, path):
-    """Write sweep rows or convergence results as a JSON array."""
-    payload = [
-        asdict(item) if isinstance(item, SweepRow) else _trace_dict(item)
-        for item in items
-    ]
+def _sweep_dict(row):
+    # a one-trial row has no standard error: null, as ``sweeps`` when no
+    # optimizer ran
+    out = asdict(row)
+    if not np.isfinite(out["stderr"]):
+        out["stderr"] = None
+    return out
+
+
+def write_json(payload, path):
+    """Write ``payload`` as strict JSON, indented, with a final newline.
+
+    A non-finite number raises ``ValueError`` before ``path`` is opened,
+    since strict JSON has no token for it.
+    """
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with _open_out(path) as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def save_pilots(path, x):
+    """Write a pilot matrix as text: header ``N K``, then ``re im`` lines.
+
+    Entries are listed column by column at 17 significant digits, which
+    round-trips IEEE doubles exactly. A ``path`` of ``"-"`` writes to
+    standard output.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 2:
+        raise ContractViolation("pilot matrix must be 2-D")
+    with _open_out(path) as fh:
+        fh.write(f"{x.shape[0]} {x.shape[1]}\n")
+        for col in range(x.shape[1]):
+            for row in range(x.shape[0]):
+                v = x[row, col]
+                fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
 
 
 # --- SVG ------------------------------------------------------------------
@@ -305,11 +290,11 @@ def _trace_series(results):
 def emit(items, fmt, path):
     """Write sweep rows or convergence results in the requested format.
 
-    CSV uses the fixed headers above; JSON mirrors the row fields; SVG
-    draws one polyline per initialization against the update index
-    (traces), or per algorithm and SNR point against the pilot length
-    when the rows hold several, otherwise per algorithm against the SNR
-    (sweeps).
+    CSV uses the fixed headers above; JSON mirrors the row fields, with
+    a one-trial ``stderr`` as null; SVG draws one polyline per
+    initialization against the update index (traces), or per algorithm
+    and SNR point against the pilot length when the rows hold several,
+    otherwise per algorithm against the SNR (sweeps).
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -321,7 +306,7 @@ def emit(items, fmt, path):
         else:
             write_sweep_csv(items, path)
     elif fmt == "json":
-        write_json(items, path)
+        write_json([_trace_dict(i) if is_trace else _sweep_dict(i) for i in items], path)
     elif is_trace:
         write_svg(
             path,

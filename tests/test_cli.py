@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -17,13 +18,17 @@ from pilotopt import (
     NumericalError,
     SystemConfig,
     design_pilots,
-    load_pilots,
     run_monte_carlo,
     save_pilots,
     sigma2_from_snr,
     trial_errors,
 )
-from pilotopt.report import read_sweep_csv, read_trace_csv
+
+def read_csv(path):
+    """The rows of a CSV output as dicts of text cells."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
 
 # note the --snr-db=... form: a comma list starting with a negative number
 # must be attached to the flag so argparse does not read it as an option
@@ -38,9 +43,9 @@ class TestSweepSnrCommand:
         out = tmp_path / "rows.csv"
         code = cli.main(["sweep-snr", *FAST, "--out", str(out)])
         assert code == 0
-        rows = read_sweep_csv(out)
+        rows = read_csv(out)
         assert len(rows) == 6
-        assert {r.algorithm for r in rows} == {"proposed", "conventional"}
+        assert {r["algorithm"] for r in rows} == {"proposed", "conventional"}
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -63,6 +68,18 @@ class TestSweepSnrCommand:
         assert code == 0
         data = json.loads(out.read_text())
         assert len(data) == 6
+
+    def test_one_trial_json_is_strict(self, tmp_path):
+        # one trial has no standard error: null, not the NaN that strict
+        # RFC 8259 parsers reject; the CSV keeps nan
+        out = tmp_path / "rows.json"
+        assert cli.main(["sweep-snr", "--snr-db", "0", "--trials", "1", "--format",
+                         "json", "--out", str(out)]) == 0
+        data = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert [row["stderr"] for row in data] == [None, None]
+        assert cli.main(["sweep-snr", "--snr-db", "0", "--trials", "1",
+                         "--out", str(tmp_path / "rows.csv")]) == 0
+        assert [row["stderr"] for row in read_csv(tmp_path / "rows.csv")] == ["nan", "nan"]
 
     def test_one_point_svg_marks_every_row(self, tmp_path):
         # one SNR: each series is a single point, which a polyline cannot draw
@@ -87,7 +104,7 @@ class TestSweepNCommand:
             assert cli.main([name, "--m", "8", "--k", "4", "--n", "1,4", "--trials", "20",
                              "--snr-db", "0,10", "--out", str(out)]) == 0
         assert outs["sweep-snr"].read_bytes() == outs["sweep-n"].read_bytes()
-        assert [r.n for r in read_sweep_csv(outs["sweep-n"])] == [1] * 4 + [4] * 4
+        assert [r["n"] for r in read_csv(outs["sweep-n"])] == ["1"] * 4 + ["4"] * 4
 
     def test_one_length_svg_is_drawn_against_snr(self, tmp_path):
         out = tmp_path / "rows.svg"
@@ -104,11 +121,10 @@ class TestSweepNCommand:
             "--snr-db", "0", "--out", str(out),
         ])
         assert code == 0
-        rows = read_sweep_csv(out)
-        assert sorted({r.n for r in rows}) == [1, 2, 4]
-        prop = {r.n: r.wsmse_analytic for r in rows if r.algorithm == "proposed"}
-        conv = {r.n: r.wsmse_analytic for r in rows if r.algorithm == "conventional"}
-        assert abs(prop[4] - conv[4]) < 1e-9
+        rows = read_csv(out)
+        assert sorted({int(r["n"]) for r in rows}) == [1, 2, 4]
+        ana = {(r["algorithm"], r["n"]): float(r["wsmse_analytic"]) for r in rows}
+        assert abs(ana["proposed", "4"] - ana["conventional", "4"]) < 1e-9
 
     def test_svg_draws_one_increasing_line_per_algorithm_and_snr(self, tmp_path):
         out = tmp_path / "rows.svg"
@@ -165,7 +181,9 @@ class TestConvergenceCommand:
             "--out", str(out),
         ])
         assert code == 0
-        parsed = read_trace_csv(out)
+        parsed = {}
+        for row in read_csv(out):
+            parsed.setdefault(row["init"], []).append(float(row["objective"]))
         assert set(parsed) == {"dft-reuse", "dft-k", "random"}
         for objs in parsed.values():
             assert np.all(np.diff(objs) <= 1e-12)
@@ -186,9 +204,11 @@ class TestOptimizeCommand:
             "--out", str(out),
         ])
         assert code == 0
-        x = load_pilots(out)
-        assert x.shape == (2, 4)
-        assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), 1.0, rtol=1e-10)
+        assert out.read_text().splitlines()[0] == "2 4"
+        entries = np.loadtxt(out, skiprows=1)
+        assert entries.shape == (8, 2)
+        energies = np.sum(entries.reshape(4, 2, 2) ** 2, axis=(1, 2))
+        assert np.allclose(energies, 1.0, rtol=1e-10)
 
     def test_writes_the_designed_pilots(self, tmp_path):
         out = tmp_path / "pilots.txt"

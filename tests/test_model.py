@@ -11,7 +11,6 @@ from pilotopt import (
     load_gains,
     received_pilot_signal,
     reference_gains,
-    save_gains,
     sigma2_from_snr,
 )
 
@@ -33,9 +32,10 @@ class TestReferenceGains:
 
 class TestGainsFile:
     def test_round_trip(self, tmp_path):
+        # 17 significant digits name every double exactly
         path = tmp_path / "gains.txt"
-        g = np.array([0.25, 0.5, 0.125])
-        save_gains(path, g)
+        g = np.array([0.25, 0.1, 1 / 3, 2.0**-1074 * 3, 0.7040000000000001])
+        path.write_text("".join(f"{v:.17g}\n" for v in g))
         assert np.array_equal(load_gains(path), g)
 
     def test_comments_and_blanks(self, tmp_path):
@@ -78,6 +78,12 @@ class TestSystemConfig:
         kwargs = dict(antennas=4, users=2, pilot_len=2, sigma2=1.0)
         kwargs[field] = value
         with pytest.raises(ConfigurationError, match=field):
+            SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["antennas", "users", "pilot_len"])
+    def test_dimensions_beyond_the_address_space_rejected(self, field):
+        kwargs = dict(antennas=4, users=2, pilot_len=2, sigma2=1.0) | {field: 10**300}
+        with pytest.raises(ConfigurationError, match="^dimensions are too large"):
             SystemConfig(**kwargs)
 
     def test_numpy_integer_dimensions_become_ints(self):

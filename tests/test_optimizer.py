@@ -17,7 +17,6 @@ from pilotopt import (
     hermitian_eig,
     init_pilots,
     leave_one_out,
-    load_pilots,
     objective,
     optimality_bound,
     optimize_pilots,
@@ -593,7 +592,8 @@ class TestPilotFileFormat:
         path = tmp_path / "pilots.txt"
         x = draw_cn(RandomStream(18, 0), 3, 5) * 1.7
         save_pilots(path, x)
-        assert np.array_equal(load_pilots(path), x)
+        entries = np.loadtxt(path, skiprows=1)
+        assert np.array_equal((entries[:, 0] + 1j * entries[:, 1]).reshape(5, 3).T, x)
         header = path.read_text().splitlines()[0]
         assert header == "3 5"
 
@@ -605,25 +605,3 @@ class TestPilotFileFormat:
         assert lines[1].split() == ["1", "2"]
         assert lines[2].split() == ["3", "4"]
         assert lines[3].split() == ["5", "6"]
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "pilots.txt"
-        path.write_text("2 2\n1 0\n0 1\n")
-        with pytest.raises(ConfigurationError):
-            load_pilots(path)
-
-    @pytest.mark.parametrize("text, message", [
-        ("2\n1 0\n0 1\n", "line 1: malformed pilot file header '2'"),
-        ("2 x\n1 0\n0 1\n", "line 1: malformed pilot file header '2 x'"),
-        ("2 -1\n", "line 1: malformed pilot file header '2 -1'"),
-        ("2 1\n1 0\n0 y\n", "line 3: expected two numbers, got '0 y'"),
-        ("2 1\n1 0 0\n0 1\n", "line 2: expected two numbers, got '1 0 0'"),
-        ("1 1\n1\n", "line 2: expected two numbers, got '1'"),
-    ], ids=["one-count", "not-a-count", "negative-count", "not-a-number",
-            "three-numbers", "one-number"])
-    def test_malformed_file_names_the_line(self, tmp_path, text, message):
-        path = tmp_path / "pilots.txt"
-        path.write_text(text)
-        with pytest.raises(ConfigurationError) as err:
-            load_pilots(path)
-        assert str(err.value) == f"{path} {message}"

@@ -1,20 +1,32 @@
-"""Generated-scenario properties of the pilot design and Monte Carlo layers.
+"""Generated-scenario properties of the pilot design, Monte Carlo and command line layers.
 
 Design scenarios cover one user, pilot lengths above, at and below the
 user count, tied gains and gains spread down to 1e-12 of the largest,
-with powers from 0.1 to 10 and SNRs from -10 to 30 dB. Monte Carlo
-scenarios cover 1 to 12 antennas, also fewer than users plus pilot
-symbols, with unequal gains and varied seeds. The examples are
-derandomized, so every run checks the same scenarios.
+with powers from 0.1 to 10 and SNRs from -10 to 30 dB, and up to
+3000 dB (a noise variance down to 1e-300 of the power) where only the
+singularity rule may stop a design. Monte Carlo scenarios cover 1 to 12
+antennas, also fewer than users plus pilot symbols, with unequal gains
+and varied seeds. Command lines are built from the parser's own flag
+table with edge values. The examples are derandomized, so every run
+checks the same scenarios.
 """
 
+import argparse
+import csv
+import json
+import re
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pilotopt.cli as cli
 from pilotopt import (
     RandomStream,
+    SingularMatrixError,
     SystemConfig,
+    analytic_wsmse,
     construct_pilots,
     conventional_estimator,
     design_reuse_pilots,
@@ -27,12 +39,14 @@ from pilotopt import (
     sigma2_from_snr,
     trial_errors,
 )
+from pilotopt.numerics import SINGULARITY_FLOOR
+from pilotopt.optimizer import _optimal_spectrum
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, snr_db=st.floats(-10.0, 30.0)):
     users = draw(st.integers(1, 16))
     pilot_len = draw(st.one_of(st.integers(1, users), st.integers(users, users + 3)))
     # gain exponents drawn from a pool of at most three values tie gains
@@ -42,7 +56,7 @@ def scenarios(draw):
     exponents = np.array(draw(st.lists(exponent, min_size=users, max_size=users)))
     powers = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=users,
                                     max_size=users)))
-    snr_db = draw(st.floats(-10.0, 30.0))
+    snr_db = draw(snr_db)
     return SystemConfig(
         antennas=4, users=users, pilot_len=pilot_len,
         sigma2=sigma2_from_snr(snr_db, powers), powers=powers,
@@ -58,6 +72,29 @@ def test_constructed_pilots_meet_the_bound_at_full_power(cfg):
     assert abs(objective(x, cfg) - bound) <= 1e-12 * bound
     energies = np.sum(np.abs(x) ** 2, axis=0)
     assert np.all(np.abs(energies - cfg.powers) <= 1e-10 * cfg.powers)
+
+
+@PROPERTY
+@given(scenarios(snr_db=st.one_of(st.floats(-10.0, 30.0), st.floats(30.0, 3000.0))))
+def test_constructed_pilots_meet_the_bound_or_are_singular(cfg):
+    # the Gram matrix A = S + sigma2 I of the optimum has the spectrum
+    # lambda* + sigma2; below the singularity floor of its eigenvalue ratio
+    # the design is singular, above it the bound is met. The ratio the
+    # eigensolver sees is within a few eps of the exact one, and 1/lambda_min
+    # carries a relative error of a few eps / ratio.
+    eps = np.finfo(float).eps
+    spectrum = _optimal_spectrum(cfg) + cfg.sigma2
+    ratio = spectrum.min() / spectrum.max()
+    x = construct_pilots(cfg)
+    if ratio < SINGULARITY_FLOOR - 64 * eps:
+        with pytest.raises(SingularMatrixError):
+            objective(x, cfg)
+        with pytest.raises(SingularMatrixError):
+            proposed_estimator(x, cfg)
+    elif ratio > SINGULARITY_FLOOR + 64 * eps:
+        bound = optimality_bound(cfg)
+        assert objective(x, cfg) <= bound * (1 + 1e-12 + 16 * eps / ratio)
+        assert np.isfinite(analytic_wsmse(x, proposed_estimator(x, cfg), cfg).wsmse)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -99,3 +136,67 @@ def test_gram_evaluation_equals_the_direct_route(scenario):
         gram = run_monte_carlo(cfg, x, b, 1, seed).per_user
         direct = trial_errors(cfg, x, b, seed, 0)
         assert np.allclose(gram, direct, rtol=1e-12, atol=0.0)
+
+
+# every flag of every command, by dest; --out is pinned to a file
+CLI_FLAGS = {
+    name: [a for a in sub._actions if a.option_strings and a.dest not in ("help", "out")]
+    for name, sub in next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices.items()
+}
+EDGE_VALUES = ["nan", "inf", "-1", "0", "1e-300", "1e300", "2.6", ""]
+# what a flag left undrawn is pinned to, to keep every run cheap
+CHEAP = {"trials": "2", "snr_db": "0", "max_sweeps": "3"}
+
+
+@st.composite
+def command_lines(draw):
+    # each choices flag is drawn half the time, and up to three other flags
+    # take edge values, so that most runs get past the first rejected value
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    flags = CLI_FLAGS[command]
+    picked = {a.dest: draw(st.sampled_from(a.choices))
+              for a in flags if a.choices and draw(st.booleans())}
+    edges = draw(st.lists(st.sampled_from([a for a in flags if not a.choices]),
+                          max_size=3, unique_by=lambda a: a.dest))
+    picked.update((a.dest, draw(st.sampled_from(EDGE_VALUES))) for a in edges)
+    argv = [command]
+    for action in flags:
+        value = picked.get(action.dest, CHEAP.get(action.dest))
+        if value is not None:
+            # attached, so that "-1" is not read as a flag
+            argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+def _assert_finite_output(argv, path):
+    """Every number ``path`` holds is finite, but a one-trial CSV row's stderr."""
+    text = path.read_text()
+    fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "csv")
+    if argv[0] == "optimize":
+        assert np.all(np.isfinite(np.loadtxt(path, skiprows=1, ndmin=2)))
+    elif argv[0] == "estimate" or fmt == "json":
+        json.loads(text, parse_constant=pytest.fail)
+    elif fmt == "svg":
+        assert not re.search(r"\b(nan|inf)\b", text, flags=re.IGNORECASE)
+    else:
+        for row in csv.DictReader(text.splitlines()):
+            for name, cell in row.items():
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert np.isfinite(value) or (name == "stderr" and row["trials"] == "1"), row
+
+
+@settings(PROPERTY, max_examples=300)
+@given(command_lines())
+# a pilot length past the address space once raised a bare ValueError
+@example(argv=["sweep-snr", "--n=1e300", "--snr-db=0", "--trials=2"])
+def test_command_lines_exit_cleanly_with_finite_output(tmp_path_factory, argv):
+    out = tmp_path_factory.getbasetemp() / "cli-property.out"
+    out.unlink(missing_ok=True)
+    code = cli.main(argv + [f"--out={out}"])
+    assert code in (0, 2, 3)
+    if code == 0:
+        _assert_finite_output(argv, out)

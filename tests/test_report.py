@@ -1,3 +1,4 @@
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -11,8 +12,6 @@ from pilotopt.report import (
     SWEEP_HEADER,
     TRACE_HEADER,
     emit,
-    read_sweep_csv,
-    read_trace_csv,
     write_json,
     write_svg,
     write_sweep_csv,
@@ -48,38 +47,20 @@ class TestSweepCsv:
         path = tmp_path / "rows.csv"
         rows = sample_rows()
         write_sweep_csv(rows, path)
-        back = read_sweep_csv(path)
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
         assert len(back) == len(rows)
         for a, b in zip(rows, back):
-            assert b.snr_db == a.snr_db
-            assert b.n == a.n
-            assert b.algorithm == a.algorithm
+            assert float(b["snr_db"]) == a.snr_db
+            assert int(b["n"]) == a.n
+            assert b["algorithm"] == a.algorithm
             # repr-based formatting round-trips doubles exactly, which is
             # stronger than the 12-significant-digit requirement
-            assert b.wsmse_analytic == a.wsmse_analytic
-            assert b.wsmse_empirical == a.wsmse_empirical
-            assert b.stderr == a.stderr
-            assert b.trials == a.trials
-            assert b.sweeps == a.sweeps
-
-    def test_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ConfigurationError):
-            read_sweep_csv(path)
-
-    @pytest.mark.parametrize("row, message", [
-        ("0.0,4,proposed,0.7,0.7,0.002,500", "expected 8 cells, found 7"),
-        ("0.0,4,proposed,0.7,abc,0.002,500,", "wsmse_empirical 'abc' is not float"),
-        ("0.0,4,proposed,0.7,0.7,0.002,,", "trials '' is not int"),
-    ], ids=["short", "not-a-number", "empty"])
-    def test_rejects_malformed_rows(self, tmp_path, row, message):
-        path = tmp_path / "bad.csv"
-        write_sweep_csv(sample_rows()[:1], path)
-        path.write_text(path.read_text() + row + "\n")
-        with pytest.raises(ConfigurationError) as err:
-            read_sweep_csv(path)
-        assert str(err.value) == f"{path} line 3: {message}"
+            assert float(b["wsmse_analytic"]) == a.wsmse_analytic
+            assert float(b["wsmse_empirical"]) == a.wsmse_empirical
+            assert float(b["stderr"]) == a.stderr
+            assert int(b["trials"]) == a.trials
+            assert b["sweeps"] == ("" if a.sweeps is None else str(a.sweeps))
 
 
 class TestTraceCsv:
@@ -89,33 +70,18 @@ class TestTraceCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(TRACE_HEADER)
         assert lines[1].startswith("dft-reuse,0,")
-        parsed = read_trace_csv(path)
+        with open(path, newline="") as fh:
+            parsed = {}
+            for row in csv.DictReader(fh):
+                parsed.setdefault(row["init"], []).append(float(row["objective"]))
         assert parsed["dft-reuse"] == [2.8, 2.5, 2.4, 2.35, 2.35]
         assert parsed["dft-k"][0] == 3.1
-
-    @pytest.mark.parametrize("row, message", [
-        ("dft-k,0", "expected 3 cells, found 2"),
-        ("dft-k,1,abc", "objective 'abc' is not float"),
-    ], ids=["short", "not-a-number"])
-    def test_rejects_malformed_rows(self, tmp_path, row, message):
-        path = tmp_path / "bad.csv"
-        path.write_text(",".join(TRACE_HEADER) + "\n" + row + "\n")
-        with pytest.raises(ConfigurationError) as err:
-            read_trace_csv(path)
-        assert str(err.value) == f"{path} line 2: {message}"
-
-    @pytest.mark.parametrize("read", [read_sweep_csv, read_trace_csv])
-    def test_rejects_empty_file(self, tmp_path, read):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ConfigurationError, match="unexpected .* CSV header None"):
-            read(path)
 
 
 class TestJson:
     def test_sweep_fields_mirrored(self, tmp_path):
         path = tmp_path / "rows.json"
-        write_json(sample_rows(), path)
+        emit(sample_rows(), "json", path)
         data = json.loads(path.read_text())
         assert data[0] == {
             "snr_db": 0.0,
@@ -131,11 +97,17 @@ class TestJson:
 
     def test_trace_fields(self, tmp_path):
         path = tmp_path / "traces.json"
-        write_json(sample_traces(), path)
+        emit(sample_traces(), "json", path)
         data = json.loads(path.read_text())
         assert data[0]["init"] == "dft-reuse"
         assert data[0]["objective_per_update"] == [2.5, 2.4, 2.35, 2.35]
         assert data[0]["converged"] is True
+
+    def test_non_finite_value_refused_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            write_json({"wsmse": float("inf")}, path)
+        assert not path.exists()
 
 
 class TestSvg:

@@ -1,9 +1,11 @@
 """Pins of the package surface that the roadmap tracks.
 
 The public names, the number of settable (command, flag) values of the
-command line, and the rule that no module reaches into the harness for
-a private name. A change to any of them is deliberate and updates the
-pin here.
+command line, the rule that no module reaches into the harness for a
+private name, the rule that only ``model`` opens files to read and only
+``report`` opens files to write, and the rule that every public name has
+a use outside the tests. A change to any of them is deliberate and
+updates the pin here.
 """
 
 import argparse
@@ -14,6 +16,11 @@ import pilotopt
 from pilotopt.cli import build_parser
 
 PACKAGE = Path(pilotopt.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names that nothing outside the tests uses: the paper's combiner
+# u_k and receiver scalar c_k, which proposed_estimator folds into b
+UNUSED_KEPT = {"combiner", "receiver_scalar"}
 
 PUBLIC_NAMES = {
     "ConfigurationError",
@@ -43,7 +50,6 @@ PUBLIC_NAMES = {
     "inv_sqrt_psd",
     "leave_one_out",
     "load_gains",
-    "load_pilots",
     "objective",
     "optimality_bound",
     "optimize_pilots",
@@ -54,7 +60,6 @@ PUBLIC_NAMES = {
     "receiver_scalar",
     "reference_gains",
     "run_monte_carlo",
-    "save_gains",
     "save_pilots",
     "sigma2_from_snr",
     "solve_hermitian",
@@ -64,7 +69,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names():
-    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 44
+    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 42
     assert set(pilotopt.__all__) == PUBLIC_NAMES
 
 
@@ -92,3 +97,49 @@ def test_no_module_imports_private_harness_names():
             if (node.level, node.module) in ((1, "harness"), (0, "pilotopt.harness")):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{path.name} imports {private} from the harness"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _open_mode(call):
+    """The mode string of an ``open`` call, ``"r"`` when it is not given."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r"))
+    return mode.value
+
+
+def test_only_model_reads_and_only_report_writes_files():
+    opens = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "open"
+                    or getattr(node.func, "attr", None) == "open"):
+                opens.append((path.stem, "w" if "w" in _open_mode(node) else "r"))
+    assert set(opens) == {("model", "r"), ("report", "w")}
+
+
+def _layer_functions():
+    for node in _tree(ROOT / "bench" / "run.py").body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYER_FUNCTIONS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py has no LAYER_FUNCTIONS")
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    # a use is a reference in a package module other than __init__ or in a
+    # demo, or a function the benchmark traces
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((ROOT / "demos").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    for entry in _layer_functions():
+        used.update(entry.split(".")[1:])
+    assert set(pilotopt.__all__) - used == UNUSED_KEPT
