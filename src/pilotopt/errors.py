@@ -19,11 +19,4 @@ class NumericalError(RuntimeError):
 
 
 class SingularMatrixError(NumericalError):
-    """A matrix required to be invertible is singular or too ill-conditioned.
-
-    Carries the offending smallest eigenvalue in ``eigenvalue``.
-    """
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
+    """A matrix required to be invertible is singular or too ill-conditioned."""

@@ -33,9 +33,15 @@ bit for bit and independent of how trials are grouped into chunks; the
 optimizer's random initialization, when requested, draws from stream id
 ``2**33``. ``D^(1/2)`` is folded into each point's weight and into the
 trials' summed ``L L^H``, never applied to a trial. :func:`trial_errors`
-builds ``Z = [L^H; 0] D^(1/2)``, whose Gram matrix is ``R``, and stays
-on the direct route (received block, ``y @ b - h``) as the independent
-check of that algebra.
+builds ``Z = L^H D^(1/2)``, whose Gram matrix is ``R``, and stays on the
+direct route (received block, ``y @ b - h``) as the independent check of
+that algebra.
+
+A row of ``Z`` is ``u D^(1/2)``, ``u ~ CN(0, I)``, so a trial's WSMSE is
+``sum_m u_m C u_m^H`` with ``C = D^(1/2) G D^(1/2)``: mean ``antennas
+tr(C)``, the analytic WSMSE, and variance ``antennas ||C||_F^2``.
+:func:`sweep_snr` gates each row on that exact standard error, so a
+defect that inflates the variance cannot widen its own gate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -230,7 +236,8 @@ def trial_errors(cfg, x, b, seed, t):
 
     Trial ``t`` draws its Bartlett factor ``L`` from stream ``t`` and
     builds the channel and the unit-variance noise as the columns of
-    ``Z = [L^H; 0] D^(1/2)`` (module docstring). It forms the received
+    ``Z = L^H D^(1/2)`` (module docstring), ``min(K + N, antennas)`` rows
+    whose Gram matrix is that of all ``antennas``. It forms the received
     training block on pilots ``x``, estimates the channel as ``y @ b``
     and returns each user's squared error divided by ``antennas * g_k``.
     It sees the same draws as trial ``t`` of :func:`run_monte_carlo` but
@@ -241,9 +248,7 @@ def trial_errors(cfg, x, b, seed, t):
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     seed = _as_index(seed, "seed", 0)
     t = _as_index(t, "t", 0, MAX_TRIALS - 1)
-    low = _draws(cfg, seed, t, t + 1)[0]
-    z = np.zeros((cfg.antennas, low.shape[0]), dtype=np.complex128)
-    z[: low.shape[1]] = low.conj().T * _root_scale(cfg)
+    z = _draws(cfg, seed, t, t + 1)[0].conj().T * _root_scale(cfg)
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
     err = np.sum(np.abs(y @ b - h) ** 2, axis=0)
@@ -266,6 +271,16 @@ def _trial_weight(cfg, f):
     return g.view(np.float64).ravel()
 
 
+def _point_weight(cfg, x, b):
+    """``(D^(1/2) F, w)``: a point's scaled error map and the weight of ``C = D^(1/2) G D^(1/2)``.
+
+    A trial's WSMSE is the dot product of ``w`` with the float64 view of
+    its ``L L^H`` (:func:`_trial_weight`).
+    """
+    f = _root_scale(cfg)[:, None] * _error_map(cfg, x, b)
+    return f, _trial_weight(cfg, f)
+
+
 def _evaluate(points, trials, seed):
     """Per-trial WSMSE ``(points, trials)`` and per-user means ``(points, users)``.
 
@@ -282,9 +297,8 @@ def _evaluate(points, trials, seed):
     """
     shape = points[0][0]
     step = _trials_per_chunk(shape)
-    root = _root_scale(shape)
-    maps = [root[:, None] * _error_map(cfg, x, b) for cfg, x, b in points]
-    weights = np.stack([_trial_weight(cfg, f) for (cfg, _, _), f in zip(points, maps)])
+    maps, weights = zip(*(_point_weight(*point) for point in points))
+    weights = np.stack(weights)
     per_trial = np.empty((len(points), trials))
     total = 0.0
     for start in range(0, trials, step):
@@ -308,14 +322,7 @@ def _monte_carlo(points, trials, seed):
             stderr = float(wsmse.std(ddof=1) / np.sqrt(trials))
         else:
             stderr = float("nan")
-        reports.append(
-            WsmseReport(
-                wsmse=float(wsmse.mean()),
-                per_user=per_user,
-                stderr=stderr,
-                trials=trials,
-            )
-        )
+        reports.append(WsmseReport(wsmse=float(wsmse.mean()), per_user=per_user, stderr=stderr))
     return reports
 
 
@@ -379,8 +386,6 @@ def _consistency_gate(label, analytic, empirical, stderr):
             f"{label}: WSMSE is not finite (analytic {analytic:.6g}, "
             f"empirical {empirical:.6g})"
         )
-    if not np.isfinite(stderr) or stderr == 0.0:
-        return
     if abs(empirical - analytic) > 4.0 * stderr:
         raise NumericalError(
             f"{label}: empirical WSMSE {empirical:.6g} deviates from analytic "
@@ -401,9 +406,11 @@ def sweep_snr(ecfg):
     with its analytic WSMSE and optimizer sweeps, then evaluated on the
     same Monte Carlo draws with the estimator matrices the designs built,
     which fills in each row's empirical WSMSE and standard error; each
-    row equals its own :func:`run_monte_carlo`. Pilots that do not
-    depend on the noise variance are designed once per pilot length, at
-    its first SNR point.
+    row equals its own :func:`run_monte_carlo`. A row more than 4 exact
+    standard errors (module docstring) from its analytic WSMSE, or not
+    finite, raises :class:`NumericalError`. Pilots that do not depend on
+    the noise variance are designed once per pilot length, at its first
+    SNR point.
     """
     rows = []
     for n in ecfg.pilot_lens:
@@ -425,9 +432,15 @@ def sweep_snr(ecfg):
                     trials=ecfg.trials,
                     sweeps=None if trace is None else trace.sweeps_completed,
                 ))
-        for row, emp in zip(designed, _monte_carlo(points, ecfg.trials, ecfg.seed)):
+        for row, point, emp in zip(designed, points,
+                                   _monte_carlo(points, ecfg.trials, ecfg.seed)):
             label = f"{row.algorithm} @ {row.snr_db} dB"
-            _consistency_gate(label, row.wsmse_analytic, emp.wsmse, emp.stderr)
+            # the exact standard error (module docstring): ||C||_F is the norm of
+            # the weight, taken over its largest entry so that it cannot underflow
+            w = _point_weight(*point)[1]
+            top = np.abs(w).max()
+            se = top * np.linalg.norm(w / top) * np.sqrt(point[0].antennas / ecfg.trials)
+            _consistency_gate(label, row.wsmse_analytic, emp.wsmse, se)
             row.wsmse_empirical, row.stderr = emp.wsmse, emp.stderr
         rows += designed
     return rows

@@ -137,15 +137,13 @@ class WsmseReport:
 
     ``wsmse`` is the weighted sum MSE divided by (users * antennas), so
     ``per_user`` holds each user's MSE per channel coefficient divided
-    by that user's gain and ``wsmse`` is their mean. ``stderr`` and
-    ``trials`` are set on Monte Carlo estimates and ``None`` on analytic
-    evaluations.
+    by that user's gain and ``wsmse`` is their mean. ``stderr`` is set
+    on Monte Carlo estimates and ``None`` on analytic evaluations.
     """
 
     wsmse: float
     per_user: np.ndarray
     stderr: float | None = None
-    trials: int | None = None
 
 
 def reference_gains():

@@ -132,8 +132,7 @@ def require_nonsingular(w, name):
     if w[-1] <= 0 or w[0] <= SINGULARITY_FLOOR * w[-1]:
         raise SingularMatrixError(
             f"{name} is singular or not positive definite: smallest eigenvalue "
-            f"{w[0]:.6e} vs largest {w[-1]:.6e}",
-            eigenvalue=w[0],
+            f"{w[0]:.6e} vs largest {w[-1]:.6e}"
         )
 
 

@@ -150,7 +150,6 @@ class OptimizerTrace:
     sweeps_completed: int
     converged: bool
     initial_objective: float
-    degenerate_updates: int = 0
     gap: float = float("nan")
 
 
@@ -177,7 +176,6 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
         )
 
     history = []
-    degenerate = 0
     bound = optimality_bound(cfg)
     initial = objective(x, cfg)
     current = initial
@@ -186,19 +184,12 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
     for _ in range(max_sweeps):
         sweep_start = current
         for k in range(cfg.users):
-            col, was_degenerate, current = rayleigh_update(x, k, cfg)
-            x[:, k] = col
+            x[:, k], _, current = rayleigh_update(x, k, cfg)
             history.append(current)
-            degenerate += int(was_degenerate)
             if not np.isfinite(current):
-                trace = OptimizerTrace(
-                    np.asarray(history), sweeps, False, initial, degenerate
-                )
-                err = NumericalError(
+                raise NumericalError(
                     f"objective became non-finite at user {k}, sweep {sweeps + 1}"
                 )
-                err.trace = trace
-                raise err
         sweeps += 1
         if (sweep_start - current) < tol * sweep_start:
             converged = True
@@ -209,7 +200,6 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
         sweeps_completed=sweeps,
         converged=converged,
         initial_objective=initial,
-        degenerate_updates=degenerate,
         gap=(current - bound) / bound,
     )
     return x, trace

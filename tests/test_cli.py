@@ -511,6 +511,17 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--snr-db", "100"],
+        # a weight of about 1e-301, whose squares underflow
+        ["--snr-db", "3000", "--m", "2", "--k", "1", "--n", "1"],
+        # seeds that failed the gate while it divided by the sample's stderr
+        *(["--seed", str(seed)] for seed in (5, 9, 11, 15, 19)),
+    ])
+    def test_few_trial_sweeps_pass_the_gate(self, argv, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep-snr", "--trials", "3", *argv, "--out", str(out)]) == 0
+
 
 class TestExperimentOptions:
     OPTIONS = ("seed", "tol", "max_sweeps", "init", "mode")

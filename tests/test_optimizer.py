@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pilotopt.optimizer as optimizer
 from pilotopt import (
     ConfigurationError,
     ContractViolation,
+    NumericalError,
     RandomStream,
     SingularMatrixError,
     SystemConfig,
@@ -297,6 +299,18 @@ class TestOptimizePilots:
         assert not trace.converged
         assert trace.sweeps_completed == 1
         assert len(trace.objective_per_update) == cfg.users
+
+    def test_non_finite_objective_is_a_numerical_error(self, monkeypatch):
+        cfg = SystemConfig(antennas=2, users=3, pilot_len=2, sigma2=0.5)
+        update = optimizer.rayleigh_update
+
+        def overflowing(x, k, cfg):
+            col, degenerate, _ = update(x, k, cfg)
+            return col, degenerate, float("inf")
+
+        monkeypatch.setattr(optimizer, "rayleigh_update", overflowing)
+        with pytest.raises(NumericalError, match="^objective became non-finite at user 0, sweep 1$"):
+            optimize_pilots(cfg, init_pilots("dft-k", cfg))
 
 
 class TestClosedForms:

@@ -1,15 +1,16 @@
 """Pins of the package surface that the roadmap tracks.
 
-The public names, the number of settable (command, flag) values of the
-command line, the rule that no module reaches into the harness for a
-private name, the rule that only ``model`` opens files to read and only
-``report`` opens files to write, and the rule that every public name has
-a use outside the tests. A change to any of them is deliberate and
-updates the pin here.
+The public names, the field names of the records a run builds, the
+number of settable (command, flag) values of the command line, the rule
+that no module reaches into the harness for a private name, the rule
+that only ``model`` opens files to read and only ``report`` opens files
+to write, and the rule that every public name has a use outside the
+tests. A change to any of them is deliberate and updates the pin here.
 """
 
 import argparse
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pilotopt
@@ -71,6 +72,24 @@ PUBLIC_NAMES = {
 def test_public_names():
     assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 42
     assert set(pilotopt.__all__) == PUBLIC_NAMES
+
+
+# the fields of the records a run builds: a field nothing reads is no
+# longer built, so adding one is a deliberate change
+RECORD_FIELDS = {
+    "SweepRow": ["snr_db", "n", "algorithm", "wsmse_analytic", "wsmse_empirical",
+                 "stderr", "trials", "sweeps"],
+    "ConvergenceResult": ["init", "snr_db", "trace", "final_objective",
+                          "updates_to_converge"],
+    "OptimizerTrace": ["objective_per_update", "sweeps_completed", "converged",
+                       "initial_objective", "gap"],
+    "WsmseReport": ["wsmse", "per_user", "stderr"],
+}
+
+
+def test_record_fields():
+    for name, expected in RECORD_FIELDS.items():
+        assert [f.name for f in fields(getattr(pilotopt, name))] == expected, name
 
 
 def test_cli_settable_values():
