@@ -17,35 +17,40 @@ Its error on a trial is linear in the draws: with ``Z = [h, white]``
 (the channel beside the unit-variance noise) and ``F = [x^H b - I;
 sqrt(sigma2) b]``, the estimate minus the channel is ``Z F``. A trial's
 WSMSE is therefore the inner product of its Gram matrix ``R = Z^H Z``
-with ``G = F diag(1 / (K M g)) F^H``. ``R`` holds no design and no noise
-variance, so within one pilot length every SNR point and both
-algorithms share it, and each point adds one inner product per trial.
+with ``G = F diag(1 / (K M g)) F^H``, and the mean over ``T`` trials is
+the inner product of their sum ``S = sum_t R_t`` with ``G``, divided by
+``T``; the per-user means are quadratic forms on ``S`` too. ``S`` holds
+no design and no noise variance, so within one pilot length every SNR
+point and both algorithms share it.
 
 ``Z``'s rows are ``antennas`` independent ``CN(0, D)`` vectors with
-``D = diag(g, 1_N)``, so ``R`` is complex Wishart and is drawn from its
-Bartlett factor, ``R = D^(1/2) L L^H D^(1/2)`` (Goodman 1963), at a cost
-that does not grow with the antenna count. ``L`` is ``(K + N) x r``
-lower trapezoidal, ``r = min(K + N, antennas)``: ``L_ii =
-sqrt(Gamma(antennas - i, 1))`` for ``i < r`` and i.i.d. ``CN(0, 1)``
-entries below the diagonal. Trial ``t < 2**32`` draws its ``L`` from
-stream id ``t`` alone, so every trial's draws and WSMSE are reproducible
-bit for bit and independent of how trials are grouped into chunks; the
-optimizer's random initialization, when requested, draws from stream id
-``2**33``. ``D^(1/2)`` is folded into each point's weight and into the
-trials' summed ``L L^H``, never applied to a trial. :func:`trial_errors`
-builds ``Z = L^H D^(1/2)``, whose Gram matrix is ``R``, and stays on the
-direct route (received block, ``y @ b - h``) as the independent check of
-that algebra.
+``D = diag(g, 1_N)``, so ``R`` is complex Wishart ``CW(antennas, D)``
+and ``S``, a sum of ``T`` independent ones, is ``CW(T antennas, D)``
+(Goodman 1963). Both are drawn from a Bartlett factor (Edelman 1989):
+``D^(1/2) L L^H D^(1/2)`` with ``L`` ``(K + N) x r`` lower trapezoidal
+for ``dof`` degrees of freedom, ``r = min(K + N, dof)``, ``L_ii =
+sqrt(Gamma(dof - i, 1))`` for ``i < r`` and i.i.d. ``CN(0, 1)`` entries
+below the diagonal. A run of ``T`` trials draws its one ``L`` with
+``dof = T antennas`` from stream id 0, whatever ``T`` is, so a row
+costs one factor and one inner product. Stream id ``t < 2**32`` is used
+only by :func:`trial_errors`, which draws trial ``t``'s ``L`` with
+``dof = antennas``; at ``T = 1`` the run's factor is trial 0's bit for
+bit. The optimizer's random initialization, when requested, draws from
+stream id ``2**33``. ``D^(1/2)`` is folded into each point's weight,
+never applied to the factor. :func:`trial_errors` builds ``Z = L^H
+D^(1/2)``, whose Gram matrix is ``R``, and stays on the direct route
+(received block, ``y @ b - h``) as the independent check of that
+algebra.
 
 A row of ``Z`` is ``u D^(1/2)``, ``u ~ CN(0, I)``, so a trial's WSMSE is
 ``sum_m u_m C u_m^H`` with ``C = D^(1/2) G D^(1/2)``: mean ``antennas
-tr(C)``, the analytic WSMSE, and variance ``antennas ||C||_F^2``.
-:func:`sweep_snr` gates each row on that exact standard error, so a
-defect that inflates the variance cannot widen its own gate.
+tr(C)``, the analytic WSMSE, and variance ``antennas ||C||_F^2``. A
+row's standard error is the exact ``sqrt(antennas ||C||_F^2 / T)``, and
+:func:`sweep_snr` gates each row on it, so a defect that inflates the
+variance cannot widen its own gate.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -79,12 +84,6 @@ MODES = (*ALGORITHMS, "both")
 # Relative distance to a run's final objective at which
 # ``updates_to_converge`` counts the run as settled.
 FINAL_OBJECTIVE_RTOL = 1e-6
-
-# Bytes of one chunk's factors ``L`` and Gram matrices ``L L^H`` together,
-# budgeted as ``2 (K + N)^2`` complex entries a trial: 56 trials at the
-# desk profile (K=8, N=4), 3 at the paper profile (K=32, N=16), whatever
-# the antenna count.
-CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(eq=False)
@@ -181,49 +180,27 @@ class ConvergenceResult:
     updates_to_converge: int
 
 
-def _draws(cfg, seed, start, stop):
-    """Bartlett factors ``L`` of trials ``start .. stop - 1``, ``(trials, K + N, r)``.
+def _factor(cfg, seed, stream_id, dof):
+    """Bartlett factor ``L`` of ``CW(dof, I)``, ``(K + N, r)`` with ``r = min(K + N, dof)``.
 
-    ``r = min(K + N, antennas)``. Trial ``t`` draws from stream ``t``:
-    first ``Gamma(antennas - i, 1)`` for ``i < r``, whose square roots
-    fill the diagonal, then the entries strictly below the diagonal row
-    by row, each a pair of standard normals (real, imaginary) times
-    ``1/sqrt(2)``, as :func:`~pilotopt.numerics.draw_cn` scales them.
-    ``L L^H`` then has the law of the Gram matrix of ``antennas`` white
-    rows of ``K + N`` entries.
+    Draws from stream ``(seed, stream_id)``: first ``Gamma(dof - i, 1)``
+    for ``i < r``, whose square roots fill the diagonal, then the entries
+    strictly below the diagonal row by row, each a pair of standard
+    normals (real, imaginary) times ``1/sqrt(2)``, as
+    :func:`~pilotopt.numerics.draw_cn` scales them. ``L L^H`` then has
+    the law of the Gram matrix of ``dof`` white rows of ``K + N`` entries.
     """
     width = cfg.users + cfg.pilot_len
-    r = min(width, cfg.antennas)
-    rows, cols = _below_diagonal(width, r)
-    shapes = cfg.antennas - np.arange(r, dtype=np.float64)
-    gammas = np.empty((stop - start, r))
-    normals = np.empty((stop - start, 2 * rows.size))
-    for i, t in enumerate(range(start, stop)):
-        rng = RandomStream(seed, t).generator()
-        rng.standard_gamma(shapes, out=gammas[i])
-        rng.standard_normal(out=normals[i])
-    normals *= 1.0 / np.sqrt(2.0)
-    low = np.zeros((stop - start, width, r), dtype=np.complex128)
-    low[:, np.arange(r), np.arange(r)] = np.sqrt(gammas)
-    low[:, rows, cols] = normals.view(np.complex128)
-    return low
-
-
-@lru_cache(maxsize=8)
-def _below_diagonal(width, r):
-    """Row and column indices of a ``width x r`` matrix's strictly lower part, row by row.
-
-    Cached, so every caller shares the arrays: they are read-only.
-    """
+    r = min(width, dof)
+    rng = RandomStream(seed, stream_id).generator()
+    low = np.zeros((width, r), dtype=np.complex128)
+    # float(dof): a Python int past int64 would make an object array on numpy 1.x
+    np.fill_diagonal(low, np.sqrt(rng.standard_gamma(float(dof) - np.arange(r, dtype=np.float64))))
     rows, cols = np.tril_indices(width, -1, r)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _trials_per_chunk(cfg):
-    """Trials whose factors ``L`` and Gram matrices ``L L^H`` fit in ``CHUNK_BYTES``."""
-    width = cfg.users + cfg.pilot_len
-    return max(1, CHUNK_BYTES // (32 * width * width))
+    normals = rng.standard_normal(2 * rows.size)
+    normals *= 1.0 / np.sqrt(2.0)
+    low[rows, cols] = normals.view(np.complex128)
+    return low
 
 
 def _root_scale(cfg):
@@ -234,107 +211,82 @@ def _root_scale(cfg):
 def trial_errors(cfg, x, b, seed, t):
     """Per-user normalized squared error of one seeded trial.
 
-    Trial ``t`` draws its Bartlett factor ``L`` from stream ``t`` and
-    builds the channel and the unit-variance noise as the columns of
-    ``Z = L^H D^(1/2)`` (module docstring), ``min(K + N, antennas)`` rows
-    whose Gram matrix is that of all ``antennas``. It forms the received
-    training block on pilots ``x``, estimates the channel as ``y @ b``
-    and returns each user's squared error divided by ``antennas * g_k``.
-    It sees the same draws as trial ``t`` of :func:`run_monte_carlo` but
-    shares none of its algebra, so it is the direct check of that
-    engine. ``seed`` must be an integer >= 0 and ``t`` one in ``[0,
-    2**32)``, so that no trial draws from the optimizer's random start.
+    Trial ``t`` draws its Bartlett factor ``L`` from stream ``t`` with
+    ``antennas`` degrees of freedom and builds the channel and the
+    unit-variance noise as the columns of ``Z = L^H D^(1/2)`` (module
+    docstring), ``min(K + N, antennas)`` rows whose Gram matrix is that
+    of all ``antennas``. It forms the received training block on pilots
+    ``x``, estimates the channel as ``y @ b`` and returns each user's
+    squared error divided by ``antennas * g_k``. Trial 0 sees the draws
+    of a one-trial :func:`run_monte_carlo` but shares none of its
+    algebra, so it is the direct check of that engine. ``seed`` must be
+    an integer >= 0 and ``t`` one in ``[0, 2**32)``, so that no trial
+    draws from the optimizer's random start.
     """
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     seed = _as_index(seed, "seed", 0)
     t = _as_index(t, "t", 0, MAX_TRIALS - 1)
-    z = _draws(cfg, seed, t, t + 1)[0].conj().T * _root_scale(cfg)
+    z = _factor(cfg, seed, t, cfg.antennas).conj().T * _root_scale(cfg)
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
     err = np.sum(np.abs(y @ b - h) ** 2, axis=0)
     return err / (cfg.antennas * cfg.gains)
 
 
-def _error_map(cfg, x, b):
-    """``F = [x^H b - I; sqrt(sigma2) b]``: a trial's estimate minus its channel is ``Z F``."""
-    return np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
-
-
-def _trial_weight(cfg, f):
-    """``G = F diag(1 / (K M g)) F^H`` as the float64 view of its entries.
-
-    ``R`` and ``G`` are Hermitian, so a trial's WSMSE ``Re tr(R G)`` is
-    ``sum Re R_ij Re G_ij + Im R_ij Im G_ij``: the dot product of the
-    float64 view of ``R``'s entries with this vector.
-    """
-    g = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
-    return g.view(np.float64).ravel()
-
-
 def _point_weight(cfg, x, b):
-    """``(D^(1/2) F, w)``: a point's scaled error map and the weight of ``C = D^(1/2) G D^(1/2)``.
+    """``(D^(1/2) F, w)``: a point's scaled error map and the float64 view of ``C``.
 
-    A trial's WSMSE is the dot product of ``w`` with the float64 view of
-    its ``L L^H`` (:func:`_trial_weight`).
+    ``F = [x^H b - I; sqrt(sigma2) b]`` and ``C = D^(1/2) F diag(1 / (K
+    M g)) F^H D^(1/2)``. ``C`` and a Gram matrix ``S`` are Hermitian, so
+    ``Re tr(S C)`` is ``sum Re S_ij Re C_ij + Im S_ij Im C_ij``: the dot
+    product of ``w`` with the float64 view of ``L L^H``'s entries.
     """
-    f = _root_scale(cfg)[:, None] * _error_map(cfg, x, b)
-    return f, _trial_weight(cfg, f)
-
-
-def _evaluate(points, trials, seed):
-    """Per-trial WSMSE ``(points, trials)`` and per-user means ``(points, users)``.
-
-    Every point must have the dimensions and gains of the first; they
-    may differ in noise variance, pilots and estimator matrix ``b``.
-    Trials ``0 .. trials - 1`` are drawn chunk by chunk and each forms
-    ``L L^H`` once. ``D^(1/2)`` scales each point's ``F`` instead, so a
-    trial's WSMSE is the inner product of ``L L^H`` with ``D^(1/2) G
-    D^(1/2)``. One ``einsum`` takes every point's product on a chunk; it
-    reduces each output along its own row without BLAS, so the values do
-    not depend on the other points or on the chunk a trial falls in. The
-    per-user means are quadratic forms ``F_k^H D^(1/2) (sum_t L_t L_t^H)
-    D^(1/2) F_k``.
-    """
-    shape = points[0][0]
-    step = _trials_per_chunk(shape)
-    maps, weights = zip(*(_point_weight(*point) for point in points))
-    weights = np.stack(weights)
-    per_trial = np.empty((len(points), trials))
-    total = 0.0
-    for start in range(0, trials, step):
-        stop = min(start + step, trials)
-        low = _draws(shape, seed, start, stop)
-        gram = low @ low.conj().transpose(0, 2, 1)
-        total = total + gram.sum(axis=0)
-        flat = gram.reshape(stop - start, -1).view(np.float64)
-        per_trial[:, start:stop] = np.einsum("tl,pl->pt", flat, weights)
-
-    scale = trials * shape.antennas * shape.gains
-    per_user = np.array([np.sum(f.conj() * (total @ f), axis=0).real for f in maps]) / scale
-    return per_trial, per_user
+    f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
+    f = _root_scale(cfg)[:, None] * f
+    c = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
+    return f, c.view(np.float64).ravel()
 
 
 def _monte_carlo(points, trials, seed):
-    """Empirical :class:`WsmseReport` of each ``(cfg, x, b)`` point on shared draws."""
+    """Empirical :class:`WsmseReport` of each ``(cfg, x, b)`` point on one shared draw.
+
+    Every point must have the dimensions and gains of the first; they
+    may differ in noise variance, pilots and estimator matrix ``b``. The
+    summed Gram matrix of trials ``0 .. trials - 1`` is drawn once, as
+    ``L L^H`` with ``trials * antennas`` degrees of freedom (module
+    docstring), and each point reads it through its own weight, so a
+    point's values do not depend on the other points. The standard
+    error is the exact one, ``||C||_F sqrt(antennas / trials)``, with
+    ``||C||_F`` taken over ``w``'s largest entry so that it cannot
+    underflow.
+    """
+    shape = points[0][0]
+    low = _factor(shape, seed, 0, trials * shape.antennas)
+    gram = low @ low.conj().T
+    flat = gram.view(np.float64).ravel()
     reports = []
-    for wsmse, per_user in zip(*_evaluate(points, trials, seed)):
-        if trials > 1:
-            stderr = float(wsmse.std(ddof=1) / np.sqrt(trials))
-        else:
-            stderr = float("nan")
-        reports.append(WsmseReport(wsmse=float(wsmse.mean()), per_user=per_user, stderr=stderr))
+    for cfg, x, b in points:
+        f, w = _point_weight(cfg, x, b)
+        scale = trials * (cfg.antennas * cfg.gains)
+        per_user = np.sum(f.conj() * (gram @ f), axis=0).real / scale
+        top = np.abs(w).max()
+        stderr = top * np.linalg.norm(w / top) * np.sqrt(cfg.antennas / trials)
+        reports.append(WsmseReport(wsmse=float(w @ flat) / trials, per_user=per_user,
+                                   stderr=float(stderr)))
     return reports
 
 
 def run_monte_carlo(cfg, x, b, trials, seed):
     """Empirical normalized WSMSE of the estimator ``y @ b`` on pilots ``x``.
 
-    Evaluates trials ``t = 0 .. trials - 1``, the draws of
-    :func:`trial_errors`, each trial's error taken from its Gram matrix
-    (module docstring). The returned :class:`WsmseReport` carries the
-    mean over trials, its standard error, and the per-user means.
-    Results depend only on ``(cfg, x, b, trials, seed)``; ``trials``
-    must be an integer in ``[1, 2**32]`` and ``seed`` one >= 0.
+    Draws the sum of ``trials`` trials' Gram matrices at once, complex
+    Wishart with ``trials * antennas`` degrees of freedom (module
+    docstring), so the cost does not grow with ``trials``; at one trial
+    the draws are those of ``trial_errors(cfg, x, b, seed, 0)``. The
+    returned :class:`WsmseReport` carries the mean over trials, its exact
+    standard error, and the per-user means. Results depend only on
+    ``(cfg, x, b, trials, seed)``; ``trials`` must be an integer in ``[1,
+    2**32]`` and ``seed`` one >= 0.
     """
     trials = _as_index(trials, "trials", 1, MAX_TRIALS)
     seed = _as_index(seed, "seed", 0)
@@ -404,13 +356,13 @@ def sweep_snr(ecfg):
 
     All points of one pilot length are designed first, each row built
     with its analytic WSMSE and optimizer sweeps, then evaluated on the
-    same Monte Carlo draws with the estimator matrices the designs built,
-    which fills in each row's empirical WSMSE and standard error; each
-    row equals its own :func:`run_monte_carlo`. A row more than 4 exact
-    standard errors (module docstring) from its analytic WSMSE, or not
-    finite, raises :class:`NumericalError`. Pilots that do not depend on
-    the noise variance are designed once per pilot length, at its first
-    SNR point.
+    pilot length's one summed Monte Carlo draw with the estimator
+    matrices the designs built, which fills in each row's empirical WSMSE
+    and exact standard error; each row equals its own
+    :func:`run_monte_carlo`. A row more than 4 of those standard errors
+    (module docstring) from its analytic WSMSE, or not finite, raises
+    :class:`NumericalError`. Pilots that do not depend on the noise
+    variance are designed once per pilot length, at its first SNR point.
     """
     rows = []
     for n in ecfg.pilot_lens:
@@ -432,15 +384,9 @@ def sweep_snr(ecfg):
                     trials=ecfg.trials,
                     sweeps=None if trace is None else trace.sweeps_completed,
                 ))
-        for row, point, emp in zip(designed, points,
-                                   _monte_carlo(points, ecfg.trials, ecfg.seed)):
+        for row, emp in zip(designed, _monte_carlo(points, ecfg.trials, ecfg.seed)):
             label = f"{row.algorithm} @ {row.snr_db} dB"
-            # the exact standard error (module docstring): ||C||_F is the norm of
-            # the weight, taken over its largest entry so that it cannot underflow
-            w = _point_weight(*point)[1]
-            top = np.abs(w).max()
-            se = top * np.linalg.norm(w / top) * np.sqrt(point[0].antennas / ecfg.trials)
-            _consistency_gate(label, row.wsmse_analytic, emp.wsmse, se)
+            _consistency_gate(label, row.wsmse_analytic, emp.wsmse, emp.stderr)
             row.wsmse_empirical, row.stderr = emp.wsmse, emp.stderr
         rows += designed
     return rows

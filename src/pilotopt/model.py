@@ -137,8 +137,10 @@ class WsmseReport:
 
     ``wsmse`` is the weighted sum MSE divided by (users * antennas), so
     ``per_user`` holds each user's MSE per channel coefficient divided
-    by that user's gain and ``wsmse`` is their mean. ``stderr`` is set
-    on Monte Carlo estimates and ``None`` on analytic evaluations.
+    by that user's gain and ``wsmse`` is their mean. ``stderr`` is
+    ``None`` on analytic evaluations; on a Monte Carlo estimate of ``T``
+    trials it is the exact standard error of the mean, ``sqrt(antennas
+    ||C||_F^2 / T)`` (:mod:`pilotopt.harness`), finite at one trial too.
     """
 
     wsmse: float

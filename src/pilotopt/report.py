@@ -81,15 +81,6 @@ def _trace_dict(res):
     }
 
 
-def _sweep_dict(row):
-    # a one-trial row has no standard error: null, as ``sweeps`` when no
-    # optimizer ran
-    out = asdict(row)
-    if not np.isfinite(out["stderr"]):
-        out["stderr"] = None
-    return out
-
-
 def write_json(payload, path):
     """Write ``payload`` as strict JSON, indented, with a final newline.
 
@@ -290,11 +281,11 @@ def _trace_series(results):
 def emit(items, fmt, path):
     """Write sweep rows or convergence results in the requested format.
 
-    CSV uses the fixed headers above; JSON mirrors the row fields, with
-    a one-trial ``stderr`` as null; SVG draws one polyline per
-    initialization against the update index (traces), or per algorithm
-    and SNR point against the pilot length when the rows hold several,
-    otherwise per algorithm against the SNR (sweeps).
+    CSV uses the fixed headers above; JSON mirrors the row fields; SVG
+    draws one polyline per initialization against the update index
+    (traces), or per algorithm and SNR point against the pilot length
+    when the rows hold several, otherwise per algorithm against the SNR
+    (sweeps).
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"format must be one of {FORMATS}, got {fmt!r}")
@@ -306,7 +297,7 @@ def emit(items, fmt, path):
         else:
             write_sweep_csv(items, path)
     elif fmt == "json":
-        write_json([_trace_dict(i) if is_trace else _sweep_dict(i) for i in items], path)
+        write_json([_trace_dict(i) if is_trace else asdict(i) for i in items], path)
     elif is_trace:
         write_svg(
             path,

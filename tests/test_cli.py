@@ -70,16 +70,18 @@ class TestSweepSnrCommand:
         assert len(data) == 6
 
     def test_one_trial_json_is_strict(self, tmp_path):
-        # one trial has no standard error: null, not the NaN that strict
-        # RFC 8259 parsers reject; the CSV keeps nan
+        # one trial has an exact standard error too: a finite number, never
+        # the NaN that strict RFC 8259 parsers reject, and the CSV agrees
         out = tmp_path / "rows.json"
         assert cli.main(["sweep-snr", "--snr-db", "0", "--trials", "1", "--format",
                          "json", "--out", str(out)]) == 0
         data = json.loads(out.read_text(), parse_constant=pytest.fail)
-        assert [row["stderr"] for row in data] == [None, None]
+        stderrs = [row["stderr"] for row in data]
+        assert len(stderrs) == 2 and all(np.isfinite(v) and v > 0 for v in stderrs)
         assert cli.main(["sweep-snr", "--snr-db", "0", "--trials", "1",
                          "--out", str(tmp_path / "rows.csv")]) == 0
-        assert [row["stderr"] for row in read_csv(tmp_path / "rows.csv")] == ["nan", "nan"]
+        rows = read_csv(tmp_path / "rows.csv")
+        assert [float(row["stderr"]) for row in rows] == stderrs
 
     def test_one_point_svg_marks_every_row(self, tmp_path):
         # one SNR: each series is a single point, which a polyline cannot draw

@@ -34,68 +34,91 @@ from pilotopt import (
     sweep_snr,
     trial_errors,
 )
-from pilotopt.harness import _error_map, _evaluate, _trial_weight, _trials_per_chunk
+from pilotopt.harness import _factor, _monte_carlo, _point_weight
 
 DESK_GAINS = reference_gains()[:8]
 ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimate}
 ESTIMATORS = {"proposed": proposed_estimator, "conventional": conventional_estimator}
 
 
-def bartlett_draw(cfg, seed, t):
-    """Trial ``t``'s ``Z = [h, white]``, ``(antennas, K + N)``, from the Wishart law.
+def bartlett_factor(cfg, seed, stream, dof):
+    """The Bartlett factor ``L`` of ``CW(dof, I_(K+N))``, entry by entry.
 
-    The rows of ``Z`` are ``antennas`` independent ``CN(0, D)`` vectors,
-    ``D = diag(g, 1_N)``, so ``R = Z^H Z`` is complex Wishart and equals
-    ``D^(1/2) L L^H D^(1/2)`` for its Bartlett factor ``L``: ``(K + N) x
-    min(K + N, M)`` lower trapezoidal with ``L_ii = sqrt(Gamma(M - i, 1))``
-    and ``CN(0, 1)`` entries below the diagonal. Stream ``(seed, t)``
-    gives the gammas first, then one (real, imaginary) pair of standard
-    normals per entry below the diagonal, row by row. ``Z = [L^H; 0]
-    D^(1/2)`` has that Gram matrix.
+    ``(K + N) x r`` lower trapezoidal, ``r = min(K + N, dof)``, with
+    ``L_ii = sqrt(Gamma(dof - i, 1))`` and ``CN(0, 1)`` entries below the
+    diagonal. Stream ``(seed, stream)`` gives the gammas first, then one
+    (real, imaginary) pair of standard normals per entry below the
+    diagonal, row by row. A run of ``T`` trials draws ``dof = T M`` from
+    stream 0; trial ``t`` alone draws ``dof = M`` from stream ``t``.
     """
-    m, width = cfg.antennas, cfg.users + cfg.pilot_len
-    r = min(width, m)
-    rng = RandomStream(seed, t).generator()
-    gammas = rng.standard_gamma(m - np.arange(r, dtype=float))
-    below = sum(min(i, m) for i in range(width))
+    width = cfg.users + cfg.pilot_len
+    r = min(width, dof)
+    rng = RandomStream(seed, stream).generator()
+    gammas = rng.standard_gamma(dof - np.arange(r, dtype=float))
+    below = sum(min(i, r) for i in range(width))
     pairs = iter(rng.standard_normal((below, 2)) / np.sqrt(2.0))
     low = np.zeros((width, r), dtype=complex)
     for i in range(width):
         if i < r:
             low[i, i] = np.sqrt(gammas[i])
-        for j in range(min(i, m)):
+        for j in range(min(i, r)):
             re, im = next(pairs)
             low[i, j] = complex(re, im)
-    z = np.zeros((m, width), dtype=complex)
-    z[:r] = low.conj().T
-    return z * np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
+    return low
+
+
+def root_scale(cfg):
+    """``D^(1/2)``'s diagonal, ``D = diag(g, 1_N)``."""
+    return np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
+
+
+def direct_errors(cfg, x, estimate, low):
+    """Per-user squared errors summed over the rows of ``Z = L^H D^(1/2)``.
+
+    ``Z``'s Gram matrix is ``D^(1/2) L L^H D^(1/2)``; for the factor of
+    ``T`` trials, ``dof = T M``, the sums are ``T M g_k`` times the
+    per-user means. ``estimate`` maps an ``(M, N)`` block ``y`` to the
+    channel estimate, so ``Z``'s rows go through it ``M`` at a time,
+    the last block padded with zero rows, which add no error.
+    """
+    z = low.conj().T * root_scale(cfg)
+    z = np.concatenate([z, np.zeros((-len(z) % cfg.antennas, z.shape[1]))])
+    err = 0.0
+    for block in z.reshape(-1, cfg.antennas, z.shape[1]):
+        h = block[:, : cfg.users]
+        y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * block[:, cfg.users :])
+        err = err + np.sum(np.abs(estimate(y) - h) ** 2, axis=0)
+    return err
+
+
+def exact_stderr(cfg, x, b, trials):
+    """``sqrt(M ||C||_F^2 / T)`` from the eigenvalues of ``C = D^(1/2) G D^(1/2)``."""
+    f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
+    g = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
+    d = root_scale(cfg)
+    c = np.linalg.eigvalsh(d[:, None] * g * d[None, :])
+    return np.sqrt(cfg.antennas * np.sum(c**2) / trials)
 
 
 def reference_monte_carlo(cfg, x, algorithm, trials, seed):
-    """Trial-by-trial loop over the public layer functions.
+    """A run's ``(wsmse, stderr, per_user)`` over the public layer functions.
 
-    Returns ``(wsmse, stderr, per_user)`` reduced as one ``(trials,
-    users)`` error matrix.
+    Draws the summed factor of ``trials`` trials entry by entry and
+    takes the estimator's error on its ``r`` rows of ``Z``.
     """
-    errs = []
-    for t in range(trials):
-        z = bartlett_draw(cfg, seed, t)
-        h = z[:, : cfg.users]
-        y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * z[:, cfg.users :])
-        err = np.sum(np.abs(ESTIMATES[algorithm](y, x, cfg) - h) ** 2, axis=0)
-        errs.append(err / (cfg.antennas * cfg.gains))
-    errs = np.stack(errs)
-    per_trial = errs.mean(axis=1)
-    stderr = per_trial.std(ddof=1) / np.sqrt(trials) if trials > 1 else np.nan
-    return float(per_trial.mean()), float(stderr), errs.mean(axis=0)
+    low = bartlett_factor(cfg, seed, 0, trials * cfg.antennas)
+    err = direct_errors(cfg, x, lambda y: ESTIMATES[algorithm](y, x, cfg), low)
+    per_user = err / (trials * cfg.antennas * cfg.gains)
+    b = ESTIMATORS[algorithm](x, cfg)
+    return float(per_user.mean()), float(exact_stderr(cfg, x, b, trials)), per_user
 
 
 def assert_matches_reference(rep, cfg, x, algorithm, trials, seed):
-    # the engine reduces each trial through its Gram matrix, the reference
-    # through y @ b - h: the same sums in another order
+    # the engine reduces the summed Gram matrix, the reference Y b - H on
+    # the rows of Z: the same sums in another order
     wsmse, stderr, per_user = reference_monte_carlo(cfg, x, algorithm, trials, seed)
     assert rep.wsmse == pytest.approx(wsmse, rel=1e-13, abs=0.0)
-    assert rep.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0, nan_ok=True)
+    assert rep.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0)
     assert np.allclose(rep.per_user, per_user, rtol=1e-12, atol=0.0)
 
 
@@ -128,20 +151,25 @@ class TestRunMonteCarlo:
         assert rep.wsmse == pytest.approx(0.75, rel=0.02)
 
     def test_deterministic_and_worker_independent(self):
+        # a run is a pure function of its inputs: no generator state leaks in
+        # from runs, trials or sweeps made before it
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
                            gains=[0.9, 0.4, 0.7, 0.2])
         x = design_reuse_pilots(cfg)
         est = conventional_estimator(x, cfg)
-        trials = 2 * _trials_per_chunk(cfg) + 7  # three chunks
-        a = run_monte_carlo(cfg, x, est, trials=trials, seed=5)
-        b = run_monte_carlo(cfg, x, est, trials=trials, seed=5)
+        a = run_monte_carlo(cfg, x, est, trials=119, seed=5)
+        run_monte_carlo(cfg, x, est, trials=7, seed=6)
+        trial_errors(cfg, x, est, 5, 3)
+        sweep_snr(desk_experiment(trials=3))
+        b = run_monte_carlo(cfg, x, est, trials=119, seed=5)
         assert a.wsmse == b.wsmse
         assert np.array_equal(a.per_user, b.per_user)
         assert a.stderr == b.stderr
+        assert run_monte_carlo(cfg, x, est, trials=119, seed=6).wsmse != a.wsmse
 
     def test_both_mode_shares_realizations(self):
-        # one run per algorithm, but both see the same draws: the reference
-        # loop draws trial t from stream t for either one
+        # one run per algorithm, but both read the same summed draw: the
+        # reference draws it once from stream 0 for either one
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
                            gains=[0.9, 0.4, 0.7, 0.2])
         x = design_reuse_pilots(cfg)
@@ -152,22 +180,24 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("dims", [(8, 4, 2), (8, 1, 1), (4, 9, 3), (5, 3, 6)])
     @pytest.mark.parametrize("offset", [None, -1, 1])
     def test_matches_per_trial_reference(self, dims, offset):
-        # one trial, one less and one more than a chunk; K = 1, K above
-        # numpy's 8-wide pairwise block, and N > K
+        # one trial, and the trial counts whose T M falls one step below and
+        # above the factor's width K + N, where the summed factor turns from
+        # trapezoidal to square (at M >= K + N both are square); K = 1, K
+        # above numpy's 8-wide pairwise block, and N > K
         m, k, n = dims
         cfg = SystemConfig(antennas=m, users=k, pilot_len=n, sigma2=0.3,
                            gains=np.linspace(0.2, 1.0, k))
-        trials = 1 if offset is None else _trials_per_chunk(cfg) + offset
+        trials = 1 if offset is None else max(1, -(-(k + n) // m) + offset)
         x = design_reuse_pilots(cfg)
         for algorithm in ("proposed", "conventional"):
             b = ESTIMATORS[algorithm](x, cfg)
             rep = run_monte_carlo(cfg, x, b, trials=trials, seed=3)
             assert_matches_reference(rep, cfg, x, algorithm, trials, 3)
+            # one trial is trial 0 of the direct route
+            one = run_monte_carlo(cfg, x, b, trials=1, seed=3)
             first = trial_errors(cfg, x, b, 3, 0)
-            assert np.allclose(
-                run_monte_carlo(cfg, x, b, trials=1, seed=3).per_user, first,
-                rtol=1e-13, atol=0.0,
-            )
+            assert np.allclose(one.per_user, first, rtol=1e-15, atol=0.0)
+            assert one.wsmse == pytest.approx(first.mean(), rel=1e-15, abs=0.0)
 
     def test_rejects_bad_estimator_and_trials(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
@@ -218,6 +248,23 @@ class TestRunMonteCarlo:
         last = trial_errors(cfg, x, proposed_estimator(x, cfg), 1, 2**32 - 1)
         assert last.shape == (2,) and np.all(np.isfinite(last))
 
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_largest_trial_count_costs_one_draw(self, profile):
+        # 2**32 trials are one factor with 2**32 M degrees of freedom; the
+        # row lands within the gate of the analytic WSMSE
+        if profile == "desk":
+            cfg = SystemConfig(antennas=32, users=8, pilot_len=4, sigma2=1.0)
+        else:
+            cfg = SystemConfig(antennas=128, users=32, pilot_len=16, sigma2=1.0,
+                               gains=reference_gains())
+        for x, build in ((construct_pilots(cfg), proposed_estimator),
+                         (design_reuse_pilots(cfg), conventional_estimator)):
+            b = build(x, cfg)
+            rep = run_monte_carlo(cfg, x, b, 2**32, seed=1)
+            assert rep.stderr == pytest.approx(exact_stderr(cfg, x, b, 2**32), rel=1e-12)
+            assert np.all(np.isfinite(rep.per_user))
+            assert abs(rep.wsmse - analytic_wsmse(x, b, cfg).wsmse) <= 4 * rep.stderr
+
     def test_integer_inputs_accept_numpy_integers(self):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
         x = init_pilots("dft-reuse", cfg)
@@ -228,14 +275,6 @@ class TestRunMonteCarlo:
                               trial_errors(cfg, x, b, 7, 2))
 
     def test_per_user_agreement_with_analytic(self):
-        from pilotopt import (
-            analytic_wsmse,
-            init_pilots,
-            optimize_pilots,
-            proposed_estimator,
-        )
-        from pilotopt.numerics import RandomStream
-
         cfg = SystemConfig(antennas=32, users=4, pilot_len=2, sigma2=0.5,
                            gains=DESK_GAINS[:4])
         x0 = init_pilots("random", cfg, stream=RandomStream(1, 0))
@@ -246,11 +285,16 @@ class TestRunMonteCarlo:
         assert np.all(np.abs(rep.per_user - expected) / expected < 0.02)
 
     def test_stderr_scales_with_trials(self):
-        cfg = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        # the exact standard error: sqrt(M ||C||_F^2 / T), whatever the draw
+        cfg = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0,
+                           gains=[0.3, 0.9])
         x = init_pilots("dft-reuse", cfg)
-        small = run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials=200, seed=3)
-        large = run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials=3200, seed=3)
-        assert large.stderr < small.stderr
+        b = proposed_estimator(x, cfg)
+        small = run_monte_carlo(cfg, x, b, trials=200, seed=3)
+        large = run_monte_carlo(cfg, x, b, trials=3200, seed=3)
+        assert large.stderr == pytest.approx(small.stderr / 4, rel=1e-14)
+        assert small.stderr == pytest.approx(exact_stderr(cfg, x, b, 200), rel=1e-12)
+        assert run_monte_carlo(cfg, x, b, trials=200, seed=4).stderr == small.stderr
 
 
 # (antennas, users, pilot_len, sigma2, estimator): K = 1, N > K, N = K,
@@ -300,9 +344,15 @@ def gram_case(case, index):
     return cfg, x, b
 
 
-def direct_trials(cfg, x, b, trials, seed):
-    """``(trials, users)`` errors of the direct route, one trial at a time."""
-    return np.stack([trial_errors(cfg, x, b, seed, t) for t in range(trials)])
+def summed_direct_route(cfg, x, b, trials, seed):
+    """Per-user means of ``trials`` trials on the direct route, ``y @ b - h``.
+
+    Runs on the ``r`` rows of ``Z = L^H D^(1/2)`` for the engine's own
+    summed factor, ``T M`` degrees of freedom from stream 0, so it checks
+    the engine's algebra and not its draw.
+    """
+    low = _factor(cfg, seed, 0, trials * cfg.antennas)
+    return direct_errors(cfg, x, lambda y: y @ b, low) / (trials * cfg.antennas * cfg.gains)
 
 
 class TestGramEngine:
@@ -311,11 +361,14 @@ class TestGramEngine:
     @pytest.mark.parametrize("index", range(len(GRAM_CASES)))
     def test_matches_direct_route(self, index):
         cfg, x, b = gram_case(GRAM_CASES[index], index)
-        trials = _trials_per_chunk(cfg) + 3  # two chunks
-        per_trial, per_user = _evaluate([(cfg, x, b)], trials, seed=21)
-        direct = direct_trials(cfg, x, b, trials, 21)
-        assert np.allclose(per_trial[0], direct.mean(axis=1), rtol=1e-12, atol=0.0)
-        assert np.allclose(per_user[0], direct.mean(axis=0), rtol=1e-12, atol=0.0)
+        for trials in (1, 7):
+            rep = run_monte_carlo(cfg, x, b, trials, seed=21)
+            direct = summed_direct_route(cfg, x, b, trials, 21)
+            assert rep.wsmse == pytest.approx(direct.mean(), rel=1e-12, abs=0.0)
+            assert np.allclose(rep.per_user, direct, rtol=1e-12, atol=0.0)
+        # at one trial the summed factor is trial 0's
+        assert np.allclose(run_monte_carlo(cfg, x, b, 1, seed=21).per_user,
+                           trial_errors(cfg, x, b, 21, 0), rtol=1e-12, atol=0.0)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
@@ -323,49 +376,47 @@ class TestGramEngine:
     def test_near_noiseless_both_routes_match_long_double(self, index):
         cfg, x, b = gram_case(NEAR_NOISELESS[index], len(GRAM_CASES) + index)
         trials = 30
-        per_trial = _evaluate([(cfg, x, b)], trials, seed=21)[0][0]
-        direct = direct_trials(cfg, x, b, trials, 21).mean(axis=1)
-        # Z F in long double from the same float64 draws, pilots and b
-        z = np.stack([bartlett_draw(cfg, 21, t) for t in range(trials)])
+        gram = run_monte_carlo(cfg, x, b, trials, seed=21)
+        direct = summed_direct_route(cfg, x, b, trials, 21)
+        # Z F in long double from the same float64 draw, pilots and b
+        z = _factor(cfg, 21, 0, trials * cfg.antennas).conj().T * root_scale(cfg)
         z = z.astype(np.clongdouble)
         xl, bl = x.astype(np.clongdouble), b.astype(np.clongdouble)
         f = np.concatenate([xl.conj().T @ bl - np.eye(cfg.users),
                             np.sqrt(np.longdouble(cfg.sigma2)) * bl])
-        err = np.sum(np.abs(z @ f) ** 2, axis=1) / (cfg.antennas * cfg.gains)
-        exact = err.mean(axis=1)
+        exact = np.sum(np.abs(z @ f) ** 2, axis=0) / (trials * cfg.antennas * cfg.gains)
 
         def worst(values):
             return float(np.max(np.abs(values - exact) / exact))
 
-        # both routes lose the same few digits here (worst seen: 3.4e-11 for
-        # the Gram route, 2.1e-11 for the direct one)
-        assert worst(per_trial) < 1e-9
+        # both routes lose the same few digits here
+        assert worst(gram.per_user) < 1e-9
         assert worst(direct) < 1e-9
+        assert abs(gram.wsmse - exact.mean()) / exact.mean() < 1e-9
 
     @pytest.mark.parametrize("index", range(len(GRAM_CASES)))
     def test_weight_mean_is_analytic_wsmse(self, index):
         # a row of Z is u D^(1/2) with u ~ CN(0, I) and D = diag(g, 1_N), so
-        # E <R, G> = M tr(D^(1/2) G D^(1/2))
+        # E <R, G> = M tr(C), C = D^(1/2) G D^(1/2) the matrix the weight holds
         cfg, x, b = gram_case(GRAM_CASES[index], index)
-        w = _trial_weight(cfg, _error_map(cfg, x, b))
-        g = w.view(np.complex128).reshape(cfg.users + cfg.pilot_len, -1)
-        d = np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
-        mean = cfg.antennas * np.trace(d[:, None] * g * d[None, :]).real
+        w = _point_weight(cfg, x, b)[1]
+        c = w.view(np.complex128).reshape(cfg.users + cfg.pilot_len, -1)
+        mean = cfg.antennas * np.trace(c).real
         assert mean == pytest.approx(analytic_wsmse(x, b, cfg).wsmse, rel=1e-12, abs=0.0)
 
-    def test_point_values_do_not_depend_on_company_or_chunk(self, monkeypatch):
+    def test_point_values_do_not_depend_on_company(self):
         cfg, x, b = gram_case(GRAM_CASES[5], 5)
         other = gram_case(GRAM_CASES[4], 4)[1:]
-        trials = 2 * _trials_per_chunk(cfg) + 5
-        alone = _evaluate([(cfg, x, b)], trials, seed=4)
-        shared = _evaluate([(cfg, *other), (cfg, x, b), (cfg, *other)], trials, seed=4)
-        assert np.array_equal(alone[0][0], shared[0][1])
-        assert np.array_equal(alone[1][0], shared[1][1])
-        monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
-        assert np.array_equal(_evaluate([(cfg, x, b)], trials, seed=4)[0], alone[0])
+        alone = _monte_carlo([(cfg, x, b)], 57, seed=4)[0]
+        shared = _monte_carlo([(cfg, *other), (cfg, x, b), (cfg, *other)], 57, seed=4)[1]
+        assert alone.wsmse == shared.wsmse
+        assert alone.stderr == shared.stderr
+        assert np.array_equal(alone.per_user, shared.per_user)
 
     def test_sweep_counts(self, monkeypatch):
-        # a refactor that brings back per-point work changes these counts
+        # a refactor that brings back per-trial or per-point work changes
+        # these counts: one random stream per pilot length, whatever the
+        # trial count, and one solve per proposed design
         calls = dict.fromkeys(
             ["draw_cn", "generator", "solve_hermitian", "received_pilot_signal"], 0)
 
@@ -384,10 +435,15 @@ class TestGramEngine:
         counted(RandomStream, "generator")
         counted(optimizer, "solve_hermitian")
         counted(harness, "received_pilot_signal")
-        ecfg = desk_experiment(snr_db_list=[0.0, 10.0], trials=5)
-        assert len(sweep_snr(ecfg)) == 4
-        # one random stream per trial, one solve per proposed design
-        assert calls == {"draw_cn": 0, "generator": 5, "solve_hermitian": 2,
+        for trials in (5, 5000):
+            calls.update(dict.fromkeys(calls, 0))
+            ecfg = desk_experiment(snr_db_list=[0.0, 10.0], trials=trials)
+            assert len(sweep_snr(ecfg)) == 4
+            assert calls == {"draw_cn": 0, "generator": 1, "solve_hermitian": 2,
+                             "received_pilot_signal": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(sweep_snr(desk_experiment(n_list=[2, 4], trials=5))) == 8
+        assert calls == {"draw_cn": 0, "generator": 2, "solve_hermitian": 4,
                          "received_pilot_signal": 0}
 
     def test_desk_sweep_designs_once(self, monkeypatch):
@@ -419,70 +475,75 @@ class TestGramEngine:
                          "rayleigh_update": 0, "solve_hermitian": 16}
 
 
-# (antennas, users, pilot_len): M >= K + N, and M < K + N, where the
-# Bartlett factor is trapezoidal
-LAW_CASES = [(6, 3, 2), (4, 3, 4)]
-LAW_TRIALS = 20000
+# (antennas, users, pilot_len, trials): T M >= K + N, and T M < K + N at
+# T > 1, where the summed factor is trapezoidal
+LAW_CASES = [(6, 3, 2, 3), (2, 3, 4, 2)]
+LAW_SEEDS = 20000
 
 
 def law_case(case):
-    m, k, n = case
+    m, k, n, trials = case
     cfg = SystemConfig(antennas=m, users=k, pilot_len=n, sigma2=0.5,
                        gains=np.linspace(0.2, 1.0, k)[::-1])
-    return cfg, np.concatenate([cfg.gains, np.ones(n)])
+    return cfg, np.concatenate([cfg.gains, np.ones(n)]), trials
 
 
 class TestFactorLaw:
-    """The factor route's draws against the complex Wishart law ``CW(M, D)``.
+    """The summed factor's draws against the complex Wishart law ``CW(T M, D)``.
 
-    ``R = D^(1/2) L L^H D^(1/2)`` must be the Gram matrix of ``M`` i.i.d.
-    ``CN(0, D)`` rows. Each check holds a sample moment over
-    ``LAW_TRIALS`` trials at a fixed seed within 5 of the law's own
-    standard errors of that moment.
+    ``S = D^(1/2) L L^H D^(1/2)`` must be the sum of ``T`` independent
+    ``CW(M, D)`` Gram matrices, the Gram matrix of ``T M`` i.i.d. ``CN(0,
+    D)`` rows. Each check holds a sample moment over ``LAW_SEEDS`` seeds
+    within 5 of the law's own standard errors of that moment.
     """
 
     @pytest.mark.parametrize("case", LAW_CASES)
     def test_gram_moments(self, case):
-        cfg, d = law_case(case)
-        m, trials = cfg.antennas, LAW_TRIALS
-        low = harness._draws(cfg, 8, 0, trials)
+        cfg, d, trials = law_case(case)
+        n, seeds = trials * cfg.antennas, LAW_SEEDS
+        low = np.stack([_factor(cfg, seed, 0, n) for seed in range(seeds)])
         root = np.sqrt(d)
-        r = root[:, None] * (low @ low.conj().transpose(0, 2, 1)) * root[None, :]
+        s = root[:, None] * (low @ low.conj().transpose(0, 2, 1)) * root[None, :]
         dd = np.outer(d, d)
-        # E R = M D, and E|R_ij - E R_ij|^2 = M d_i d_j for every entry
-        mean = r.mean(axis=0)
-        assert np.all(np.abs(mean - m * np.diag(d)) <= 5 * np.sqrt(m * dd / trials))
-        # off the diagonal E|R_ij|^2 = M d_i d_j, with variance (M^2 + 2M) (d_i d_j)^2
-        second = (np.abs(r) ** 2).mean(axis=0)
+        # E S = T M D, and E|S_ij - E S_ij|^2 = T M d_i d_j for every entry
+        mean = s.mean(axis=0)
+        assert np.all(np.abs(mean - n * np.diag(d)) <= 5 * np.sqrt(n * dd / seeds))
+        # off the diagonal E|S_ij|^2 = T M d_i d_j, with variance
+        # ((T M)^2 + 2 T M) (d_i d_j)^2
+        second = (np.abs(s) ** 2).mean(axis=0)
         off = ~np.eye(len(d), dtype=bool)
-        se = np.sqrt((m * m + 2 * m) / trials) * dd
-        assert np.all(np.abs(second - m * dd)[off] <= 5 * se[off])
-        # R_ii / d_i ~ Gamma(M, 1): E R_ii^2 = M (M + 1) d_i^2, and R_ii^2 has
-        # variance (M (M+1) (M+2) (M+3) - M^2 (M+1)^2) d_i^4
-        fourth = m * (m + 1) * (m + 2) * (m + 3) - (m * (m + 1)) ** 2
-        se = np.sqrt(fourth / trials) * d**2
-        assert np.all(np.abs(second.diagonal() - m * (m + 1) * d**2) <= 5 * se)
+        se = np.sqrt((n * n + 2 * n) / seeds) * dd
+        assert np.all(np.abs(second - n * dd)[off] <= 5 * se[off])
+        # S_ii / d_i ~ Gamma(T M, 1): E S_ii^2 = T M (T M + 1) d_i^2, and
+        # S_ii^2 has variance (n (n+1) (n+2) (n+3) - n^2 (n+1)^2) d_i^4, n = T M
+        fourth = n * (n + 1) * (n + 2) * (n + 3) - (n * (n + 1)) ** 2
+        se = np.sqrt(fourth / seeds) * d**2
+        assert np.all(np.abs(second.diagonal() - n * (n + 1) * d**2) <= 5 * se)
 
     @pytest.mark.parametrize("case", LAW_CASES)
     def test_wsmse_mean_and_variance(self, case):
         # a trial's WSMSE is sum_m u_m C u_m^H with u_m ~ CN(0, I) and
-        # C = D^(1/2) G D^(1/2): mean M tr(C), variance M ||C||_F^2, and the
-        # sample variance has variance kappa_4 / T + 2 kappa_2^2 / (T - 1)
-        # with kappa_r = M (r - 1)! sum_i c_i^r over C's eigenvalues c_i
-        cfg, d = law_case(case)
-        m, trials = cfg.antennas, LAW_TRIALS
+        # C = D^(1/2) G D^(1/2), so a row's mean over T trials has cumulants
+        # kappa_r = T M (r - 1)! sum_i (c_i / T)^r over C's eigenvalues c_i:
+        # mean M tr(C), variance M ||C||_F^2 / T, the reported standard error
+        # squared; the sample variance over seeds has variance
+        # kappa_4 / S + 2 kappa_2^2 / (S - 1)
+        cfg, d, trials = law_case(case)
+        m, seeds = cfg.antennas, LAW_SEEDS
         x = construct_pilots(cfg)
         b = proposed_estimator(x, cfg)
-        per_trial = _evaluate([(cfg, x, b)], trials, seed=9)[0][0]
-        w = _trial_weight(cfg, _error_map(cfg, x, b))
-        g = w.view(np.complex128).reshape(len(d), -1)
-        c = np.linalg.eigvalsh(np.sqrt(d)[:, None] * g * np.sqrt(d)[None, :])
+        reports = [_monte_carlo([(cfg, x, b)], trials, seed)[0] for seed in range(seeds)]
+        means = np.array([rep.wsmse for rep in reports])
+        w = _point_weight(cfg, x, b)[1]
+        c = np.linalg.eigvalsh(w.view(np.complex128).reshape(len(d), -1))
         mean = analytic_wsmse(x, b, cfg).wsmse
         assert mean == pytest.approx(m * c.sum(), rel=1e-12)
-        kappa2, kappa4 = m * np.sum(c**2), 6 * m * np.sum(c**4)
-        assert abs(per_trial.mean() - mean) <= 5 * np.sqrt(kappa2 / trials)
-        se = np.sqrt(kappa4 / trials + 2 * kappa2**2 / (trials - 1))
-        assert abs(per_trial.var(ddof=1) - kappa2) <= 5 * se
+        kappa2 = m * np.sum(c**2) / trials
+        kappa4 = 6 * m * np.sum(c**4) / trials**3
+        assert reports[0].stderr == pytest.approx(np.sqrt(kappa2), rel=1e-12)
+        assert abs(means.mean() - mean) <= 5 * np.sqrt(kappa2 / seeds)
+        se = np.sqrt(kappa4 / seeds + 2 * kappa2**2 / (seeds - 1))
+        assert abs(means.var(ddof=1) - kappa2) <= 5 * se
 
 
 class TestDesignPilots:
@@ -548,7 +609,7 @@ class TestSweepSnr:
         # the sweep evaluates every point of one pilot length on shared
         # draws; each row must equal its own run_monte_carlo
         ecfg = desk_experiment(n_list=[2, 4], snr_db_list=[-5.0, 0.0, 10.0])
-        trials = _trials_per_chunk(replace(ecfg.base, pilot_len=4)) + 1
+        trials = 57
         ecfg = replace(ecfg, trials=trials)
         rows = sweep_snr(ecfg)
         assert len(rows) == 12
@@ -563,14 +624,14 @@ class TestSweepSnr:
 
 
     def test_non_finite_wsmse_is_a_numerical_error(self, monkeypatch):
-        evaluate = harness._evaluate
+        factor = harness._factor
 
-        def poisoned(points, trials, seed):
-            per_trial, per_user = evaluate(points, trials, seed)
-            per_trial[-1, 0] = np.nan
-            return per_trial, per_user
+        def poisoned(cfg, seed, stream_id, dof):
+            low = factor(cfg, seed, stream_id, dof)
+            low[-1, 0] = np.nan
+            return low
 
-        monkeypatch.setattr(harness, "_evaluate", poisoned)
+        monkeypatch.setattr(harness, "_factor", poisoned)
         with pytest.raises(NumericalError, match="WSMSE is not finite"):
             sweep_snr(desk_experiment(trials=5))
         with pytest.raises(NumericalError, match="WSMSE is not finite"):
@@ -579,14 +640,14 @@ class TestSweepSnr:
     @staticmethod
     def louder_noise(monkeypatch, scale):
         """Scale the noise rows of every Bartlett factor, the noise amplitude, by ``scale``."""
-        draws = harness._draws
+        factor = harness._factor
 
-        def louder(cfg, seed, start, stop):
-            low = draws(cfg, seed, start, stop)
-            low[:, cfg.users :] *= scale
+        def louder(cfg, seed, stream_id, dof):
+            low = factor(cfg, seed, stream_id, dof)
+            low[cfg.users :] *= scale
             return low
 
-        monkeypatch.setattr(harness, "_draws", louder)
+        monkeypatch.setattr(harness, "_factor", louder)
 
     @pytest.mark.parametrize("profile", ["desk", "paper"])
     def test_gate_catches_louder_noise(self, monkeypatch, profile):
@@ -606,9 +667,13 @@ class TestSweepSnr:
             sweep_snr(ecfg)
 
     def test_one_trial_rows_are_gated(self, monkeypatch):
-        # a one-trial row has no sample standard error, but it has an exact one
+        # a one-trial row has no sample standard error, but it has an exact
+        # one: the row reports it and the gate divides by it
         ecfg = desk_experiment(trials=1)
-        assert np.isnan(sweep_snr(ecfg)[0].stderr)
+        row = sweep_snr(ecfg)[0]
+        cfg = ecfg.point(row.snr_db, row.n)
+        x, b, _, _ = design_pilots(row.algorithm, cfg, ecfg)
+        assert row.stderr == pytest.approx(exact_stderr(cfg, x, b, 1), rel=1e-12)
         self.louder_noise(monkeypatch, 2.0)
         with pytest.raises(NumericalError, match="more than 4 standard errors"):
             sweep_snr(ecfg)

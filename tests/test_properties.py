@@ -170,7 +170,7 @@ def command_lines(draw):
 
 
 def _assert_finite_output(argv, path):
-    """Every number ``path`` holds is finite, but a one-trial CSV row's stderr."""
+    """Every number ``path`` holds is finite."""
     text = path.read_text()
     fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "csv")
     if argv[0] == "optimize":
@@ -186,7 +186,7 @@ def _assert_finite_output(argv, path):
                     value = float(cell)
                 except ValueError:
                     continue
-                assert np.isfinite(value) or (name == "stderr" and row["trials"] == "1"), row
+                assert np.isfinite(value), (name, row)
 
 
 @settings(PROPERTY, max_examples=300)
