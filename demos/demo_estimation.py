@@ -34,16 +34,16 @@ cfg = SystemConfig(
 
 experiment = ExperimentConfig(base=cfg, snr_db_list=[SNR_DB], seed=SEED)
 
-# Monte Carlo trial 0 of each design: both estimators see the same
+# one seeded Monte Carlo trial of each design: both estimators see the same
 # channel and noise realization
 x_reuse, b_reuse, conv_ana, _ = design_pilots("conventional", cfg, experiment)
-conv_per_user = trial_errors(cfg, x_reuse, b_reuse, SEED, 0)
+conv_per_user = trial_errors(cfg, x_reuse, b_reuse, SEED)
 conv_expect = conv_ana.per_user
 
 # optimized pilots with the matched combiner: constructed as the optimum
 # unless the experiment names an optimizer start
 x_opt, b_opt, prop_ana, trace = design_pilots("proposed", cfg, experiment)
-prop_per_user = trial_errors(cfg, x_opt, b_opt, SEED, 0)
+prop_per_user = trial_errors(cfg, x_opt, b_opt, SEED)
 prop_expect = prop_ana.per_user
 
 how = "constructed" if trace is None else f"optimized in {trace.sweeps_completed} sweeps"

@@ -169,12 +169,12 @@ def _cmd_optimize(ecfg, args):
 
 
 def _cmd_estimate(ecfg, args):
-    """Design each algorithm's pilots and run Monte Carlo trial 0 on them."""
+    """Design each algorithm's pilots and run one seeded Monte Carlo trial on them."""
     snr, cfg = ecfg.single_point()
     payload = {"snr_db": snr, "n": cfg.pilot_len, "algorithms": {}}
     for algorithm in ecfg.algorithms:
         x, b, ana, _ = design_pilots(algorithm, cfg, ecfg)
-        per_user = trial_errors(cfg, x, b, ecfg.seed, 0)
+        per_user = trial_errors(cfg, x, b, ecfg.seed)
         payload["algorithms"][algorithm] = {
             "wsmse_analytic": ana.wsmse,
             "wsmse_realized": float(per_user.mean()),

@@ -15,39 +15,40 @@ forms only its estimator.
 A design's estimator ``b`` is fixed by its pilots, so it is built once.
 Its error on a trial is linear in the draws: with ``Z = [h, white]``
 (the channel beside the unit-variance noise) and ``F = [x^H b - I;
-sqrt(sigma2) b]``, the estimate minus the channel is ``Z F``. A trial's
-WSMSE is therefore the inner product of its Gram matrix ``R = Z^H Z``
-with ``G = F diag(1 / (K M g)) F^H``, and the mean over ``T`` trials is
-the inner product of their sum ``S = sum_t R_t`` with ``G``, divided by
-``T``; the per-user means are quadratic forms on ``S`` too. ``S`` holds
-no design and no noise variance, so within one pilot length every SNR
-point and both algorithms share it.
+sqrt(sigma2) b]``, the estimate minus the channel is ``Z F``, and user
+``k``'s squared error is that block's column ``k`` squared. Summed over
+``T`` trials, those column sums depend on the stacked ``Z`` only
+through its Gram matrix ``S = sum_t Z_t^H Z_t``, which holds no design
+and no noise variance, so within one pilot length every SNR point and
+both algorithms share it.
 
 ``Z``'s rows are ``antennas`` independent ``CN(0, D)`` vectors with
-``D = diag(g, 1_N)``, so ``R`` is complex Wishart ``CW(antennas, D)``
-and ``S``, a sum of ``T`` independent ones, is ``CW(T antennas, D)``
-(Goodman 1963). Both are drawn from a Bartlett factor (Edelman 1989):
-``D^(1/2) L L^H D^(1/2)`` with ``L`` ``(K + N) x r`` lower trapezoidal
-for ``dof`` degrees of freedom, ``r = min(K + N, dof)``, ``L_ii =
-sqrt(Gamma(dof - i, 1))`` for ``i < r`` and i.i.d. ``CN(0, 1)`` entries
-below the diagonal. A run of ``T`` trials draws its one ``L`` with
-``dof = T antennas`` from stream id 0, whatever ``T`` is, so a row
-costs one factor and one inner product. Stream id ``t < 2**32`` is used
-only by :func:`trial_errors`, which draws trial ``t``'s ``L`` with
-``dof = antennas``; at ``T = 1`` the run's factor is trial 0's bit for
-bit. The optimizer's random initialization, when requested, draws from
-stream id ``2**33``. ``D^(1/2)`` is folded into each point's weight,
-never applied to the factor. :func:`trial_errors` builds ``Z = L^H
-D^(1/2)``, whose Gram matrix is ``R``, and stays on the direct route
-(received block, ``y @ b - h``) as the independent check of that
-algebra.
+``D = diag(g, 1_N)``, so a trial's Gram matrix is complex Wishart
+``CW(antennas, D)`` and ``S``, a sum of ``T`` independent ones, is
+``CW(T antennas, D)`` (Goodman 1963). It is drawn from a Bartlett
+factor (Edelman 1989): ``D^(1/2) L L^H D^(1/2)`` with ``L`` ``(K + N) x
+r`` lower trapezoidal for ``dof`` degrees of freedom, ``r = min(K + N,
+dof)``, ``L_ii = sqrt(Gamma(dof - i, 1))`` for ``i < r`` and i.i.d.
+``CN(0, 1)`` entries below the diagonal. The ``r`` rows of ``L^H
+D^(1/2)`` have the Gram matrix ``S``, so they stand in for all ``T
+antennas`` rows: a point's error block is ``E = L^H D^(1/2) F``, user
+``k``'s mean is ``||E[:, k]||^2 / (T antennas g_k)`` and the row's
+WSMSE is the mean of those. Every factor is drawn from stream id 0: a
+run of ``T`` trials draws its one ``L`` with ``dof = T antennas``,
+whatever ``T`` is, so a row costs one factor and one product, and
+:func:`trial_errors` draws one trial's ``L`` with ``dof = antennas``,
+so at ``T = 1`` the run's factor is the trial's bit for bit. The
+optimizer's random initialization, when requested, draws from stream
+id ``2**33``. :func:`trial_errors` builds ``Z = L^H D^(1/2)`` and stays
+on the direct route (received block, ``y @ b - h``) as the independent
+check of that algebra.
 
 A row of ``Z`` is ``u D^(1/2)``, ``u ~ CN(0, I)``, so a trial's WSMSE is
-``sum_m u_m C u_m^H`` with ``C = D^(1/2) G D^(1/2)``: mean ``antennas
-tr(C)``, the analytic WSMSE, and variance ``antennas ||C||_F^2``. A
-row's standard error is the exact ``sqrt(antennas ||C||_F^2 / T)``, and
-:func:`sweep_snr` gates each row on it, so a defect that inflates the
-variance cannot widen its own gate.
+``sum_m u_m C u_m^H`` with ``C = D^(1/2) F diag(1 / (K M g)) F^H
+D^(1/2)``: mean ``antennas tr(C)``, the analytic WSMSE, and variance
+``antennas ||C||_F^2``. A row's standard error is the exact
+``sqrt(antennas ||C||_F^2 / T)``, and :func:`sweep_snr` gates each row
+on it, so a defect that inflates the variance cannot widen its own gate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -74,7 +75,8 @@ from .optimizer import (
     proposed_estimator,
 )
 
-# Trial ids lie in [0, 2**32), below the random start's stream id.
+# Trial counts stop at 2**32; Monte Carlo draws from stream 0 and the
+# optimizer's random start from stream 2**33.
 MAX_TRIALS = 2**32
 INIT_STREAM_ID = 2**33
 
@@ -180,11 +182,11 @@ class ConvergenceResult:
     updates_to_converge: int
 
 
-def _factor(cfg, seed, stream_id, dof):
+def _factor(cfg, seed, dof):
     """Bartlett factor ``L`` of ``CW(dof, I)``, ``(K + N, r)`` with ``r = min(K + N, dof)``.
 
-    Draws from stream ``(seed, stream_id)``: first ``Gamma(dof - i, 1)``
-    for ``i < r``, whose square roots fill the diagonal, then the entries
+    Draws from stream ``(seed, 0)``: first ``Gamma(dof - i, 1)`` for ``i
+    < r``, whose square roots fill the diagonal, then the entries
     strictly below the diagonal row by row, each a pair of standard
     normals (real, imaginary) times ``1/sqrt(2)``, as
     :func:`~pilotopt.numerics.draw_cn` scales them. ``L L^H`` then has
@@ -192,7 +194,7 @@ def _factor(cfg, seed, stream_id, dof):
     """
     width = cfg.users + cfg.pilot_len
     r = min(width, dof)
-    rng = RandomStream(seed, stream_id).generator()
+    rng = RandomStream(seed, 0).generator()
     low = np.zeros((width, r), dtype=np.complex128)
     # float(dof): a Python int past int64 would make an object array on numpy 1.x
     np.fill_diagonal(low, np.sqrt(rng.standard_gamma(float(dof) - np.arange(r, dtype=np.float64))))
@@ -204,47 +206,31 @@ def _factor(cfg, seed, stream_id, dof):
 
 
 def _root_scale(cfg):
-    """The diagonal of ``D^(1/2) = diag(sqrt(g), 1_N)``: ``R = D^(1/2) L L^H D^(1/2)``."""
+    """The diagonal of ``D^(1/2) = diag(sqrt(g), 1_N)``: ``Z = L^H D^(1/2)``."""
     return np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
 
 
-def trial_errors(cfg, x, b, seed, t):
+def trial_errors(cfg, x, b, seed):
     """Per-user normalized squared error of one seeded trial.
 
-    Trial ``t`` draws its Bartlett factor ``L`` from stream ``t`` with
+    The trial draws its Bartlett factor ``L`` from stream 0 with
     ``antennas`` degrees of freedom and builds the channel and the
     unit-variance noise as the columns of ``Z = L^H D^(1/2)`` (module
     docstring), ``min(K + N, antennas)`` rows whose Gram matrix is that
     of all ``antennas``. It forms the received training block on pilots
     ``x``, estimates the channel as ``y @ b`` and returns each user's
-    squared error divided by ``antennas * g_k``. Trial 0 sees the draws
-    of a one-trial :func:`run_monte_carlo` but shares none of its
-    algebra, so it is the direct check of that engine. ``seed`` must be
-    an integer >= 0 and ``t`` one in ``[0, 2**32)``, so that no trial
-    draws from the optimizer's random start.
+    squared error divided by ``antennas * g_k``. It sees the draws of a
+    one-trial :func:`run_monte_carlo` but shares none of its algebra, so
+    it is the direct check of that engine. ``seed`` must be an integer
+    >= 0.
     """
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     seed = _as_index(seed, "seed", 0)
-    t = _as_index(t, "t", 0, MAX_TRIALS - 1)
-    z = _factor(cfg, seed, t, cfg.antennas).conj().T * _root_scale(cfg)
+    z = _factor(cfg, seed, cfg.antennas).conj().T * _root_scale(cfg)
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
     err = np.sum(np.abs(y @ b - h) ** 2, axis=0)
     return err / (cfg.antennas * cfg.gains)
-
-
-def _point_weight(cfg, x, b):
-    """``(D^(1/2) F, w)``: a point's scaled error map and the float64 view of ``C``.
-
-    ``F = [x^H b - I; sqrt(sigma2) b]`` and ``C = D^(1/2) F diag(1 / (K
-    M g)) F^H D^(1/2)``. ``C`` and a Gram matrix ``S`` are Hermitian, so
-    ``Re tr(S C)`` is ``sum Re S_ij Re C_ij + Im S_ij Im C_ij``: the dot
-    product of ``w`` with the float64 view of ``L L^H``'s entries.
-    """
-    f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
-    f = _root_scale(cfg)[:, None] * f
-    c = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
-    return f, c.view(np.float64).ravel()
 
 
 def _monte_carlo(points, trials, seed):
@@ -252,26 +238,28 @@ def _monte_carlo(points, trials, seed):
 
     Every point must have the dimensions and gains of the first; they
     may differ in noise variance, pilots and estimator matrix ``b``. The
-    summed Gram matrix of trials ``0 .. trials - 1`` is drawn once, as
-    ``L L^H`` with ``trials * antennas`` degrees of freedom (module
-    docstring), and each point reads it through its own weight, so a
-    point's values do not depend on the other points. The standard
-    error is the exact one, ``||C||_F sqrt(antennas / trials)``, with
-    ``||C||_F`` taken over ``w``'s largest entry so that it cannot
-    underflow.
+    Bartlett factor ``L`` of trials ``0 .. trials - 1`` is drawn once,
+    with ``trials * antennas`` degrees of freedom, and each point maps it
+    through its own ``D^(1/2) F`` into the error block ``E`` (module
+    docstring), so a point's values do not depend on the other points.
+    The per-user means are ``E``'s squared column norms over ``trials
+    antennas g_k`` and the WSMSE is their mean. The standard error is
+    the exact one, ``||C||_F sqrt(antennas / trials)``, with ``||C||_F``
+    taken over the largest real or imaginary part of ``C`` so that it
+    cannot underflow.
     """
     shape = points[0][0]
-    low = _factor(shape, seed, 0, trials * shape.antennas)
-    gram = low @ low.conj().T
-    flat = gram.view(np.float64).ravel()
+    low_h = _factor(shape, seed, trials * shape.antennas).conj().T
     reports = []
     for cfg, x, b in points:
-        f, w = _point_weight(cfg, x, b)
-        scale = trials * (cfg.antennas * cfg.gains)
-        per_user = np.sum(f.conj() * (gram @ f), axis=0).real / scale
-        top = np.abs(w).max()
-        stderr = top * np.linalg.norm(w / top) * np.sqrt(cfg.antennas / trials)
-        reports.append(WsmseReport(wsmse=float(w @ flat) / trials, per_user=per_user,
+        f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
+        f = _root_scale(cfg)[:, None] * f
+        per_user = np.sum(np.abs(low_h @ f) ** 2, axis=0) / (trials * (cfg.antennas * cfg.gains))
+        c = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
+        parts = c.view(np.float64)
+        top = np.abs(parts).max()
+        stderr = top * np.linalg.norm(parts / top) * np.sqrt(cfg.antennas / trials)
+        reports.append(WsmseReport(wsmse=float(np.mean(per_user)), per_user=per_user,
                                    stderr=float(stderr)))
     return reports
 
@@ -279,14 +267,14 @@ def _monte_carlo(points, trials, seed):
 def run_monte_carlo(cfg, x, b, trials, seed):
     """Empirical normalized WSMSE of the estimator ``y @ b`` on pilots ``x``.
 
-    Draws the sum of ``trials`` trials' Gram matrices at once, complex
-    Wishart with ``trials * antennas`` degrees of freedom (module
-    docstring), so the cost does not grow with ``trials``; at one trial
-    the draws are those of ``trial_errors(cfg, x, b, seed, 0)``. The
-    returned :class:`WsmseReport` carries the mean over trials, its exact
-    standard error, and the per-user means. Results depend only on
-    ``(cfg, x, b, trials, seed)``; ``trials`` must be an integer in ``[1,
-    2**32]`` and ``seed`` one >= 0.
+    Draws one Bartlett factor for all ``trials`` trials, with ``trials *
+    antennas`` degrees of freedom (module docstring), so the cost does
+    not grow with ``trials``; at one trial the draws are those of
+    ``trial_errors(cfg, x, b, seed)``. The returned :class:`WsmseReport`
+    carries the per-user means over trials, their mean, and its exact
+    standard error. Results depend only on ``(cfg, x, b, trials,
+    seed)``; ``trials`` must be an integer in ``[1, 2**32]`` and ``seed``
+    one >= 0.
     """
     trials = _as_index(trials, "trials", 1, MAX_TRIALS)
     seed = _as_index(seed, "seed", 0)

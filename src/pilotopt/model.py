@@ -137,7 +137,8 @@ class WsmseReport:
 
     ``wsmse`` is the weighted sum MSE divided by (users * antennas), so
     ``per_user`` holds each user's MSE per channel coefficient divided
-    by that user's gain and ``wsmse`` is their mean. ``stderr`` is
+    by that user's gain and ``wsmse`` is their mean, exactly
+    ``float(np.mean(per_user))``. ``stderr`` is
     ``None`` on analytic evaluations; on a Monte Carlo estimate of ``T``
     trials it is the exact standard error of the mean, ``sqrt(antennas
     ||C||_F^2 / T)`` (:mod:`pilotopt.harness`), finite at one trial too.

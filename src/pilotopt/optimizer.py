@@ -77,8 +77,15 @@ def gram_matrix(x, cfg):
 
 
 def objective(x, cfg):
-    """Design objective ``tr(A^{-1})``, evaluated as the sum of 1/eigenvalue."""
-    w = np.linalg.eigvalsh(gram_matrix(x, cfg))
+    """Design objective ``tr(A^{-1})``, evaluated as the sum of 1/eigenvalue.
+
+    ``A``'s eigenvalues are ``s_i^2 + sigma2`` over the singular values
+    ``s`` of ``x diag(sqrt(g))``, padded with zeros to ``pilot_len``:
+    that keeps their relative accuracy where ``sigma2`` is far below the
+    pilot energy, which an eigensolve of the formed ``A`` loses.
+    """
+    s = np.linalg.svd(_check_pilots(x, cfg) * np.sqrt(cfg.gains), compute_uv=False)
+    w = np.concatenate([np.zeros(cfg.pilot_len - s.size), s[::-1] ** 2]) + cfg.sigma2
     require_nonsingular(w, "objective Gram matrix")
     return float(np.sum(1.0 / w))
 

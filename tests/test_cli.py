@@ -301,7 +301,7 @@ class TestEstimateCommand:
         ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=5)
         for algorithm in ("proposed", "conventional"):
             x, b, _, _ = design_pilots(algorithm, cfg, ecfg)
-            expected = trial_errors(cfg, x, b, 5, 0)
+            expected = trial_errors(cfg, x, b, 5)
             entry = data["algorithms"][algorithm]
             assert entry["per_user_realized"] == [float(v) for v in expected]
 

@@ -34,26 +34,26 @@ from pilotopt import (
     sweep_snr,
     trial_errors,
 )
-from pilotopt.harness import _factor, _monte_carlo, _point_weight
+from pilotopt.harness import _factor, _monte_carlo
 
 DESK_GAINS = reference_gains()[:8]
 ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimate}
 ESTIMATORS = {"proposed": proposed_estimator, "conventional": conventional_estimator}
 
 
-def bartlett_factor(cfg, seed, stream, dof):
+def bartlett_factor(cfg, seed, dof):
     """The Bartlett factor ``L`` of ``CW(dof, I_(K+N))``, entry by entry.
 
     ``(K + N) x r`` lower trapezoidal, ``r = min(K + N, dof)``, with
     ``L_ii = sqrt(Gamma(dof - i, 1))`` and ``CN(0, 1)`` entries below the
-    diagonal. Stream ``(seed, stream)`` gives the gammas first, then one
+    diagonal. Stream ``(seed, 0)`` gives the gammas first, then one
     (real, imaginary) pair of standard normals per entry below the
-    diagonal, row by row. A run of ``T`` trials draws ``dof = T M`` from
-    stream 0; trial ``t`` alone draws ``dof = M`` from stream ``t``.
+    diagonal, row by row. A run of ``T`` trials draws ``dof = T M``; one
+    trial alone draws ``dof = M``.
     """
     width = cfg.users + cfg.pilot_len
     r = min(width, dof)
-    rng = RandomStream(seed, stream).generator()
+    rng = RandomStream(seed, 0).generator()
     gammas = rng.standard_gamma(dof - np.arange(r, dtype=float))
     below = sum(min(i, r) for i in range(width))
     pairs = iter(rng.standard_normal((below, 2)) / np.sqrt(2.0))
@@ -91,12 +91,17 @@ def direct_errors(cfg, x, estimate, low):
     return err
 
 
-def exact_stderr(cfg, x, b, trials):
-    """``sqrt(M ||C||_F^2 / T)`` from the eigenvalues of ``C = D^(1/2) G D^(1/2)``."""
+def weight_matrix(cfg, x, b):
+    """``C = D^(1/2) F diag(1 / (K M g)) F^H D^(1/2)``, ``F = [x^H b - I; sqrt(sigma2) b]``."""
     f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
     g = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
     d = root_scale(cfg)
-    c = np.linalg.eigvalsh(d[:, None] * g * d[None, :])
+    return d[:, None] * g * d[None, :]
+
+
+def exact_stderr(cfg, x, b, trials):
+    """``sqrt(M ||C||_F^2 / T)`` from the eigenvalues of :func:`weight_matrix`."""
+    c = np.linalg.eigvalsh(weight_matrix(cfg, x, b))
     return np.sqrt(cfg.antennas * np.sum(c**2) / trials)
 
 
@@ -106,7 +111,7 @@ def reference_monte_carlo(cfg, x, algorithm, trials, seed):
     Draws the summed factor of ``trials`` trials entry by entry and
     takes the estimator's error on its ``r`` rows of ``Z``.
     """
-    low = bartlett_factor(cfg, seed, 0, trials * cfg.antennas)
+    low = bartlett_factor(cfg, seed, trials * cfg.antennas)
     err = direct_errors(cfg, x, lambda y: ESTIMATES[algorithm](y, x, cfg), low)
     per_user = err / (trials * cfg.antennas * cfg.gains)
     b = ESTIMATORS[algorithm](x, cfg)
@@ -114,8 +119,8 @@ def reference_monte_carlo(cfg, x, algorithm, trials, seed):
 
 
 def assert_matches_reference(rep, cfg, x, algorithm, trials, seed):
-    # the engine reduces the summed Gram matrix, the reference Y b - H on
-    # the rows of Z: the same sums in another order
+    # the engine maps the summed factor through F, the reference through
+    # Y b - H on the rows of Z: the same sums in another order
     wsmse, stderr, per_user = reference_monte_carlo(cfg, x, algorithm, trials, seed)
     assert rep.wsmse == pytest.approx(wsmse, rel=1e-13, abs=0.0)
     assert rep.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0)
@@ -150,7 +155,7 @@ class TestRunMonteCarlo:
                               seed=42)
         assert rep.wsmse == pytest.approx(0.75, rel=0.02)
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic_and_independent_of_earlier_runs(self):
         # a run is a pure function of its inputs: no generator state leaks in
         # from runs, trials or sweeps made before it
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.5,
@@ -159,7 +164,7 @@ class TestRunMonteCarlo:
         est = conventional_estimator(x, cfg)
         a = run_monte_carlo(cfg, x, est, trials=119, seed=5)
         run_monte_carlo(cfg, x, est, trials=7, seed=6)
-        trial_errors(cfg, x, est, 5, 3)
+        trial_errors(cfg, x, est, 5)
         sweep_snr(desk_experiment(trials=3))
         b = run_monte_carlo(cfg, x, est, trials=119, seed=5)
         assert a.wsmse == b.wsmse
@@ -193,9 +198,9 @@ class TestRunMonteCarlo:
             b = ESTIMATORS[algorithm](x, cfg)
             rep = run_monte_carlo(cfg, x, b, trials=trials, seed=3)
             assert_matches_reference(rep, cfg, x, algorithm, trials, 3)
-            # one trial is trial 0 of the direct route
+            # one trial is the direct route's trial
             one = run_monte_carlo(cfg, x, b, trials=1, seed=3)
-            first = trial_errors(cfg, x, b, 3, 0)
+            first = trial_errors(cfg, x, b, 3)
             assert np.allclose(one.per_user, first, rtol=1e-15, atol=0.0)
             assert one.wsmse == pytest.approx(first.mean(), rel=1e-15, abs=0.0)
 
@@ -208,7 +213,7 @@ class TestRunMonteCarlo:
             with pytest.raises(ContractViolation, match=f"^{name} shape"):
                 run_monte_carlo(cfg, bad_x, bad_b, trials=10, seed=1)
             with pytest.raises(ContractViolation, match=f"^{name} shape"):
-                trial_errors(cfg, bad_x, bad_b, 1, 0)
+                trial_errors(cfg, bad_x, bad_b, 1)
         with pytest.raises(ConfigurationError):
             run_monte_carlo(cfg, x, b, trials=0, seed=1)
 
@@ -218,7 +223,6 @@ class TestRunMonteCarlo:
         (0, 1, "trials must be >= 1, got 0"),
         (2, 1.5, "seed must be an integer, got 1.5"),
         (2, -1, "seed must be >= 0, got -1"),
-        # trial ids stop below 2**32, under the random start's stream 2**33
         (2**32 + 1, 1, "trials must be <= 4294967296, got 4294967297"),
     ])
     def test_monte_carlo_integer_inputs_rejected_by_name(self, trials, seed, message):
@@ -227,26 +231,15 @@ class TestRunMonteCarlo:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             run_monte_carlo(cfg, x, proposed_estimator(x, cfg), trials, seed)
 
-    @pytest.mark.parametrize("seed, t, message", [
-        (1.5, 0, "seed must be an integer, got 1.5"),
-        (-1, 0, "seed must be >= 0, got -1"),
-        (1, 0.0, "t must be an integer, got 0.0"),
-        (1, -1, "t must be >= 0, got -1"),
-        # trial ids stop below 2**32; 2**33 is the optimizer's random start
-        (1, 2**32, "t must be <= 4294967295, got 4294967296"),
-        (1, 2**33, "t must be <= 4294967295, got 8589934592"),
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
     ])
-    def test_trial_integer_inputs_rejected_by_name(self, seed, t, message):
+    def test_trial_integer_inputs_rejected_by_name(self, seed, message):
         cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
         x = init_pilots("dft-reuse", cfg)
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            trial_errors(cfg, x, proposed_estimator(x, cfg), seed, t)
-
-    def test_last_trial_id_is_accepted(self):
-        cfg = SystemConfig(antennas=2, users=2, pilot_len=1, sigma2=1.0)
-        x = init_pilots("dft-reuse", cfg)
-        last = trial_errors(cfg, x, proposed_estimator(x, cfg), 1, 2**32 - 1)
-        assert last.shape == (2,) and np.all(np.isfinite(last))
+            trial_errors(cfg, x, proposed_estimator(x, cfg), seed)
 
     @pytest.mark.parametrize("profile", ["desk", "paper"])
     def test_largest_trial_count_costs_one_draw(self, profile):
@@ -271,8 +264,38 @@ class TestRunMonteCarlo:
         b = proposed_estimator(x, cfg)
         rep = run_monte_carlo(cfg, x, b, np.int64(3), np.uint32(7))
         assert rep.wsmse == run_monte_carlo(cfg, x, b, 3, 7).wsmse
-        assert np.array_equal(trial_errors(cfg, x, b, np.int64(7), np.int32(2)),
-                              trial_errors(cfg, x, b, 7, 2))
+        assert np.array_equal(trial_errors(cfg, x, b, np.int64(7)), trial_errors(cfg, x, b, 7))
+
+    @pytest.mark.parametrize("algorithm", ["proposed", "conventional"])
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_wsmse_is_exactly_the_mean_of_per_user(self, profile, algorithm):
+        # one reduction: the WSMSE is read off the per-user means, not
+        # reduced again from the draw
+        if profile == "desk":
+            cfg = SystemConfig(antennas=32, users=8, pilot_len=4, sigma2=1.0)
+        else:
+            cfg = SystemConfig(antennas=128, users=32, pilot_len=16, sigma2=1.0,
+                               gains=reference_gains())
+        x = design_pilots(algorithm, cfg, desk_experiment())[0]
+        b = ESTIMATORS[algorithm](x, cfg)
+        for seed in range(20):
+            rep = run_monte_carlo(cfg, x, b, 200, seed)
+            assert rep.wsmse == float(np.mean(rep.per_user))
+
+    def test_sweep_rows_are_the_mean_of_per_user(self, monkeypatch):
+        reports = []
+
+        def kept(*args):
+            reports.extend(_monte_carlo(*args))
+            return reports[-len(args[0]):]
+
+        monkeypatch.setattr(harness, "_monte_carlo", kept)
+        base = SystemConfig(antennas=32, users=8, pilot_len=4, sigma2=1.0)
+        grid = [float(v) for v in range(-10, 21, 2)]
+        rows = sweep_snr(ExperimentConfig(base=base, snr_db_list=grid, trials=200, seed=1))
+        assert len(rows) == len(reports) == 32
+        for row, rep in zip(rows, reports):
+            assert row.wsmse_empirical == float(np.mean(rep.per_user))
 
     def test_per_user_agreement_with_analytic(self):
         cfg = SystemConfig(antennas=32, users=4, pilot_len=2, sigma2=0.5,
@@ -351,7 +374,7 @@ def summed_direct_route(cfg, x, b, trials, seed):
     summed factor, ``T M`` degrees of freedom from stream 0, so it checks
     the engine's algebra and not its draw.
     """
-    low = _factor(cfg, seed, 0, trials * cfg.antennas)
+    low = _factor(cfg, seed, trials * cfg.antennas)
     return direct_errors(cfg, x, lambda y: y @ b, low) / (trials * cfg.antennas * cfg.gains)
 
 
@@ -366,9 +389,9 @@ class TestGramEngine:
             direct = summed_direct_route(cfg, x, b, trials, 21)
             assert rep.wsmse == pytest.approx(direct.mean(), rel=1e-12, abs=0.0)
             assert np.allclose(rep.per_user, direct, rtol=1e-12, atol=0.0)
-        # at one trial the summed factor is trial 0's
+        # at one trial the summed factor is the single trial's
         assert np.allclose(run_monte_carlo(cfg, x, b, 1, seed=21).per_user,
-                           trial_errors(cfg, x, b, 21, 0), rtol=1e-12, atol=0.0)
+                           trial_errors(cfg, x, b, 21), rtol=1e-12, atol=0.0)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
@@ -379,7 +402,7 @@ class TestGramEngine:
         gram = run_monte_carlo(cfg, x, b, trials, seed=21)
         direct = summed_direct_route(cfg, x, b, trials, 21)
         # Z F in long double from the same float64 draw, pilots and b
-        z = _factor(cfg, 21, 0, trials * cfg.antennas).conj().T * root_scale(cfg)
+        z = _factor(cfg, 21, trials * cfg.antennas).conj().T * root_scale(cfg)
         z = z.astype(np.clongdouble)
         xl, bl = x.astype(np.clongdouble), b.astype(np.clongdouble)
         f = np.concatenate([xl.conj().T @ bl - np.eye(cfg.users),
@@ -397,11 +420,9 @@ class TestGramEngine:
     @pytest.mark.parametrize("index", range(len(GRAM_CASES)))
     def test_weight_mean_is_analytic_wsmse(self, index):
         # a row of Z is u D^(1/2) with u ~ CN(0, I) and D = diag(g, 1_N), so
-        # E <R, G> = M tr(C), C = D^(1/2) G D^(1/2) the matrix the weight holds
+        # a trial's WSMSE u C u^H summed over M rows has mean M tr(C)
         cfg, x, b = gram_case(GRAM_CASES[index], index)
-        w = _point_weight(cfg, x, b)[1]
-        c = w.view(np.complex128).reshape(cfg.users + cfg.pilot_len, -1)
-        mean = cfg.antennas * np.trace(c).real
+        mean = cfg.antennas * np.trace(weight_matrix(cfg, x, b)).real
         assert mean == pytest.approx(analytic_wsmse(x, b, cfg).wsmse, rel=1e-12, abs=0.0)
 
     def test_point_values_do_not_depend_on_company(self):
@@ -501,7 +522,7 @@ class TestFactorLaw:
     def test_gram_moments(self, case):
         cfg, d, trials = law_case(case)
         n, seeds = trials * cfg.antennas, LAW_SEEDS
-        low = np.stack([_factor(cfg, seed, 0, n) for seed in range(seeds)])
+        low = np.stack([_factor(cfg, seed, n) for seed in range(seeds)])
         root = np.sqrt(d)
         s = root[:, None] * (low @ low.conj().transpose(0, 2, 1)) * root[None, :]
         dd = np.outer(d, d)
@@ -534,8 +555,7 @@ class TestFactorLaw:
         b = proposed_estimator(x, cfg)
         reports = [_monte_carlo([(cfg, x, b)], trials, seed)[0] for seed in range(seeds)]
         means = np.array([rep.wsmse for rep in reports])
-        w = _point_weight(cfg, x, b)[1]
-        c = np.linalg.eigvalsh(w.view(np.complex128).reshape(len(d), -1))
+        c = np.linalg.eigvalsh(weight_matrix(cfg, x, b))
         mean = analytic_wsmse(x, b, cfg).wsmse
         assert mean == pytest.approx(m * c.sum(), rel=1e-12)
         kappa2 = m * np.sum(c**2) / trials
@@ -626,8 +646,8 @@ class TestSweepSnr:
     def test_non_finite_wsmse_is_a_numerical_error(self, monkeypatch):
         factor = harness._factor
 
-        def poisoned(cfg, seed, stream_id, dof):
-            low = factor(cfg, seed, stream_id, dof)
+        def poisoned(cfg, seed, dof):
+            low = factor(cfg, seed, dof)
             low[-1, 0] = np.nan
             return low
 
@@ -642,8 +662,8 @@ class TestSweepSnr:
         """Scale the noise rows of every Bartlett factor, the noise amplitude, by ``scale``."""
         factor = harness._factor
 
-        def louder(cfg, seed, stream_id, dof):
-            low = factor(cfg, seed, stream_id, dof)
+        def louder(cfg, seed, dof):
+            low = factor(cfg, seed, dof)
             low[cfg.users :] *= scale
             return low
 
@@ -820,7 +840,7 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match=field):
             ExperimentConfig(base=base, snr_db_list=[0.0], **{field: value})
 
-    def test_trials_stop_at_the_noise_stream_offset(self):
+    def test_trials_stop_at_two_to_the_32(self):
         base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
         assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=2**32).trials == 2**32
         with pytest.raises(ConfigurationError, match="^trials must be <= 4294967296, got "):
