@@ -41,7 +41,10 @@ so at ``T = 1`` the run's factor is the trial's bit for bit. The
 optimizer's random initialization, when requested, draws from stream
 id ``2**33``. :func:`trial_errors` builds ``Z = L^H D^(1/2)`` and stays
 on the direct route (received block, ``y @ b - h``) as the independent
-check of that algebra.
+check of that algebra. Both routes form their error block and its
+column norms in ``np.clongdouble`` and round to float64 once, so they
+agree to about one rounding rather than to the few float64 roundings
+each route would otherwise add.
 
 A row of ``Z`` is ``u D^(1/2)``, ``u ~ CN(0, I)``, so a trial's WSMSE is
 ``sum_m u_m C u_m^H`` with ``C = D^(1/2) F diag(1 / (K M g)) F^H
@@ -64,7 +67,7 @@ from .model import (
     received_pilot_signal,
     sigma2_from_snr,
 )
-from .numerics import RandomStream
+from .numerics import RandomStream, complex_normals
 from .optimizer import (
     INIT_KINDS,
     _check_pilots,
@@ -185,29 +188,33 @@ class ConvergenceResult:
 def _factor(cfg, seed, dof):
     """Bartlett factor ``L`` of ``CW(dof, I)``, ``(K + N, r)`` with ``r = min(K + N, dof)``.
 
-    Draws from stream ``(seed, 0)``: first ``Gamma(dof - i, 1)`` for ``i
-    < r``, whose square roots fill the diagonal, then the entries
-    strictly below the diagonal row by row, each a pair of standard
-    normals (real, imaginary) times ``1/sqrt(2)``, as
-    :func:`~pilotopt.numerics.draw_cn` scales them. ``L L^H`` then has
-    the law of the Gram matrix of ``dof`` white rows of ``K + N`` entries.
+    Draws from stream ``(seed, 0)``: first ``rng.gammavariate(dof - i,
+    1)`` for ``i < r``, whose square roots fill the diagonal, then the
+    entries strictly below the diagonal row by row, as
+    :func:`~pilotopt.numerics.complex_normals` draws them. ``L L^H`` then
+    has the law of the Gram matrix of ``dof`` white rows of ``K + N``
+    entries.
     """
     width = cfg.users + cfg.pilot_len
     r = min(width, dof)
     rng = RandomStream(seed, 0).generator()
     low = np.zeros((width, r), dtype=np.complex128)
-    # float(dof): a Python int past int64 would make an object array on numpy 1.x
-    np.fill_diagonal(low, np.sqrt(rng.standard_gamma(float(dof) - np.arange(r, dtype=np.float64))))
+    np.fill_diagonal(low, np.sqrt([rng.gammavariate(float(dof - i), 1.0) for i in range(r)]))
     rows, cols = np.tril_indices(width, -1, r)
-    normals = rng.standard_normal(2 * rows.size)
-    normals *= 1.0 / np.sqrt(2.0)
-    low[rows, cols] = normals.view(np.complex128)
+    low[rows, cols] = complex_normals(rng, rows.size)
     return low
 
 
 def _root_scale(cfg):
     """The diagonal of ``D^(1/2) = diag(sqrt(g), 1_N)``: ``Z = L^H D^(1/2)``."""
     return np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
+
+
+def _error_map(cfg, x, b, dtype):
+    """``D^(1/2) F``, ``F = [x^H b - I; sqrt(sigma2) b]``, evaluated in ``dtype``."""
+    x, b = x.astype(dtype), b.astype(dtype)
+    f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
+    return _root_scale(cfg)[:, None] * f
 
 
 def trial_errors(cfg, x, b, seed):
@@ -221,16 +228,19 @@ def trial_errors(cfg, x, b, seed):
     ``x``, estimates the channel as ``y @ b`` and returns each user's
     squared error divided by ``antennas * g_k``. It sees the draws of a
     one-trial :func:`run_monte_carlo` but shares none of its algebra, so
-    it is the direct check of that engine. ``seed`` must be an integer
-    >= 0.
+    it is the direct check of that engine. Like the engine, it works in
+    ``np.clongdouble`` from the float64 draw, pilots and ``b`` and
+    rounds to float64 once at the end, so where long double is wider
+    than float64 the two routes agree to about one rounding. ``seed``
+    must be an integer >= 0.
     """
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
     seed = _as_index(seed, "seed", 0)
-    z = _factor(cfg, seed, cfg.antennas).conj().T * _root_scale(cfg)
+    z = _factor(cfg, seed, cfg.antennas).conj().T.astype(np.clongdouble) * _root_scale(cfg)
     h, white = z[:, : cfg.users], z[:, cfg.users :]
     y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
     err = np.sum(np.abs(y @ b - h) ** 2, axis=0)
-    return err / (cfg.antennas * cfg.gains)
+    return (err / (cfg.antennas * cfg.gains)).astype(np.float64)
 
 
 def _monte_carlo(points, trials, seed):
@@ -243,18 +253,20 @@ def _monte_carlo(points, trials, seed):
     through its own ``D^(1/2) F`` into the error block ``E`` (module
     docstring), so a point's values do not depend on the other points.
     The per-user means are ``E``'s squared column norms over ``trials
-    antennas g_k`` and the WSMSE is their mean. The standard error is
-    the exact one, ``||C||_F sqrt(antennas / trials)``, with ``||C||_F``
-    taken over the largest real or imaginary part of ``C`` so that it
-    cannot underflow.
+    antennas g_k``, evaluated in ``np.clongdouble`` and rounded to float64
+    once, as :func:`trial_errors` does, and the WSMSE is their mean. The
+    standard error is the exact one, ``||C||_F sqrt(antennas / trials)``,
+    with ``||C||_F`` taken in float64 over the largest real or imaginary
+    part of ``C`` so that it cannot underflow.
     """
     shape = points[0][0]
-    low_h = _factor(shape, seed, trials * shape.antennas).conj().T
+    low_h = _factor(shape, seed, trials * shape.antennas).conj().T.astype(np.clongdouble)
     reports = []
     for cfg, x, b in points:
-        f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
-        f = _root_scale(cfg)[:, None] * f
-        per_user = np.sum(np.abs(low_h @ f) ** 2, axis=0) / (trials * (cfg.antennas * cfg.gains))
+        # numpy's np.dot loop is faster than its matmul on long double
+        err = np.sum(np.abs(np.dot(low_h, _error_map(cfg, x, b, np.clongdouble))) ** 2, axis=0)
+        per_user = (err / (trials * (cfg.antennas * cfg.gains))).astype(np.float64)
+        f = _error_map(cfg, x, b, np.complex128)
         c = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
         parts = c.view(np.float64)
         top = np.abs(parts).max()

@@ -9,11 +9,17 @@ contracts and determinism over large-scale performance:
 * Hermitian solves go through a factorization (numpy's LU solve) rather
   than explicit inverse entries,
 * random draws are pure functions of a ``(seed, stream_id)`` pair, so a
-  Monte Carlo trial's draws do not depend on which other trials run or
-  how they are grouped.
+  Monte Carlo run's draws do not depend on which other runs came before
+  it. They come from the standard library's ``random.Random``, which
+  keeps ``numpy.random`` and the ``hashlib``/OpenSSL modules it loads
+  out of the process: a run needs only a few thousand normals and
+  gammas.
 """
 
+import operator
+import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,36 +37,55 @@ SINGULARITY_FLOOR = 1e-12
 class RandomStream:
     """Named substream of a deterministic random source.
 
-    Identical ``(seed, stream_id)`` pairs produce identical draw
-    sequences on every run and in any call order, because every draw
-    builds a fresh generator; distinct ``stream_id`` values give
-    statistically independent streams. Instances are immutable.
+    :meth:`generator` returns a fresh standard-library ``random.Random``
+    (MT19937) seeded with the string ``"seed/stream_id"``, which the
+    standard library expands with SHA-512 into the generator's key. The
+    string is injective in the pair, so distinct pairs, such as ``(1,
+    23)`` and ``(12, 3)``, key distinct streams, and identical pairs
+    produce identical draw sequences on every run and in any call order.
+    Both fields are stored as Python ints (``operator.index``), so equal
+    instances key the same stream; a float raises ``TypeError`` and a
+    negative value :class:`~pilotopt.errors.ContractViolation`.
+    Instances are immutable.
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = operator.index(getattr(self, name))
+            if value < 0:
+                raise ContractViolation(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
+
     def generator(self):
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        return np.random.default_rng(ss)
+        return random.Random(f"{self.seed}/{self.stream_id}")
+
+
+def complex_normals(rng, count):
+    """``count`` i.i.d. CN(0, 1) entries drawn from the ``random.Random`` ``rng``.
+
+    Entry ``i`` is ``(a + ib)/sqrt(2)`` with ``a`` and ``b`` the standard
+    normals ``rng.gauss`` gives as draws ``2i`` and ``2i + 1``, so the
+    complex variance is exactly 1.
+    """
+    n = 2 * count
+    parts = np.fromiter(map(rng.gauss, repeat(0.0, n), repeat(1.0, n)), np.float64, n)
+    # numpy divides a complex by a real as a product with the reciprocal,
+    # so scaling by 1/sqrt(2) gives the bits of (a + ib)/sqrt(2)
+    parts *= 1.0 / np.sqrt(2.0)
+    return parts.view(np.complex128)
 
 
 def draw_cn(stream, rows, cols):
     """Draw a ``rows x cols`` matrix of i.i.d. CN(0, 1) entries.
 
-    Each entry is ``(a + ib)/sqrt(2)`` with ``a`` and ``b`` independent
-    standard normals, so the complex variance is exactly 1. The result
-    is a pure function of ``(stream.seed, stream.stream_id)``.
+    The entries are :func:`complex_normals` of ``stream.generator()``,
+    row by row, so the result is a pure function of ``(stream.seed,
+    stream.stream_id)``.
     """
-    rng = stream.generator()
-    parts = rng.standard_normal((2, rows, cols))
-    # numpy divides a complex by a real as a product with the reciprocal,
-    # so scaling by 1/sqrt(2) gives the bits of (a + ib)/sqrt(2)
-    parts *= 1.0 / np.sqrt(2.0)
-    out = np.empty((rows, cols), dtype=np.complex128)
-    out.real = parts[0]
-    out.imag = parts[1]
-    return out
+    return complex_normals(stream.generator(), rows * cols).reshape(rows, cols)
 
 
 def _require_square(h, name):

@@ -598,6 +598,37 @@ SWEEP_ARGV = ["sweep-snr", "--m", "4", "--k", "2", "--n", "2", "--trials", "20",
               "--snr-db", "0,10", "--seed", "3"]
 
 
+def test_commands_load_no_numpy_random(tmp_path):
+    # every draw comes from the standard library's generator, so no command
+    # loads numpy's generators or the hashlib and OpenSSL modules they pull
+    # in; numpy 1.x imports numpy.random itself, so only what the package
+    # and its commands add to `import numpy` counts
+    heavy = ("numpy.random", "secrets", "hashlib", "_hashlib")
+    small = ["--m", "8", "--k", "4", "--n", "2", "--snr-db", "0", "--seed", "1"]
+    runs = [
+        ["sweep-snr", *small, "--trials", "20"],
+        ["convergence", *small],
+        ["estimate", *small],
+        ["optimize", *small, "--init", "random"],
+    ]
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import pilotopt.cli\n"
+        f"for i, argv in enumerate({runs!r}):\n"
+        f"    out = {str(tmp_path)!r} + '/out%d' % i\n"
+        "    assert pilotopt.cli.main([*argv, '--out', out]) == 0, argv\n"
+        "print(sorted(m for m in set(sys.modules) - before if any("
+        f"m == h or m.startswith(h + '.') for h in {heavy!r})))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_entrypoint_freezes_the_heap(tmp_path):
     # the exit hook runs after sys.exit, so it sees the heap as the run left it
     out = tmp_path / "rows.csv"

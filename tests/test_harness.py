@@ -54,16 +54,15 @@ def bartlett_factor(cfg, seed, dof):
     width = cfg.users + cfg.pilot_len
     r = min(width, dof)
     rng = RandomStream(seed, 0).generator()
-    gammas = rng.standard_gamma(dof - np.arange(r, dtype=float))
-    below = sum(min(i, r) for i in range(width))
-    pairs = iter(rng.standard_normal((below, 2)) / np.sqrt(2.0))
+    gammas = [rng.gammavariate(dof - i, 1.0) for i in range(r)]
     low = np.zeros((width, r), dtype=complex)
     for i in range(width):
         if i < r:
             low[i, i] = np.sqrt(gammas[i])
         for j in range(min(i, r)):
-            re, im = next(pairs)
-            low[i, j] = complex(re, im)
+            re = rng.gauss(0.0, 1.0)
+            im = rng.gauss(0.0, 1.0)
+            low[i, j] = complex(re, im) / np.sqrt(2.0)
     return low
 
 
@@ -412,10 +411,11 @@ class TestGramEngine:
         def worst(values):
             return float(np.max(np.abs(values - exact) / exact))
 
-        # both routes lose the same few digits here
-        assert worst(gram.per_user) < 1e-9
+        # the float64 direct route loses a few digits here; the engine
+        # forms its error block in long double and loses none
+        assert worst(gram.per_user) < 1e-14
         assert worst(direct) < 1e-9
-        assert abs(gram.wsmse - exact.mean()) / exact.mean() < 1e-9
+        assert abs(gram.wsmse - exact.mean()) / exact.mean() < 1e-14
 
     @pytest.mark.parametrize("index", range(len(GRAM_CASES)))
     def test_weight_mean_is_analytic_wsmse(self, index):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pilotopt import (
     inv_sqrt_psd,
     solve_hermitian,
 )
+from pilotopt.harness import INIT_STREAM_ID, MAX_TRIALS
 from pilotopt.numerics import unitary_dft
 
 
@@ -181,10 +184,14 @@ class TestDrawCn:
         assert not np.array_equal(a, b)
 
     def test_cross_stream_correlation(self):
-        a = draw_cn(RandomStream(11, 0), 100000, 1).ravel()
-        b = draw_cn(RandomStream(11, 1), 100000, 1).ravel()
-        corr = np.abs(np.vdot(a, b)) / len(a)
-        assert corr < 0.01
+        # stream 0 feeds the Monte Carlo factor, INIT_STREAM_ID the optimizer's
+        # random start; |<a, b>| / n of independent CN(0, 1) draws exceeds
+        # 0.01 with probability exp(-n 1e-4) = 5e-5
+        for seed, one, other in [(11, 0, 1), (1, 0, INIT_STREAM_ID)]:
+            a = draw_cn(RandomStream(seed, one), 100000, 1).ravel()
+            b = draw_cn(RandomStream(seed, other), 100000, 1).ravel()
+            corr = np.abs(np.vdot(a, b)) / len(a)
+            assert corr < 0.01
 
     @pytest.mark.parametrize("seed, stream_id, rows, cols", [
         (1, 0, 128, 32),
@@ -194,10 +201,16 @@ class TestDrawCn:
         (9, 4, 0, 3),
     ])
     def test_bits_of_the_complex_formula(self, seed, stream_id, rows, cols):
-        # the in-place kernel must keep every bit of (a + ib)/sqrt(2)
+        # the in-place kernel must keep every bit of (a + ib)/sqrt(2), with
+        # a and b the stream's normals taken in pairs, entry by entry
         stream = RandomStream(seed, stream_id)
-        parts = stream.generator().standard_normal((2, rows, cols))
-        expected = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+        rng = stream.generator()
+        re, im = np.zeros((rows, cols)), np.zeros((rows, cols))
+        for i in range(rows):
+            for j in range(cols):
+                re[i, j] = rng.gauss(0.0, 1.0)
+                im[i, j] = rng.gauss(0.0, 1.0)
+        expected = (re + 1j * im) / np.sqrt(2.0)
         z = draw_cn(stream, rows, cols)
         assert z.dtype == np.complex128 and z.shape == (rows, cols)
         assert z.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
@@ -206,3 +219,51 @@ class TestDrawCn:
         s = RandomStream(5, 2)
         with pytest.raises(AttributeError):
             s.seed = 6
+
+
+class TestRandomStream:
+    def test_generator_is_a_fresh_stdlib_generator(self):
+        stream = RandomStream(3, 1)
+        a = stream.generator()
+        assert isinstance(a, random.Random) and a is not stream.generator()
+
+    def test_fields_are_python_ints(self):
+        # equal instances key the same stream: "1/1", not "1/True"
+        stream = RandomStream(np.int64(1), True)
+        assert stream == RandomStream(1, 1) and type(stream.seed) is int
+        assert stream.generator().random() == RandomStream(1, 1).generator().random()
+
+    @pytest.mark.parametrize("seed, stream_id, error", [
+        (1.0, 0, TypeError),
+        (1, 2.0, TypeError),
+        (-1, 0, ContractViolation),
+        (0, -1, ContractViolation),
+    ])
+    def test_rejects_non_integer_or_negative_fields(self, seed, stream_id, error):
+        with pytest.raises(error):
+            RandomStream(seed, stream_id)
+
+    @pytest.mark.parametrize("one, other", [
+        ((1, 23), (12, 3)),
+        ((0, 1), (1, 0)),
+        ((1, 0), (10, 0)),
+        ((2, 2**33), (22, 2**32)),
+    ])
+    def test_key_is_injective(self, one, other):
+        # the key is the string "seed/stream_id": pairs that concatenate to
+        # the same digits still key different streams
+        draws = [RandomStream(*pair).generator().random() for pair in (one, other)]
+        assert draws[0] != draws[1]
+
+    def test_gamma_law_at_the_trial_limit(self):
+        # the summed factor's first diagonal entry squared is Gamma(T M, 1);
+        # at T = 2**32 and the paper's M = 128 the shape is 5.5e11, where
+        # the standardized draw has mean 0 and variance 1 (sample variance
+        # standard error sqrt(2 / draws))
+        shape = float(MAX_TRIALS * 128)
+        rng = RandomStream(1, 0).generator()
+        draws = 40000
+        z = (np.array([rng.gammavariate(shape, 1.0) for _ in range(draws)]) - shape)
+        z /= np.sqrt(shape)
+        assert abs(z.mean()) <= 5 / np.sqrt(draws)
+        assert abs(z.var() - 1.0) <= 5 * np.sqrt(2.0 / draws)
