@@ -16,8 +16,8 @@ from pilotopt import (
     SystemConfig,
     design_pilots,
     reference_gains,
+    run_monte_carlo,
     sigma2_from_snr,
-    trial_errors,
 )
 
 SNR_DB = 10.0
@@ -37,13 +37,13 @@ experiment = ExperimentConfig(base=cfg, snr_db_list=[SNR_DB], seed=SEED)
 # one seeded Monte Carlo trial of each design: both estimators see the same
 # channel and noise realization
 x_reuse, b_reuse, conv_ana, _ = design_pilots("conventional", cfg, experiment)
-conv_per_user = trial_errors(cfg, x_reuse, b_reuse, SEED)
+conv_trial = run_monte_carlo(cfg, x_reuse, b_reuse, 1, SEED)
 conv_expect = conv_ana.per_user
 
 # optimized pilots with the matched combiner: constructed as the optimum
 # unless the experiment names an optimizer start
 x_opt, b_opt, prop_ana, trace = design_pilots("proposed", cfg, experiment)
-prop_per_user = trial_errors(cfg, x_opt, b_opt, SEED)
+prop_trial = run_monte_carlo(cfg, x_opt, b_opt, 1, SEED)
 prop_expect = prop_ana.per_user
 
 how = "constructed" if trace is None else f"optimized in {trace.sweeps_completed} sweeps"
@@ -56,11 +56,11 @@ for k in range(cfg.users):
     partners = ",".join(str(j) for j in range(k % n, cfg.users, n) if j != k) or "-"
     print(
         f"{k:4d} {cfg.gains[k]:7.4f} {partners:>9} "
-        f"{conv_per_user[k]:10.4f} {conv_expect[k]:9.4f} "
-        f"{prop_per_user[k]:10.4f} {prop_expect[k]:9.4f}"
+        f"{conv_trial.per_user[k]:10.4f} {conv_expect[k]:9.4f} "
+        f"{prop_trial.per_user[k]:10.4f} {prop_expect[k]:9.4f}"
     )
 
 print(f"\nnormalized WSMSE, this realization: "
-      f"reuse {conv_per_user.mean():.4f}, optimized {prop_per_user.mean():.4f}")
+      f"reuse {conv_trial.wsmse:.4f}, optimized {prop_trial.wsmse:.4f}")
 print(f"normalized WSMSE, analytic:         "
       f"reuse {conv_expect.mean():.4f}, optimized {prop_expect.mean():.4f}")

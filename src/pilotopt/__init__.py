@@ -53,7 +53,6 @@ from .harness import (
     design_pilots,
     run_monte_carlo,
     sweep_snr,
-    trial_errors,
 )
 from .model import (
     SystemConfig,
@@ -133,5 +132,4 @@ __all__ = [
     "sigma2_from_snr",
     "solve_hermitian",
     "sweep_snr",
-    "trial_errors",
 ]

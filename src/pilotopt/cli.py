@@ -19,8 +19,8 @@ from .harness import (
     ExperimentConfig,
     convergence_trace,
     design_pilots,
+    run_monte_carlo,
     sweep_snr,
-    trial_errors,
 )
 from .model import SystemConfig, load_gains, reference_gains
 from .optimizer import INIT_KINDS, objective, optimality_bound
@@ -83,7 +83,7 @@ def build_parser():
          "optimizer objective traces from all three initializations"),
         ("optimize", [], ("init",), "emit one optimized pilot matrix in the text format"),
         ("estimate", [], ("init", "mode"),
-         "single-realization estimation demo (JSON report)"),
+         "one seeded Monte Carlo trial of each design (JSON report)"),
     ]:
         add_flags(sub.add_parser(name, aliases=aliases, help=text), extra)
     return parser
@@ -169,16 +169,19 @@ def _cmd_optimize(ecfg, args):
 
 
 def _cmd_estimate(ecfg, args):
-    """Design each algorithm's pilots and run one seeded Monte Carlo trial on them."""
+    """Design each algorithm's pilots and report a one-trial Monte Carlo run on each.
+
+    Every algorithm's trial is ``run_monte_carlo(cfg, x, b, 1, seed)``, on one draw.
+    """
     snr, cfg = ecfg.single_point()
     payload = {"snr_db": snr, "n": cfg.pilot_len, "algorithms": {}}
     for algorithm in ecfg.algorithms:
         x, b, ana, _ = design_pilots(algorithm, cfg, ecfg)
-        per_user = trial_errors(cfg, x, b, ecfg.seed)
+        trial = run_monte_carlo(cfg, x, b, 1, ecfg.seed)
         payload["algorithms"][algorithm] = {
             "wsmse_analytic": ana.wsmse,
-            "wsmse_realized": float(per_user.mean()),
-            "per_user_realized": [float(v) for v in per_user],
+            "wsmse_realized": trial.wsmse,
+            "per_user_realized": [float(v) for v in trial.per_user],
         }
     write_json(payload, args.out)
     return 0

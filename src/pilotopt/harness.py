@@ -35,16 +35,13 @@ antennas`` rows: a point's error block is ``E = L^H D^(1/2) F``, user
 ``k``'s mean is ``||E[:, k]||^2 / (T antennas g_k)`` and the row's
 WSMSE is the mean of those. Every factor is drawn from stream id 0: a
 run of ``T`` trials draws its one ``L`` with ``dof = T antennas``,
-whatever ``T`` is, so a row costs one factor and one product, and
-:func:`trial_errors` draws one trial's ``L`` with ``dof = antennas``,
-so at ``T = 1`` the run's factor is the trial's bit for bit. The
-optimizer's random initialization, when requested, draws from stream
-id ``2**33``. :func:`trial_errors` builds ``Z = L^H D^(1/2)`` and stays
-on the direct route (received block, ``y @ b - h``) as the independent
-check of that algebra. Both routes form their error block and its
-column norms in ``np.clongdouble`` and round to float64 once, so they
-agree to about one rounding rather than to the few float64 roundings
-each route would otherwise add.
+whatever ``T`` is, so a row costs one factor and one product, and one
+seeded trial is a run at ``T = 1``. The optimizer's random
+initialization, when requested, draws from stream id ``2**33``. The
+error block and its column norms are formed in ``np.clongdouble`` and
+rounded to float64 once, so where long double is wider than float64 a
+result is within about one rounding of the exact value on the drawn
+factor.
 
 A row of ``Z`` is ``u D^(1/2)``, ``u ~ CN(0, I)``, so a trial's WSMSE is
 ``sum_m u_m C u_m^H`` with ``C = D^(1/2) F diag(1 / (K M g)) F^H
@@ -60,13 +57,7 @@ import numpy as np
 
 from .conventional import conventional_estimator, design_reuse_pilots
 from .errors import ConfigurationError, NumericalError
-from .model import (
-    SystemConfig,
-    WsmseReport,
-    _as_index,
-    received_pilot_signal,
-    sigma2_from_snr,
-)
+from .model import SystemConfig, WsmseReport, _as_index, sigma2_from_snr
 from .numerics import RandomStream, complex_normals
 from .optimizer import (
     INIT_KINDS,
@@ -205,42 +196,12 @@ def _factor(cfg, seed, dof):
     return low
 
 
-def _root_scale(cfg):
-    """The diagonal of ``D^(1/2) = diag(sqrt(g), 1_N)``: ``Z = L^H D^(1/2)``."""
-    return np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
-
-
 def _error_map(cfg, x, b, dtype):
     """``D^(1/2) F``, ``F = [x^H b - I; sqrt(sigma2) b]``, evaluated in ``dtype``."""
     x, b = x.astype(dtype), b.astype(dtype)
     f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
-    return _root_scale(cfg)[:, None] * f
-
-
-def trial_errors(cfg, x, b, seed):
-    """Per-user normalized squared error of one seeded trial.
-
-    The trial draws its Bartlett factor ``L`` from stream 0 with
-    ``antennas`` degrees of freedom and builds the channel and the
-    unit-variance noise as the columns of ``Z = L^H D^(1/2)`` (module
-    docstring), ``min(K + N, antennas)`` rows whose Gram matrix is that
-    of all ``antennas``. It forms the received training block on pilots
-    ``x``, estimates the channel as ``y @ b`` and returns each user's
-    squared error divided by ``antennas * g_k``. It sees the draws of a
-    one-trial :func:`run_monte_carlo` but shares none of its algebra, so
-    it is the direct check of that engine. Like the engine, it works in
-    ``np.clongdouble`` from the float64 draw, pilots and ``b`` and
-    rounds to float64 once at the end, so where long double is wider
-    than float64 the two routes agree to about one rounding. ``seed``
-    must be an integer >= 0.
-    """
-    x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
-    seed = _as_index(seed, "seed", 0)
-    z = _factor(cfg, seed, cfg.antennas).conj().T.astype(np.clongdouble) * _root_scale(cfg)
-    h, white = z[:, : cfg.users], z[:, cfg.users :]
-    y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * white)
-    err = np.sum(np.abs(y @ b - h) ** 2, axis=0)
-    return (err / (cfg.antennas * cfg.gains)).astype(np.float64)
+    root = np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))  # D = diag(g, 1_N)
+    return root[:, None] * f
 
 
 def _monte_carlo(points, trials, seed):
@@ -254,10 +215,10 @@ def _monte_carlo(points, trials, seed):
     docstring), so a point's values do not depend on the other points.
     The per-user means are ``E``'s squared column norms over ``trials
     antennas g_k``, evaluated in ``np.clongdouble`` and rounded to float64
-    once, as :func:`trial_errors` does, and the WSMSE is their mean. The
-    standard error is the exact one, ``||C||_F sqrt(antennas / trials)``,
-    with ``||C||_F`` taken in float64 over the largest real or imaginary
-    part of ``C`` so that it cannot underflow.
+    once, and the WSMSE is their mean. The standard error is the exact
+    one, ``||C||_F sqrt(antennas / trials)``, with ``||C||_F`` taken in
+    float64 over the largest real or imaginary part of ``C`` so that it
+    cannot underflow.
     """
     shape = points[0][0]
     low_h = _factor(shape, seed, trials * shape.antennas).conj().T.astype(np.clongdouble)
@@ -281,8 +242,8 @@ def run_monte_carlo(cfg, x, b, trials, seed):
 
     Draws one Bartlett factor for all ``trials`` trials, with ``trials *
     antennas`` degrees of freedom (module docstring), so the cost does
-    not grow with ``trials``; at one trial the draws are those of
-    ``trial_errors(cfg, x, b, seed)``. The returned :class:`WsmseReport`
+    not grow with ``trials``; ``trials=1`` is one seeded trial, as the
+    ``estimate`` command reports it. The returned :class:`WsmseReport`
     carries the per-user means over trials, their mean, and its exact
     standard error. Results depend only on ``(cfg, x, b, trials,
     seed)``; ``trials`` must be an integer in ``[1, 2**32]`` and ``seed``

@@ -111,8 +111,12 @@ def rayleigh_update(x, k, cfg):
     Returns ``(column, degenerate, objective)``, ``objective`` being
     ``tr(A^{-1})`` after the update. When ``q_0`` is not isolated
     (relative gap to ``q_1`` below ``1e-10``, e.g. a single user against
-    isotropic interference) the incumbent direction is kept at full
-    power, flagged, and the objective evaluated on the updated pilots.
+    isotropic interference, or every user at ``pilot_len > users``) any
+    unit vector of its eigenspace, the eigenvectors within that gap of
+    ``q_0``, is optimal. The incumbent's projection onto that space is
+    taken at full power, or the first eigenvector when the projection is
+    zero; the update is flagged and the objective evaluated on the
+    updated pilots.
     """
     x = _check_pilots(x, cfg)
     if not 0 <= k < cfg.users:
@@ -125,15 +129,12 @@ def rayleigh_update(x, k, cfg):
     require_nonsingular(qw, f"leave-one-out matrix for user {k}")
 
     if cfg.pilot_len > 1 and (qw[1] - qw[0]) / qw[0] < DEGENERACY_GAP:
-        incumbent = x[:, k].copy()
-        norm = np.linalg.norm(incumbent)
+        least = qv[:, (qw - qw[0]) / qw[0] < DEGENERACY_GAP]
+        direction = least @ (least.conj().T @ x[:, k])
+        norm = np.linalg.norm(direction)
         if norm == 0.0:
-            # a zero incumbent gives no direction to keep; any unit
-            # direction is optimal, pick the first basis vector
-            incumbent = np.zeros(cfg.pilot_len, dtype=np.complex128)
-            incumbent[0] = 1.0
-            norm = 1.0
-        col = incumbent * (np.sqrt(p_k) / norm)
+            direction, norm = qv[:, 0], 1.0
+        col = direction * (np.sqrt(p_k) / norm)
         updated = x.copy()
         updated[:, k] = col
         return col, True, objective(updated, cfg)

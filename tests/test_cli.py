@@ -21,7 +21,6 @@ from pilotopt import (
     run_monte_carlo,
     save_pilots,
     sigma2_from_snr,
-    trial_errors,
 )
 
 def read_csv(path):
@@ -236,6 +235,15 @@ class TestOptimizeCommand:
             f"objective 0.666666666667 {how}, 0.00e+00 relative above the bound "
             "0.666666666667\n")
 
+    def test_random_start_past_k_symbols_reaches_the_bound(self, tmp_path, capsys):
+        # at n > k every leave-one-out matrix has a repeated least eigenvalue;
+        # a random start once kept its directions and stopped 8.7e-2 above
+        assert cli.main(["optimize", "--m", "8", "--k", "4", "--n", "6", "--snr-db", "10",
+                         "--init", "random", "--seed", "1",
+                         "--out", str(tmp_path / "pilots.txt")]) == 0
+        gap = re.search(r", (\S+) relative above the bound", capsys.readouterr().err)
+        assert abs(float(gap.group(1))) <= 1e-12
+
     def test_conventional_mode_is_a_configuration_error(self, tmp_path, capsys):
         out = tmp_path / "pilots.txt"
         code = cli.main([
@@ -276,9 +284,8 @@ class TestEstimateCommand:
             x, b, ana, _ = design_pilots(algorithm, cfg, ecfg)
             rep = run_monte_carlo(cfg, x, b, trials=1, seed=31)
             entry = data["algorithms"][algorithm]
-            # estimate takes trial 0 on the direct route, the engine through R
-            assert np.allclose(entry["per_user_realized"], rep.per_user,
-                               rtol=1e-13, atol=0.0)
+            assert entry["per_user_realized"] == [float(v) for v in rep.per_user]
+            assert entry["wsmse_realized"] == rep.wsmse
             assert entry["wsmse_analytic"] == ana.wsmse
 
     def test_builds_each_estimator_once(self, tmp_path, monkeypatch):
@@ -301,7 +308,7 @@ class TestEstimateCommand:
         ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=5)
         for algorithm in ("proposed", "conventional"):
             x, b, _, _ = design_pilots(algorithm, cfg, ecfg)
-            expected = trial_errors(cfg, x, b, 5)
+            expected = run_monte_carlo(cfg, x, b, 1, 5).per_user
             entry = data["algorithms"][algorithm]
             assert entry["per_user_realized"] == [float(v) for v in expected]
 

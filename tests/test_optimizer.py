@@ -165,10 +165,32 @@ class TestRayleighUpdate:
         assert np.array_equal(x0[:, 0], [0.6, 0.8j, 0.0])
 
     def test_zero_incumbent_fallback(self):
+        # Q_0 = g_1 x_1 x_1^H + sigma2 I: its least-loaded eigenspace is the
+        # plane orthogonal to x_1, and a zero incumbent takes a direction in it
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=3, sigma2=0.5)
+        other = np.array([0.6, 0.48j, 0.64])
+        x = np.stack([np.zeros(3), other], axis=1)
+        col, degenerate, obj = rayleigh_update(x, 0, cfg)
+        assert degenerate
+        assert np.vdot(col, col).real == pytest.approx(1.0, rel=1e-12)
+        assert abs(np.vdot(other, col)) < 1e-12
+        assert obj == pytest.approx(optimality_bound(cfg), rel=1e-12)
+
         cfg = SystemConfig(antennas=2, users=1, pilot_len=2, sigma2=0.5)
         col, degenerate, _ = rayleigh_update(np.zeros((2, 1)), 0, cfg)
         assert degenerate
         assert np.vdot(col, col).real == pytest.approx(1.0, rel=1e-12)
+
+    def test_degenerate_update_leaves_an_occupied_direction(self):
+        # at pilot_len > users every Q_k has a repeated least eigenvalue; an
+        # incumbent partly along another user's pilot keeps only its part in
+        # the least-loaded eigenspace
+        cfg = SystemConfig(antennas=2, users=2, pilot_len=3, sigma2=0.5)
+        x = np.array([[0.8, 1.0], [0.6, 0.0], [0.0, 0.0]], dtype=complex)
+        col, degenerate, obj = rayleigh_update(x, 0, cfg)
+        assert degenerate
+        assert np.allclose(col, [0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+        assert obj == pytest.approx(optimality_bound(cfg), rel=1e-12)
 
     def test_full_power_contract(self):
         for seed in range(10):

@@ -65,12 +65,11 @@ PUBLIC_NAMES = {
     "sigma2_from_snr",
     "solve_hermitian",
     "sweep_snr",
-    "trial_errors",
 }
 
 
 def test_public_names():
-    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 42
+    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 41
     assert set(pilotopt.__all__) == PUBLIC_NAMES
 
 
