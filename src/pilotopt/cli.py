@@ -156,12 +156,9 @@ def _cmd_optimize(ecfg, args):
     _, cfg = ecfg.single_point()
     x_opt, _, _, trace = design_pilots("proposed", cfg, ecfg)
     save_pilots(args.out, x_opt)
-    if trace is None:
-        final = objective(x_opt, cfg)
-        how = "constructed"
-    else:
-        final = float(trace.objective_per_update[-1])
-        how = f"after {trace.sweeps_completed} sweeps (converged={trace.converged})"
+    how = ("constructed" if trace is None
+           else f"after {trace.sweeps_completed} sweeps (converged={trace.converged})")
+    final = objective(x_opt, cfg)
     bound = optimality_bound(cfg)
     print(f"objective {final:.12g} {how}, {(final - bound) / bound:.2e} "
           f"relative above the bound {bound:.12g}", file=sys.stderr)

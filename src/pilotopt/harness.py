@@ -353,10 +353,10 @@ def sweep_snr(ecfg):
     return rows
 
 
-def _updates_to_converge(trace, rtol=FINAL_OBJECTIVE_RTOL):
+def _updates_to_converge(trace):
     objs = trace.objective_per_update
     final = objs[-1]
-    close = np.abs(objs - final) <= rtol * final
+    close = np.abs(objs - final) <= FINAL_OBJECTIVE_RTOL * final
     first = int(np.argmax(close))
     return first + 1
 

@@ -9,8 +9,8 @@ channels plus additive noise and estimates the per-user channel vectors.
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -90,8 +90,9 @@ class SystemConfig:
                 f"dimensions must be positive, got antennas={self.antennas}, "
                 f"users={self.users}, pilot_len={self.pilot_len}"
             )
-        # the largest arrays, a trial's Gram matrix and its received signal,
-        # have users + pilot_len columns of complex entries
+        # the largest arrays, the Monte Carlo engine's square Bartlett factor
+        # and a channel draw or received block of antennas rows, have at most
+        # users + pilot_len columns of complex entries
         side = self.users + self.pilot_len
         if 16 * side * max(side, self.antennas) > np.iinfo(np.intp).max:
             raise ConfigurationError(
@@ -154,29 +155,12 @@ def reference_gains():
 
     The values come from an 8x4 gain matrix vectorized column by column
     (column 1 top to bottom, then column 2, and so on); all entries lie
-    strictly between 0 and 1. The same table ships as a gains file at
-    ``pilotopt/data/gains32.txt``.
+    strictly between 0 and 1. The table is the gains file
+    ``pilotopt/data/gains32.txt`` next to this module, read by
+    :func:`load_gains`, so the package must be installed as a directory
+    (a checkout, an editable install or a wheel), not imported from a zip.
     """
-    path = resources.files("pilotopt.data").joinpath("gains32.txt")
-    with path.open("r", encoding="utf-8") as fh:
-        return _parse_gains(fh, path)
-
-
-def _parse_gains(lines, path):
-    values = []
-    for number, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            raise ConfigurationError(
-                f"{path} line {number}: expected one number, got {text!r}"
-            ) from None
-    if not values:
-        raise ConfigurationError(f"{path}: gains file contains no values")
-    return np.asarray(values, dtype=np.float64)
+    return load_gains(os.path.join(os.path.dirname(__file__), "data", "gains32.txt"))
 
 
 def load_gains(path):
@@ -185,8 +169,21 @@ def load_gains(path):
     Raises :class:`ConfigurationError` naming the file and the line of an
     entry that is not one number.
     """
+    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_gains(fh, path)
+        for number, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path} line {number}: expected one number, got {text!r}"
+                ) from None
+    if not values:
+        raise ConfigurationError(f"{path}: gains file contains no values")
+    return np.asarray(values, dtype=np.float64)
 
 
 def generate_channel(cfg, stream):

@@ -150,8 +150,11 @@ class OptimizerTrace:
     ``objective_per_update`` holds ``tr(A^{-1})`` after every
     single-user update (``users`` entries per sweep); it is non
     increasing. ``sweeps_completed`` counts full passes over the users.
-    ``gap`` is the final objective's relative distance above
-    :func:`optimality_bound`, ``(final - bound) / bound``.
+    ``gap`` is the returned pilots' relative distance above
+    :func:`optimality_bound`, ``(objective(x, cfg) - bound) / bound``:
+    one evaluation of :func:`objective` on the pilots themselves, not the
+    last update's closed-form value, which can sit a few roundings below
+    the bound.
     """
 
     objective_per_update: np.ndarray
@@ -208,7 +211,7 @@ def optimize_pilots(cfg, init, tol=1e-8, max_sweeps=100):
         sweeps_completed=sweeps,
         converged=converged,
         initial_objective=initial,
-        gap=(current - bound) / bound,
+        gap=(objective(x, cfg) - bound) / bound,
     )
     return x, trace
 

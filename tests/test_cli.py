@@ -609,7 +609,11 @@ def test_commands_load_no_numpy_random(tmp_path):
     # every draw comes from the standard library's generator, so no command
     # loads numpy's generators or the hashlib and OpenSSL modules they pull
     # in; numpy 1.x imports numpy.random itself, so only what the package
-    # and its commands add to `import numpy` counts
+    # and its commands add to `import numpy` counts. The second run is a
+    # clean interpreter (-S, numpy's site directory on the path), where no
+    # .pth file has imported anything yet: there the bundled gains table
+    # must also be read without importlib.resources and what it pulls in
+    # (not shutil, which argparse imports for every parser it builds)
     heavy = ("numpy.random", "secrets", "hashlib", "_hashlib")
     small = ["--m", "8", "--k", "4", "--n", "2", "--snr-db", "0", "--seed", "1"]
     runs = [
@@ -617,23 +621,31 @@ def test_commands_load_no_numpy_random(tmp_path):
         ["convergence", *small],
         ["estimate", *small],
         ["optimize", *small, "--init", "random"],
+        ["estimate", "--profile", "paper", "--snr-db", "0", "--seed", "1"],
     ]
-    probe = (
-        "import sys, numpy\n"
-        "before = set(sys.modules)\n"
-        "import pilotopt.cli\n"
-        f"for i, argv in enumerate({runs!r}):\n"
-        f"    out = {str(tmp_path)!r} + '/out%d' % i\n"
-        "    assert pilotopt.cli.main([*argv, '--out', out]) == 0, argv\n"
-        "print(sorted(m for m in set(sys.modules) - before if any("
-        f"m == h or m.startswith(h + '.') for h in {heavy!r})))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, check=True,
-    )
-    assert done.stdout.strip() == "[]"
+    site_dir = os.path.dirname(os.path.dirname(np.__file__))
+    cases = [
+        ([], heavy, str(SRC)),
+        (["-S"], (*heavy, "importlib.resources", "pathlib", "tempfile"),
+         os.pathsep.join([str(SRC), site_dir])),
+    ]
+    for flags, names, path in cases:
+        probe = (
+            "import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import pilotopt.cli\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + '/out%d' % i\n"
+            "    assert pilotopt.cli.main([*argv, '--out', out]) == 0, argv\n"
+            "print(sorted(m for m in set(sys.modules) - before if any("
+            f"m == h or m.startswith(h + '.') for h in {names!r})))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]", flags
 
 
 def test_entrypoint_freezes_the_heap(tmp_path):

@@ -399,12 +399,21 @@ class TestConstructPilots:
         assert optimality_bound(replace(cfg, pilot_len=2)) == 2.0
 
     def test_trace_gap_is_relative_to_the_bound(self):
+        # the gap is read from the returned pilots. In the second run gains
+        # span six decades, and the last update's closed-form objective
+        # ended 1.9e-14 relative below the bound while the pilots evaluate
+        # a rounding above it
         cfg = random_cfg(5)
-        x0 = init_pilots("random", cfg, stream=RandomStream(5, 0))
-        _, trace = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=3)
-        bound = optimality_bound(cfg)
-        assert trace.gap == (trace.objective_per_update[-1] - bound) / bound
-        assert trace.gap >= -1e-12
+        rng = np.random.default_rng(230)
+        spread = SystemConfig(antennas=4, users=10, pilot_len=10, sigma2=3.8e-3,
+                              gains=10 ** rng.uniform(-6, 0, 10))
+        runs = [(cfg, init_pilots("random", cfg, stream=RandomStream(5, 0)), 3),
+                (spread, init_pilots("dft-k", spread), 100)]
+        for cfg, x0, max_sweeps in runs:
+            x, trace = optimize_pilots(cfg, x0, tol=1e-8, max_sweeps=max_sweeps)
+            bound = optimality_bound(cfg)
+            assert trace.gap == (objective(x, cfg) - bound) / bound
+            assert trace.gap > -1e-15
 
 
 class TestCombiner:
