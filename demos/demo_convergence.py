@@ -16,21 +16,15 @@ objective trajectory statistics. Two things are worth noticing:
 Run:  python demos/demo_convergence.py
 """
 
-from pilotopt import ExperimentConfig, SystemConfig, convergence_trace, reference_gains
+from pilotopt import ExperimentConfig, convergence_trace, reference_gains
 from pilotopt.report import emit
 
-base = SystemConfig(
+experiment = ExperimentConfig(
     antennas=128,
     users=32,
-    pilot_len=16,
-    sigma2=1.0,
-    powers=1.0,
     gains=reference_gains(),
-)
-
-experiment = ExperimentConfig(
-    base=base,
     snr_db_list=[0.0],
+    n_list=[16],
     trials=1,
     seed=12345,
     tol=1e-8,

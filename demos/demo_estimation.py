@@ -9,30 +9,13 @@ their clash partners so the contamination penalty is easy to attribute.
 Run:  python demos/demo_estimation.py
 """
 
-import numpy as np
+from pilotopt import ExperimentConfig, design_pilots, reference_gains, run_monte_carlo
 
-from pilotopt import (
-    ExperimentConfig,
-    SystemConfig,
-    design_pilots,
-    reference_gains,
-    run_monte_carlo,
-    sigma2_from_snr,
-)
-
-SNR_DB = 10.0
 SEED = 7
 
-cfg = SystemConfig(
-    antennas=32,
-    users=8,
-    pilot_len=4,
-    sigma2=sigma2_from_snr(SNR_DB, np.ones(8)),
-    powers=1.0,
-    gains=reference_gains()[:8],
-)
-
-experiment = ExperimentConfig(base=cfg, snr_db_list=[SNR_DB], seed=SEED)
+experiment = ExperimentConfig(antennas=32, users=8, gains=reference_gains()[:8],
+                              snr_db_list=[10.0], n_list=[4], seed=SEED)
+SNR_DB, cfg = experiment.single_point()
 
 # one seeded Monte Carlo trial of each design: both estimators see the same
 # channel and noise realization

@@ -8,20 +8,13 @@ with orthogonal pilots and the curves meet exactly.
 Run:  python demos/demo_pilot_length.py
 """
 
-from pilotopt import ExperimentConfig, SystemConfig, reference_gains, sweep_snr
+from pilotopt import ExperimentConfig, reference_gains, sweep_snr
 from pilotopt.report import emit
 
-base = SystemConfig(
+experiment = ExperimentConfig(
     antennas=32,
     users=8,
-    pilot_len=8,
-    sigma2=1.0,
-    powers=1.0,
     gains=reference_gains()[:8],
-)
-
-experiment = ExperimentConfig(
-    base=base,
     snr_db_list=[0.0, 10.0],
     n_list=[1, 2, 4, 8],
     trials=2000,

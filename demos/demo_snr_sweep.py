@@ -14,21 +14,15 @@ Run:  python demos/demo_snr_sweep.py
 
 import numpy as np
 
-from pilotopt import ExperimentConfig, SystemConfig, reference_gains, sweep_snr
+from pilotopt import ExperimentConfig, reference_gains, sweep_snr
 from pilotopt.report import emit
 
-base = SystemConfig(
+experiment = ExperimentConfig(
     antennas=32,
     users=8,
-    pilot_len=4,
-    sigma2=1.0,  # placeholder, recomputed per SNR point
-    powers=1.0,
     gains=reference_gains()[:8],
-)
-
-experiment = ExperimentConfig(
-    base=base,
     snr_db_list=[float(s) for s in range(-10, 21, 2)],
+    n_list=[4],
     trials=2000,
     seed=42,
 )

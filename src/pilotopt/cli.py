@@ -22,7 +22,7 @@ from .harness import (
     run_monte_carlo,
     sweep_snr,
 )
-from .model import SystemConfig, load_gains, reference_gains
+from .model import load_gains, reference_gains
 from .optimizer import INIT_KINDS, objective, optimality_bound
 from .report import FORMATS, emit, save_pilots, write_json
 
@@ -31,8 +31,8 @@ DEFAULT_SNR_GRID = [float(v) for v in range(-10, 21, 2)]
 # desk-scale defaults keep full sweeps fast; --profile paper switches to
 # the 128-antenna 32-user reference scenario
 _PROFILES = {
-    "desk": {"m": 32, "k": 8, "n": 4, "trials": 5000, "gains": None},
-    "paper": {"m": 128, "k": 32, "n": 16, "trials": 20000, "gains": "paper"},
+    "desk": {"m": 32, "k": 8, "n": [4], "trials": 5000, "gains": 1.0},
+    "paper": {"m": 128, "k": 32, "n": [16], "trials": 20000, "gains": "paper"},
 }
 
 
@@ -107,39 +107,32 @@ def _resolve_scenario(args):
     """The :class:`ExperimentConfig` that ``args`` describe."""
     profile = _PROFILES[args.profile]
     gains = args.gains if args.gains is not None else profile["gains"]
-    if gains is None:
-        gains = 1.0
-    elif gains == "paper":
+    if gains == "paper":
         gains = reference_gains()
-    else:
+    elif isinstance(gains, str):
         gains = load_gains(gains)
     try:
         powers = float(args.power)
     except ValueError:
         powers = load_gains(args.power)
 
-    n_list = _parse_int_list(args.n if args.n is not None else str(profile["n"]))
-    if not n_list:
-        raise ConfigurationError("--n must name at least one pilot length")
-    snr_list = (
-        _parse_float_list(args.snr_db) if args.snr_db is not None else DEFAULT_SNR_GRID
-    )
-    base = SystemConfig(
-        antennas=args.m if args.m is not None else profile["m"],
-        users=args.k if args.k is not None else profile["k"],
-        pilot_len=n_list[0],
-        sigma2=1.0,
-        powers=powers,
-        gains=gains,
-    )
+    scenario = {
+        "antennas": args.m if args.m is not None else profile["m"],
+        "users": args.k if args.k is not None else profile["k"],
+        "powers": powers,
+        "gains": gains,
+        "n_list": _parse_int_list(args.n) if args.n is not None else profile["n"],
+        "snr_db_list": (_parse_float_list(args.snr_db) if args.snr_db is not None
+                        else DEFAULT_SNR_GRID),
+    }
     # unset options are left to ExperimentConfig, except that the commands
     # with --trials take the profile's trial count
     flags = vars(args)
     options = {f.name: flags[f.name] for f in fields(ExperimentConfig)
-               if flags.get(f.name) is not None}
+               if f.name not in scenario and flags.get(f.name) is not None}
     if "trials" in flags:
         options.setdefault("trials", profile["trials"])
-    return ExperimentConfig(base=base, snr_db_list=snr_list, n_list=n_list, **options)
+    return ExperimentConfig(**scenario, **options)
 
 
 def _cmd_sweep(ecfg, args):

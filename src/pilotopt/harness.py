@@ -1,7 +1,8 @@
 """Monte Carlo experiment drivers: pilot design, trials, sweeps, traces.
 
-Each step has one home: :meth:`ExperimentConfig.point` resolves a
-scenario point, :func:`design_pilots` maps an algorithm name to pilots
+Each step has one home: :class:`ExperimentConfig` names a scenario
+once, :meth:`ExperimentConfig.point` resolves each of its (SNR, pilot
+length) points, :func:`design_pilots` maps an algorithm name to pilots
 ``x`` and estimator matrix ``b``, the evaluators take that ``(x, b)``
 pair and :func:`sweep_snr` is the grid driver.
 
@@ -51,13 +52,14 @@ D^(1/2)``: mean ``antennas tr(C)``, the analytic WSMSE, and variance
 on it, so a defect that inflates the variance cannot widen its own gate.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conventional import conventional_estimator, design_reuse_pilots
 from .errors import ConfigurationError, NumericalError
-from .model import SystemConfig, WsmseReport, _as_index, sigma2_from_snr
+from .model import SystemConfig, WsmseReport, sigma2_from_snr
+from .model import _as_dimensions, _as_index, _as_per_user
 from .numerics import RandomStream, complex_normals
 from .optimizer import (
     INIT_KINDS,
@@ -84,20 +86,25 @@ FINAL_OBJECTIVE_RTOL = 1e-6
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """One experiment: a base scenario plus sweep axes and run options.
+    """One experiment: a scenario, its sweep axes and run options.
 
-    A scenario point is one SNR of ``snr_db_list`` and one pilot length
-    of :attr:`pilot_lens`. :meth:`point` is where every driver turns one
-    into a :class:`SystemConfig`, so ``base.sigma2`` is never read; each
-    point is checked on construction. ``init`` ``None`` designs the
-    proposed pilots by :func:`~pilotopt.optimizer.construct_pilots`; a
-    kind of :data:`~pilotopt.optimizer.INIT_KINDS` runs the cyclic
-    optimizer from that start.
+    The scenario, ``antennas``, ``users``, ``powers`` and ``gains``, is
+    shared by every point, as :class:`SystemConfig` takes it. A point is
+    one SNR of ``snr_db_list`` and one pilot length of ``n_list``, both
+    non-empty; :meth:`point` is where every driver turns one into a
+    :class:`SystemConfig`, and each point is checked on construction.
+    ``init`` ``None`` designs the proposed pilots by
+    :func:`~pilotopt.optimizer.construct_pilots`; a kind of
+    :data:`~pilotopt.optimizer.INIT_KINDS` runs the cyclic optimizer from
+    that start.
     """
 
-    base: SystemConfig
+    antennas: int
+    users: int
     snr_db_list: list
-    n_list: list = field(default_factory=list)
+    n_list: list
+    powers: np.ndarray = 1.0
+    gains: np.ndarray = 1.0
     trials: int = 1000
     seed: int = 12345
     mode: str = "both"
@@ -110,10 +117,11 @@ class ExperimentConfig:
         self.seed = _as_index(self.seed, "seed", 0)
         self.max_sweeps = _as_index(self.max_sweeps, "max_sweeps", 1)
         self.n_list = [_as_index(n, "n_list entries") for n in self.n_list]
-        if not self.snr_db_list:
-            raise ConfigurationError("snr_db_list must be non-empty")
+        for values, name in ((self.snr_db_list, "snr_db_list"), (self.n_list, "n_list")):
+            if not values:
+                raise ConfigurationError(f"{name} must be non-empty")
         for snr_db in self.snr_db_list:
-            for n in self.pilot_lens:
+            for n in self.n_list:
                 self.point(snr_db, n)
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -125,15 +133,16 @@ class ExperimentConfig:
         """The algorithms ``mode`` runs: both for ``"both"``, else the one named."""
         return ALGORITHMS if self.mode == "both" else (self.mode,)
 
-    @property
-    def pilot_lens(self):
-        """The pilot lengths: ``n_list``, or ``base.pilot_len`` when it is empty."""
-        return self.n_list or [self.base.pilot_len]
-
     def point(self, snr_db, n):
-        """The :class:`SystemConfig` of pilot length ``n`` at ``snr_db``."""
-        base = self.base
-        return replace(base, pilot_len=n, sigma2=sigma2_from_snr(snr_db, base.powers))
+        """The :class:`SystemConfig` of pilot length ``n`` at ``snr_db``.
+
+        ``sigma2`` is :func:`sigma2_from_snr` of the per-user powers array,
+        expanded only once the dimensions are checked.
+        """
+        antennas, users, n = _as_dimensions(self.antennas, self.users, n)
+        powers = _as_per_user(self.powers, users, "powers")
+        return SystemConfig(antennas, users, n, sigma2_from_snr(snr_db, powers),
+                            powers, self.gains)
 
     def single_point(self):
         """``(snr_db, cfg)`` of an experiment that names exactly one point.
@@ -141,14 +150,13 @@ class ExperimentConfig:
         Raises :class:`ConfigurationError` unless there is exactly one
         SNR and exactly one pilot length.
         """
-        for values, name in ((self.snr_db_list, "SNR point"),
-                             (self.pilot_lens, "pilot length")):
+        for values, name in ((self.snr_db_list, "SNR point"), (self.n_list, "pilot length")):
             if len(values) != 1:
                 raise ConfigurationError(
                     f"this run needs exactly one {name}, got {len(values)}"
                 )
         snr_db = self.snr_db_list[0]
-        return snr_db, self.point(snr_db, self.pilot_lens[0])
+        return snr_db, self.point(snr_db, self.n_list[0])
 
 
 @dataclass(eq=False)
@@ -326,7 +334,7 @@ def sweep_snr(ecfg):
     variance are designed once per pilot length, at its first SNR point.
     """
     rows = []
-    for n in ecfg.pilot_lens:
+    for n in ecfg.n_list:
         points, designed, shared = [], [], {}
         for snr_db in ecfg.snr_db_list:
             cfg = ecfg.point(snr_db, n)
@@ -355,10 +363,8 @@ def sweep_snr(ecfg):
 
 def _updates_to_converge(trace):
     objs = trace.objective_per_update
-    final = objs[-1]
-    close = np.abs(objs - final) <= FINAL_OBJECTIVE_RTOL * final
-    first = int(np.argmax(close))
-    return first + 1
+    close = np.abs(objs - objs[-1]) <= FINAL_OBJECTIVE_RTOL * objs[-1]
+    return int(np.argmax(close)) + 1
 
 
 def convergence_trace(ecfg):
@@ -381,13 +387,9 @@ def convergence_trace(ecfg):
     results = []
     for kind in INIT_KINDS:
         _, trace = _optimize_from(kind, cfg, ecfg)
-        results.append(
-            ConvergenceResult(
-                init=kind,
-                snr_db=snr_db,
-                trace=trace,
-                final_objective=float(trace.objective_per_update[-1]),
-                updates_to_converge=_updates_to_converge(trace),
-            )
-        )
+        results.append(ConvergenceResult(
+            init=kind, snr_db=snr_db, trace=trace,
+            final_objective=float(trace.objective_per_update[-1]),
+            updates_to_converge=_updates_to_converge(trace),
+        ))
     return results

@@ -42,6 +42,28 @@ def _as_per_user(value, count, name):
     return arr
 
 
+def _as_dimensions(antennas, users, pilot_len):
+    """``(antennas, users, pilot_len)`` as positive ints whose arrays fit the address space."""
+    antennas = _as_index(antennas, "antennas")
+    users = _as_index(users, "users")
+    pilot_len = _as_index(pilot_len, "pilot_len")
+    if antennas < 1 or users < 1 or pilot_len < 1:
+        raise ConfigurationError(
+            f"dimensions must be positive, got antennas={antennas}, "
+            f"users={users}, pilot_len={pilot_len}"
+        )
+    # the largest arrays, the Monte Carlo engine's square Bartlett factor
+    # and a channel draw or received block of antennas rows, have at most
+    # users + pilot_len columns of complex entries
+    side = users + pilot_len
+    if 16 * side * max(side, antennas) > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"dimensions are too large: {max(side, antennas)} x {side} "
+            "complex arrays exceed the address space"
+        )
+    return antennas, users, pilot_len
+
+
 @dataclass(eq=False)
 class SystemConfig:
     """Dimensions and statistics of one training scenario.
@@ -82,23 +104,8 @@ class SystemConfig:
     gains: np.ndarray = field(default=1.0)
 
     def __post_init__(self):
-        self.antennas = _as_index(self.antennas, "antennas")
-        self.users = _as_index(self.users, "users")
-        self.pilot_len = _as_index(self.pilot_len, "pilot_len")
-        if self.antennas < 1 or self.users < 1 or self.pilot_len < 1:
-            raise ConfigurationError(
-                f"dimensions must be positive, got antennas={self.antennas}, "
-                f"users={self.users}, pilot_len={self.pilot_len}"
-            )
-        # the largest arrays, the Monte Carlo engine's square Bartlett factor
-        # and a channel draw or received block of antennas rows, have at most
-        # users + pilot_len columns of complex entries
-        side = self.users + self.pilot_len
-        if 16 * side * max(side, self.antennas) > np.iinfo(np.intp).max:
-            raise ConfigurationError(
-                f"dimensions are too large: {max(side, self.antennas)} x {side} "
-                "complex arrays exceed the address space"
-            )
+        dims = _as_dimensions(self.antennas, self.users, self.pilot_len)
+        self.antennas, self.users, self.pilot_len = dims
         self.sigma2 = float(self.sigma2)
         if not np.isfinite(self.sigma2) or self.sigma2 < 0:
             raise ConfigurationError(f"sigma2 must be finite and >= 0, got {self.sigma2}")

@@ -311,9 +311,10 @@ def init_pilots(kind, cfg, stream=None):
         Cyclically reused columns of the unitary ``pilot_len``-point DFT
         (the baseline construction), column k scaled to ``sqrt(P_k)``.
     ``dft-k``
-        The unitary ``users``-point DFT truncated to the first
-        ``pilot_len`` rows, columns rescaled to ``sqrt(P_k)``; requires
-        ``pilot_len <= users``.
+        The first ``min(pilot_len, users)`` rows of the unitary
+        ``users``-point DFT, with zero rows below past ``users``, columns
+        rescaled to ``sqrt(P_k)``; past ``users`` the columns are
+        orthogonal.
     ``random``
         I.i.d. complex Gaussian columns rescaled to exactly
         ``sqrt(P_k)``; requires ``stream``.
@@ -322,12 +323,8 @@ def init_pilots(kind, cfg, stream=None):
     if kind == "dft-reuse":
         return unitary_dft(cfg.pilot_len)[:, np.arange(cfg.users) % cfg.pilot_len] * scale
     if kind == "dft-k":
-        if cfg.pilot_len > cfg.users:
-            raise ConfigurationError(
-                "dft-k initialization requires pilot_len <= users"
-            )
-        truncated = unitary_dft(cfg.users)[: cfg.pilot_len, :]
-        return truncated / np.linalg.norm(truncated, axis=0)[np.newaxis, :] * scale
+        rows = np.eye(cfg.pilot_len, cfg.users) @ unitary_dft(cfg.users)
+        return rows / np.linalg.norm(rows, axis=0)[np.newaxis, :] * scale
     if kind == "random":
         if stream is None:
             raise ConfigurationError("random initialization requires a RandomStream")

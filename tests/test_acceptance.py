@@ -173,8 +173,9 @@ def test_criterion_3_convergence_speed_and_common_objective():
 def test_criterion_3_default_design_meets_the_bound():
     # every proposed row of a default sweep, at every pilot length, has the
     # WSMSE 1 - N/K + (sigma2/K) bound of the constructed optimum
-    ecfg = ExperimentConfig(base=reference_cfg(0.0), snr_db_list=[0.0, 3.0],
-                            n_list=[1, 4, 8, 16, 24, 32], trials=200, mode="proposed")
+    ecfg = ExperimentConfig(antennas=128, users=32, gains=reference_gains(),
+                            snr_db_list=[0.0, 3.0], n_list=[1, 4, 8, 16, 24, 32],
+                            trials=200, mode="proposed")
     worst = 0.0
     for row in sweep_snr(ecfg):
         cfg = ecfg.point(row.snr_db, row.n)

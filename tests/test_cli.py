@@ -217,7 +217,7 @@ class TestOptimizeCommand:
                          "3", "--seed", "5", "--out", str(out)]) == 0
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2,
                            sigma2=sigma2_from_snr(3.0, np.ones(4)))
-        ecfg = ExperimentConfig(base=cfg, snr_db_list=[3.0], seed=5)
+        ecfg = ExperimentConfig(antennas=8, users=4, snr_db_list=[3.0], n_list=[2], seed=5)
         expected = tmp_path / "expected.txt"
         save_pilots(expected, design_pilots("proposed", cfg, ecfg)[0])
         assert out.read_bytes() == expected.read_bytes()
@@ -278,8 +278,8 @@ class TestEstimateCommand:
         data = json.loads(out.read_text())
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2,
                            sigma2=sigma2_from_snr(10.0, np.ones(4)))
-        ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=31,
-                                init="random")
+        ecfg = ExperimentConfig(antennas=8, users=4, snr_db_list=[10.0], n_list=[2],
+                                seed=31, init="random")
         for algorithm in ("proposed", "conventional"):
             x, b, ana, _ = design_pilots(algorithm, cfg, ecfg)
             rep = run_monte_carlo(cfg, x, b, trials=1, seed=31)
@@ -305,7 +305,7 @@ class TestEstimateCommand:
         data = json.loads(out.read_text())
         cfg = SystemConfig(antennas=32, users=8, pilot_len=4,
                            sigma2=sigma2_from_snr(10.0, np.ones(8)))
-        ecfg = ExperimentConfig(base=cfg, snr_db_list=[10.0], seed=5)
+        ecfg = ExperimentConfig(antennas=32, users=8, snr_db_list=[10.0], n_list=[4], seed=5)
         for algorithm in ("proposed", "conventional"):
             x, b, _, _ = design_pilots(algorithm, cfg, ecfg)
             expected = run_monte_carlo(cfg, x, b, 1, 5).per_user
@@ -470,6 +470,15 @@ class TestExitCodes:
         out = tmp_path / "out.txt"
         assert cli.main([*args, "--snr-db", "0", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_user_count_past_the_address_space_rejected_by_name(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        side = 10**22 + 2
+        assert cli.main(["sweep-snr", f"--k={10**22}", "--m", "4", "--n", "2",
+                         "--snr-db", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: dimensions are too large: {side} x {side} "
+                                           "complex arrays exceed the address space\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["optimize", "estimate"])

@@ -126,11 +126,16 @@ def assert_matches_reference(rep, cfg, x, algorithm, trials, seed):
 
 
 def desk_experiment(**overrides):
-    base = SystemConfig(antennas=16, users=8, pilot_len=4, sigma2=1.0,
-                        gains=DESK_GAINS)
-    kwargs = dict(base=base, snr_db_list=[0.0, 10.0], trials=400, seed=1234)
+    kwargs = dict(antennas=16, users=8, gains=DESK_GAINS, snr_db_list=[0.0, 10.0],
+                  n_list=[4], trials=400, seed=1234)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def point_bits(cfg):
+    """``vars(cfg)`` with each value as its type, shape and bytes, to compare bit for bit."""
+    return {name: (type(value), np.shape(value), np.asarray(value).tobytes())
+            for name, value in vars(cfg).items()}
 
 
 class TestRunMonteCarlo:
@@ -275,9 +280,9 @@ class TestRunMonteCarlo:
             return reports[-len(args[0]):]
 
         monkeypatch.setattr(harness, "_monte_carlo", kept)
-        base = SystemConfig(antennas=32, users=8, pilot_len=4, sigma2=1.0)
         grid = [float(v) for v in range(-10, 21, 2)]
-        rows = sweep_snr(ExperimentConfig(base=base, snr_db_list=grid, trials=200, seed=1))
+        rows = sweep_snr(ExperimentConfig(antennas=32, users=8, snr_db_list=grid, n_list=[4],
+                                          trials=200, seed=1))
         assert len(rows) == len(reports) == 32
         for row, rep in zip(rows, reports):
             assert row.wsmse_empirical == float(np.mean(rep.per_user))
@@ -475,9 +480,9 @@ class TestGramEngine:
         counted(harness, "design_reuse_pilots")
         counted(optimizer, "rayleigh_update")
         counted(optimizer, "solve_hermitian")
-        base = SystemConfig(antennas=32, users=8, pilot_len=4, sigma2=1.0)
         grid = [float(v) for v in range(-10, 21, 2)]
-        ecfg = ExperimentConfig(base=base, snr_db_list=grid, trials=200, seed=1)
+        ecfg = ExperimentConfig(antennas=32, users=8, snr_db_list=grid, n_list=[4],
+                                trials=200, seed=1)
         assert len(sweep_snr(ecfg)) == 32
         assert calls == {"construct_pilots": 1, "design_reuse_pilots": 1,
                          "rayleigh_update": 0, "solve_hermitian": 16}
@@ -557,19 +562,16 @@ class TestDesignPilots:
     @pytest.mark.parametrize("algorithm", ["proposed", "conventional"])
     @pytest.mark.parametrize("power", [1e-300, 1e-200, 1e300])
     def test_analytic_wsmse_depends_on_snr_only(self, algorithm, power):
-        ecfg = desk_experiment()
-
         def per_user(p):
-            cfg = replace(ecfg.base, powers=np.full(8, p),
-                          sigma2=sigma2_from_snr(0.0, np.full(8, p)))
-            return design_pilots(algorithm, cfg, ecfg)[2].per_user
+            ecfg = desk_experiment(powers=p)
+            return design_pilots(algorithm, ecfg.point(0.0, 4), ecfg)[2].per_user
 
         assert np.allclose(per_user(power), per_user(1.0), rtol=1e-12, atol=0.0)
 
     def test_unknown_algorithm_rejected(self):
         ecfg = desk_experiment()
         with pytest.raises(ConfigurationError, match="algorithm"):
-            design_pilots("bogus", ecfg.base, ecfg)
+            design_pilots("bogus", ecfg.point(0.0, 4), ecfg)
 
 
 class TestSweepSnr:
@@ -621,8 +623,8 @@ class TestSweepSnr:
         rows = sweep_snr(ecfg)
         assert len(rows) == 12
         for row in rows:
-            cfg = replace(ecfg.base, pilot_len=row.n,
-                          sigma2=sigma2_from_snr(row.snr_db, ecfg.base.powers))
+            cfg = SystemConfig(antennas=16, users=8, pilot_len=row.n,
+                               sigma2=sigma2_from_snr(row.snr_db, np.ones(8)), gains=DESK_GAINS)
             x, b, ana, _ = design_pilots(row.algorithm, cfg, ecfg)
             emp = run_monte_carlo(cfg, x, b, trials, ecfg.seed)
             assert row.wsmse_analytic == ana.wsmse
@@ -661,13 +663,12 @@ class TestSweepSnr:
         # the CLI's profiles: desk over the default grid, paper at 0 dB; the
         # exact standard error does not grow with the variance it checks
         if profile == "desk":
-            base = SystemConfig(antennas=32, users=8, pilot_len=4, sigma2=1.0)
-            snr = [float(v) for v in range(-10, 21, 2)]
+            scenario = dict(antennas=32, users=8, n_list=[4],
+                            snr_db_list=[float(v) for v in range(-10, 21, 2)])
         else:
-            base = SystemConfig(antennas=128, users=32, pilot_len=16, sigma2=1.0,
-                                gains=reference_gains())
-            snr = [0.0]
-        ecfg = ExperimentConfig(base=base, snr_db_list=snr, trials=200)
+            scenario = dict(antennas=128, users=32, gains=reference_gains(), n_list=[16],
+                            snr_db_list=[0.0])
+        ecfg = ExperimentConfig(**scenario, trials=200)
         sweep_snr(ecfg)
         self.louder_noise(monkeypatch, 1.05)
         with pytest.raises(NumericalError, match="more than 4 standard errors"):
@@ -714,16 +715,16 @@ class TestSweepPilotLength:
         rows = sweep_snr(ecfg)
         singles = []
         for n in (1, 2, 4):
-            base = replace(ecfg.base, pilot_len=n)
-            singles += sweep_snr(replace(ecfg, base=base, n_list=[]))
+            singles += sweep_snr(replace(ecfg, n_list=[n]))
         assert len(rows) == len(singles) == 12
         assert [vars(r) for r in rows] == [vars(r) for r in singles]
 
-    def test_empty_n_list_sweeps_base_pilot_len(self):
+    def test_empty_n_list_is_rejected(self):
+        # there is no fallback pilot length: a sweep runs exactly the lengths named
         rows = sweep_snr(desk_experiment(mode="proposed", trials=10))
         assert [r.n for r in rows] == [4, 4]
-        same = sweep_snr(desk_experiment(mode="proposed", trials=10, n_list=[4]))
-        assert [vars(r) for r in rows] == [vars(r) for r in same]
+        with pytest.raises(ConfigurationError, match="^n_list must be non-empty$"):
+            sweep_snr(desk_experiment(mode="proposed", trials=10, n_list=[]))
 
 
 class TestConvergenceTrace:
@@ -758,44 +759,65 @@ class TestConvergenceTrace:
             convergence_trace(ecfg)
 
 
+def small_experiment(**overrides):
+    """A 4-antenna, 2-user experiment at one point, 0 dB and two pilot symbols."""
+    return ExperimentConfig(**{"antennas": 4, "users": 2, "snr_db_list": [0.0],
+                               "n_list": [2], **overrides})
+
+
 class TestExperimentConfig:
     def test_validation(self):
-        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
+        for axis in ("snr_db_list", "n_list"):
+            with pytest.raises(ConfigurationError, match=f"^{axis} must be non-empty$"):
+                small_experiment(**{axis: []})
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(base=base, snr_db_list=[], trials=10)
+            small_experiment(trials=0)
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(base=base, snr_db_list=[0.0], trials=0)
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, mode="all")
+            small_experiment(trials=1, mode="all")
         for tol in (float("nan"), -1.0, float("inf")):
             with pytest.raises(ConfigurationError, match="tol"):
-                ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, tol=tol)
-        assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, tol=0.0).tol == 0.0
+                small_experiment(trials=1, tol=tol)
+        assert small_experiment(trials=1, tol=0.0).tol == 0.0
         with pytest.raises(ConfigurationError, match="seed"):
-            ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=-1)
-        assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=1, seed=0).seed == 0
+            small_experiment(trials=1, seed=-1)
+        assert small_experiment(trials=1, seed=0).seed == 0
 
     def test_every_point_checked_on_construction(self):
-        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0,
-                            powers=1e-300)
-        ExperimentConfig(base=base, snr_db_list=[0.0])
+        small_experiment(powers=1e-300)
         # 1e-300 at 200 dB is a noise variance of 1e-320: N / sigma2 overflows
         with pytest.raises(ConfigurationError, match="sigma2 1e-320 is too small"):
-            ExperimentConfig(base=base, snr_db_list=[0.0, 200.0])
+            small_experiment(powers=1e-300, snr_db_list=[0.0, 200.0])
         with pytest.raises(ConfigurationError, match="dimensions must be positive"):
-            ExperimentConfig(base=base, snr_db_list=[0.0], n_list=[2, 0])
+            small_experiment(n_list=[2, 0])
+        # checked before the powers are expanded to one value per user
+        with pytest.raises(ConfigurationError, match="^dimensions are too large"):
+            small_experiment(users=10**300)
+        # a user count below one is the point's to reject, by the same message
+        for users in (0, -1):
+            with pytest.raises(ConfigurationError, match="^dimensions must be positive, got "
+                               f"antennas=4, users={users}, pilot_len=2$"):
+                small_experiment(users=users)
+
+    def test_sigma2_is_the_mean_of_the_per_user_powers(self):
+        # the mean of ten copies of 2.6 is not 2.6: the point takes it over the
+        # per-user array it holds, as a SystemConfig built from those values does
+        ecfg = small_experiment(users=10, powers=2.6)
+        cfg = ecfg.point(0.0, 2)
+        sigma2 = sigma2_from_snr(0.0, np.full(10, 2.6))
+        assert sigma2 != sigma2_from_snr(0.0, 2.6)
+        assert np.float64(cfg.sigma2).tobytes() == np.float64(sigma2).tobytes()
+        direct = SystemConfig(antennas=4, users=10, pilot_len=2, sigma2=sigma2, powers=2.6)
+        assert point_bits(cfg) == point_bits(direct)
 
     def test_drivers_resolve_the_same_point(self):
-        # base.pilot_len and base.sigma2 are not the point: n_list and the SNR are
-        base = SystemConfig(antennas=8, users=4, pilot_len=4, sigma2=1.0,
-                            gains=DESK_GAINS[:4])
-        ecfg = ExperimentConfig(base=base, snr_db_list=[3.0], n_list=[2], trials=20,
-                                seed=8)
-        assert ecfg.pilot_lens == [2]
+        # sweep_snr, convergence_trace and the single-point commands all build
+        # their SystemConfig by ExperimentConfig.point, one per (SNR, N)
+        ecfg = ExperimentConfig(antennas=8, users=4, gains=DESK_GAINS[:4], snr_db_list=[3.0],
+                                n_list=[2], trials=20, seed=8)
         snr_db, cfg = ecfg.single_point()
         assert (snr_db, cfg.pilot_len) == (3.0, 2)
-        assert cfg.sigma2 == sigma2_from_snr(3.0, base.powers)
-        assert vars(ecfg.point(3.0, 2)) == vars(cfg)
+        assert cfg.sigma2 == sigma2_from_snr(3.0, np.ones(4))
+        assert point_bits(ecfg.point(3.0, 2)) == point_bits(cfg)
 
         rows = sweep_snr(ecfg)
         assert [r.n for r in rows] == [2, 2]
@@ -810,38 +832,32 @@ class TestExperimentConfig:
             assert res.final_objective == trace.objective_per_update[-1]
 
     def test_single_point_needs_one_snr_and_one_pilot_length(self):
-        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
-        assert ExperimentConfig(base=base, snr_db_list=[1.0]).pilot_lens == [2]
-        assert ExperimentConfig(base=base, snr_db_list=[1.0]).single_point()[1].pilot_len == 2
+        assert small_experiment(snr_db_list=[1.0]).single_point()[1].pilot_len == 2
         with pytest.raises(ConfigurationError, match="one SNR point, got 2"):
-            ExperimentConfig(base=base, snr_db_list=[1.0, 2.0]).single_point()
+            small_experiment(snr_db_list=[1.0, 2.0]).single_point()
         with pytest.raises(ConfigurationError, match="one pilot length, got 2"):
-            ExperimentConfig(base=base, snr_db_list=[1.0], n_list=[1, 2]).single_point()
+            small_experiment(snr_db_list=[1.0], n_list=[1, 2]).single_point()
 
     @pytest.mark.parametrize("field, value", [
         ("trials", 2.5), ("seed", 1.5), ("max_sweeps", 2.5), ("n_list", [2.6]),
-        ("trials", 3.0), ("n_list", [2, 4.0]),
+        ("trials", 3.0), ("n_list", [2, 4.0]), ("users", 2.5), ("antennas", 2.5),
     ])
     def test_integer_fields(self, field, value):
-        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
         with pytest.raises(ConfigurationError, match=field):
-            ExperimentConfig(base=base, snr_db_list=[0.0], **{field: value})
+            small_experiment(**{field: value})
 
     def test_trials_stop_at_two_to_the_32(self):
-        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
-        assert ExperimentConfig(base=base, snr_db_list=[0.0], trials=2**32).trials == 2**32
+        assert small_experiment(trials=2**32).trials == 2**32
         with pytest.raises(ConfigurationError, match="^trials must be <= 4294967296, got "):
-            ExperimentConfig(base=base, snr_db_list=[0.0], trials=2**32 + 1)
+            small_experiment(trials=2**32 + 1)
 
     def test_integer_fields_accept_numpy_integers(self):
-        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
-        ecfg = ExperimentConfig(base=base, snr_db_list=[0.0], trials=np.int64(3),
-                                seed=np.uint32(7), n_list=[np.int64(1), 2])
+        ecfg = small_experiment(trials=np.int64(3), seed=np.uint32(7),
+                                n_list=[np.int64(1), 2])
         assert (ecfg.trials, ecfg.seed, ecfg.n_list) == (3, 7, [1, 2])
         assert all(type(v) is int for v in (ecfg.trials, ecfg.seed, *ecfg.n_list))
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_rejected_before_any_design(self, snr_db):
-        base = SystemConfig(antennas=4, users=2, pilot_len=2, sigma2=1.0)
         with pytest.raises(ConfigurationError, match="snr_db must be finite"):
-            ExperimentConfig(base=base, snr_db_list=[0.0, snr_db])
+            small_experiment(snr_db_list=[0.0, snr_db])

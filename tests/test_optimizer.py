@@ -610,10 +610,18 @@ class TestInitPilots:
         with pytest.raises(ConfigurationError):
             init_pilots("dft-k-truncated", cfg)
 
-    def test_dft_k_needs_enough_users(self):
-        cfg = SystemConfig(antennas=2, users=2, pilot_len=3, sigma2=1.0)
-        with pytest.raises(ConfigurationError):
-            init_pilots("dft-k", cfg)
+    def test_dft_k_past_users_is_orthogonal(self):
+        # past K symbols the start is the K-point DFT over zero rows: orthogonal
+        # columns at full power, which meet the bound at any gains and powers
+        cfg = SystemConfig(antennas=2, users=3, pilot_len=5, sigma2=0.5,
+                           powers=[1.0, 2.0, 0.5], gains=[0.9, 0.2, 0.05])
+        x = init_pilots("dft-k", cfg)
+        assert x.shape == (5, 3)
+        assert not np.any(x[3:])
+        gram = x.conj().T @ x
+        assert np.allclose(gram, np.diag(cfg.powers), rtol=0.0, atol=1e-15)
+        assert np.allclose(np.sum(np.abs(x) ** 2, axis=0), cfg.powers, rtol=1e-15, atol=0.0)
+        assert objective(x, cfg) == pytest.approx(optimality_bound(cfg), rel=1e-14)
 
     def test_random_exact_energy(self):
         cfg = SystemConfig(antennas=2, users=4, pilot_len=3, sigma2=1.0,

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from pilotopt import ConfigurationError, ExperimentConfig, SystemConfig
+from pilotopt import ConfigurationError, ExperimentConfig
 from pilotopt.harness import ConvergenceResult, SweepRow, convergence_trace
 from pilotopt.optimizer import OptimizerTrace
 from pilotopt.report import (
@@ -157,9 +157,8 @@ class TestEmit:
         assert len(root.findall(f".//{tag}")) == 2
 
     def test_traces_svg_one_polyline_per_init(self, tmp_path):
-        base = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=1.0,
-                            gains=[0.8, 0.5, 0.3, 0.9])
-        ecfg = ExperimentConfig(base=base, snr_db_list=[0.0], trials=10, seed=2)
+        ecfg = ExperimentConfig(antennas=8, users=4, gains=[0.8, 0.5, 0.3, 0.9],
+                                snr_db_list=[0.0], n_list=[2], trials=10, seed=2)
         results = convergence_trace(ecfg)
         emit(results, "svg", tmp_path / "t.svg")
         root = ET.fromstring((tmp_path / "t.svg").read_text())

@@ -1,11 +1,11 @@
 """Pins of the package surface that the roadmap tracks.
 
-The public names, the field names of the records a run builds, the
-number of settable (command, flag) values of the command line, the rule
-that no module reaches into the harness for a private name, the rule
-that only ``model`` opens files to read and only ``report`` opens files
-to write, and the rule that every public name has a use outside the
-tests. A change to any of them is deliberate and updates the pin here.
+The public names, the field names of the records a run builds and of
+``ExperimentConfig``, the number of settable (command, flag) values of
+the command line, the rule that no module reaches into the harness for
+a private name, the rule that only ``model`` opens files to read and
+only ``report`` opens files to write, and the rule that every public
+name has a use outside the tests. A change to any of them is deliberate and updates the pin here.
 """
 
 import argparse
@@ -89,6 +89,17 @@ RECORD_FIELDS = {
 def test_record_fields():
     for name, expected in RECORD_FIELDS.items():
         assert [f.name for f in fields(getattr(pilotopt, name))] == expected, name
+
+
+# the settable values of an experiment: the scenario every point shares, the
+# two sweep axes and the run options. Each is read by a driver, so adding one
+# is a deliberate change
+EXPERIMENT_FIELDS = ["antennas", "users", "snr_db_list", "n_list", "powers", "gains",
+                     "trials", "seed", "mode", "init", "tol", "max_sweeps"]
+
+
+def test_experiment_fields():
+    assert [f.name for f in fields(pilotopt.ExperimentConfig)] == EXPERIMENT_FIELDS
 
 
 def test_cli_settable_values():
