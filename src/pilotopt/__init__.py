@@ -9,9 +9,10 @@ The package provides three layers:
   reused-orthogonal-pilot MMSE baseline and the WSMSE-optimal pilot
   design (constructed in closed form, or by the paper's cyclic
   updates) with its matched estimator,
-* :mod:`pilotopt.harness`, :mod:`pilotopt.report`, :mod:`pilotopt.cli`
-  — Monte Carlo experiment drivers, every output file (CSV/JSON/SVG
-  results and the pilot text file), and the command line front end.
+* :mod:`pilotopt.harness`, :mod:`pilotopt.report`, :mod:`pilotopt.plot`,
+  :mod:`pilotopt.cli` — Monte Carlo experiment drivers, every output file
+  (CSV/JSON/SVG results and the pilot text file), the SVG chart that
+  ``report`` writes, and the command line front end.
 
 Importing the package pins numpy's OpenBLAS to one thread, because its
 matrices are too small for a second thread to do anything but spin. The

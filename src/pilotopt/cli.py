@@ -10,6 +10,7 @@ writes every output.
 
 import argparse
 import gc
+import os
 import sys
 from dataclasses import fields
 
@@ -36,16 +37,62 @@ _PROFILES = {
 }
 
 
+def _help_width():
+    """The width argparse's formatter would take, found without importing ``shutil``.
+
+    That is ``shutil.get_terminal_size().columns - 2``: ``COLUMNS`` when
+    it is a positive integer, else the width of the terminal on
+    ``sys.__stdout__``, else 80.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return (columns or 80) - 2
+
+
 def build_parser():
+    # a formatter of fixed width for every parser: argparse's default finds
+    # its width through shutil, a few milliseconds of imports per process
+    width = _help_width()
+
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=width)
+
     parser = argparse.ArgumentParser(
         prog="pilotopt",
         description="Pilot optimization and channel estimation experiments.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags only some commands read (the sweep reads all four);
-    # add_flags gives every command the scenario, optimizer and output flags.
-    # An ExperimentConfig option left unset takes that field's default.
+    # every command reads the scenario, optimizer and output flags
+    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
+    common.add_argument("--profile", choices=sorted(_PROFILES), default="desk",
+                        help="named scenario preset; explicit flags override it")
+    common.add_argument("--m", type=int, default=None, help="base station antennas")
+    common.add_argument("--k", type=int, default=None, help="number of users")
+    common.add_argument("--n", default=None,
+                        help="pilot length; sweep-snr (sweep-n) accepts a comma list")
+    common.add_argument("--snr-db", default=None,
+                        help="comma list of SNR points in dB (default -10..20 step 2)")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--gains", default=None,
+                        help="gains file, or 'paper' for the bundled 32-user table")
+    common.add_argument("--power", default="1.0",
+                        help="per-user power budget: a number or a file")
+    common.add_argument("--tol", type=float,
+                        help="relative per-sweep objective decrease for convergence")
+    common.add_argument("--max-sweeps", type=int)
+    common.add_argument("--out", default="-", help="output path, '-' for stdout")
+
+    # the flags only some commands read (the sweep reads all four). An
+    # ExperimentConfig option left unset takes that field's default.
     optional = {
         "trials": {"type": int, "help": "Monte Carlo trials per point"},
         "init": {"choices": INIT_KINDS,
@@ -54,28 +101,6 @@ def build_parser():
         "mode": {"choices": MODES},
         "format": {"default": "csv", "choices": FORMATS},
     }
-
-    def add_flags(sp, extra):
-        sp.add_argument("--profile", choices=sorted(_PROFILES), default="desk",
-                        help="named scenario preset; explicit flags override it")
-        sp.add_argument("--m", type=int, default=None, help="base station antennas")
-        sp.add_argument("--k", type=int, default=None, help="number of users")
-        sp.add_argument("--n", default=None,
-                        help="pilot length; sweep-snr (sweep-n) accepts a comma list")
-        sp.add_argument("--snr-db", default=None,
-                        help="comma list of SNR points in dB (default -10..20 step 2)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--gains", default=None,
-                        help="gains file, or 'paper' for the bundled 32-user table")
-        sp.add_argument("--power", default="1.0",
-                        help="per-user power budget: a number or a file")
-        sp.add_argument("--tol", type=float,
-                        help="relative per-sweep objective decrease for convergence")
-        sp.add_argument("--max-sweeps", type=int)
-        sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        for flag in extra:
-            sp.add_argument(f"--{flag}", **optional[flag])
-
     for name, aliases, extra, text in [
         ("sweep-snr", ["sweep-n"], tuple(optional),
          "normalized WSMSE across SNR points and pilot lengths"),
@@ -85,7 +110,10 @@ def build_parser():
         ("estimate", [], ("init", "mode"),
          "one seeded Monte Carlo trial of each design (JSON report)"),
     ]:
-        add_flags(sub.add_parser(name, aliases=aliases, help=text), extra)
+        sp = sub.add_parser(name, aliases=aliases, help=text, parents=[common],
+                            formatter_class=formatter)
+        for flag in extra:
+            sp.add_argument(f"--{flag}", **optional[flag])
     return parser
 
 

@@ -16,10 +16,10 @@ contracts and determinism over large-scale performance:
   gammas.
 """
 
+import math
 import operator
 import random
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -68,10 +68,34 @@ def complex_normals(rng, count):
 
     Entry ``i`` is ``(a + ib)/sqrt(2)`` with ``a`` and ``b`` the standard
     normals ``rng.gauss`` gives as draws ``2i`` and ``2i + 1``, so the
-    complex variance is exactly 1.
+    complex variance is exactly 1. The draws are ``gauss``'s Box-Muller
+    pairs in vector form, bit for bit: each pair takes two ``random()``
+    values, made here from the 32-bit words of one ``getrandbits`` call
+    in the order ``random()`` consumes them, and ``log``, ``cos`` and
+    ``sin`` come from :mod:`math`, as in ``gauss``. A pending
+    ``rng.gauss_next`` is the first draw, and ``rng`` is left in the state
+    ``2 * count`` calls of ``gauss`` leave it in.
     """
-    n = 2 * count
-    parts = np.fromiter(map(rng.gauss, repeat(0.0, n), repeat(1.0, n)), np.float64, n)
+    # getrandbits fills its integer from the least significant word up, so
+    # the little-endian words are the generator's outputs in order: two per
+    # random(), as (a >> 5) * 2**26 + (b >> 6) over 2**53
+    words = np.frombuffer(rng.getrandbits(128 * count).to_bytes(16 * count, "little"),
+                          "<u4").reshape(count, 2, 2)
+    uniforms = ((words[..., 0] >> 5) * 67108864.0 + (words[..., 1] >> 6)) / 9007199254740992.0
+    x2pi = (uniforms[:, 0] * (2.0 * math.pi)).tolist()
+    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - uniforms[:, 1]).tolist()),
+                                        np.float64, count))
+    parts = np.empty((count, 2))
+    parts[:, 0] = np.fromiter(map(math.cos, x2pi), np.float64, count) * radius
+    parts[:, 1] = np.fromiter(map(math.sin, x2pi), np.float64, count) * radius
+    parts = parts.ravel()
+    if rng.gauss_next is not None:
+        # the pending draw comes first and the last pair's second is left over
+        parts = np.concatenate(([rng.gauss_next], parts))
+        rng.gauss_next = float(parts[-1])
+        parts = parts[:-1]
+    # gauss returns mu + z * sigma: + 0.0 turns a -0.0 into 0.0
+    parts += 0.0
     # numpy divides a complex by a real as a product with the reciprocal,
     # so scaling by 1/sqrt(2) gives the bits of (a + ib)/sqrt(2)
     parts *= 1.0 / np.sqrt(2.0)

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import json
 import os
@@ -614,16 +616,45 @@ SWEEP_ARGV = ["sweep-snr", "--m", "4", "--k", "2", "--n", "2", "--trials", "20",
               "--snr-db", "0,10", "--seed", "3"]
 
 
+def _new_modules(tmp_path, runs, names):
+    """The modules among ``names`` (or inside them) that the ``runs`` of ``main`` load.
+
+    The runs go once through an interpreter that imports ``site`` and once
+    through a clean one (-S, numpy's site directory on the path), where no
+    .pth file has imported anything yet. Only what the package and its
+    commands add to ``import numpy`` counts: numpy 1.x imports
+    numpy.random itself. For each interpreter, the sorted names loaded so
+    far after each run.
+    """
+    site_dir = os.path.dirname(os.path.dirname(np.__file__))
+    found = []
+    for flags, path in [([], str(SRC)), (["-S"], os.pathsep.join([str(SRC), site_dir]))]:
+        probe = (
+            "import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import pilotopt.cli\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + '/out%d' % i\n"
+            "    assert pilotopt.cli.main([*argv, '--out', out]) == 0, argv\n"
+            "    print(sorted(m for m in set(sys.modules) - before if any("
+            f"m == h or m.startswith(h + '.') for h in {names!r})))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        found.append([ast.literal_eval(line) for line in done.stdout.splitlines()])
+    return found
+
+
 def test_commands_load_no_numpy_random(tmp_path):
     # every draw comes from the standard library's generator, so no command
     # loads numpy's generators or the hashlib and OpenSSL modules they pull
-    # in; numpy 1.x imports numpy.random itself, so only what the package
-    # and its commands add to `import numpy` counts. The second run is a
-    # clean interpreter (-S, numpy's site directory on the path), where no
-    # .pth file has imported anything yet: there the bundled gains table
-    # must also be read without importlib.resources and what it pulls in
-    # (not shutil, which argparse imports for every parser it builds)
-    heavy = ("numpy.random", "secrets", "hashlib", "_hashlib")
+    # in. In the clean interpreter the bundled gains table must also be read
+    # without importlib.resources and what it pulls in, and every parser
+    # formats at a fixed width, so argparse never imports shutil (with bz2
+    # and lzma) to look up the terminal's
     small = ["--m", "8", "--k", "4", "--n", "2", "--snr-db", "0", "--seed", "1"]
     runs = [
         ["sweep-snr", *small, "--trials", "20"],
@@ -632,29 +663,44 @@ def test_commands_load_no_numpy_random(tmp_path):
         ["optimize", *small, "--init", "random"],
         ["estimate", "--profile", "paper", "--snr-db", "0", "--seed", "1"],
     ]
-    site_dir = os.path.dirname(os.path.dirname(np.__file__))
-    cases = [
-        ([], heavy, str(SRC)),
-        (["-S"], (*heavy, "importlib.resources", "pathlib", "tempfile"),
-         os.pathsep.join([str(SRC), site_dir])),
+    heavy = ("numpy.random", "secrets", "hashlib", "_hashlib", "importlib.resources",
+             "pathlib", "tempfile", "shutil")
+    for found in _new_modules(tmp_path, runs, heavy):
+        assert found == [[]] * len(runs)
+
+
+def test_csv_sweep_loads_no_chart_json_or_csv(tmp_path):
+    # a CSV sweep compiles and imports only what it writes with: the chart
+    # module and json load with the first SVG and JSON outputs
+    runs = [
+        ["sweep-snr", "--snr-db", "0", "--trials", "20", "--seed", "1"],
+        ["sweep-snr", "--snr-db", "0", "--trials", "20", "--seed", "1",
+         "--format", "svg"],
+        ["convergence", "--snr-db", "0", "--seed", "1", "--format", "json"],
     ]
-    for flags, names, path in cases:
-        probe = (
-            "import sys, numpy\n"
-            "before = set(sys.modules)\n"
-            "import pilotopt.cli\n"
-            f"for i, argv in enumerate({runs!r}):\n"
-            f"    out = {str(tmp_path)!r} + '/out%d' % i\n"
-            "    assert pilotopt.cli.main([*argv, '--out', out]) == 0, argv\n"
-            "print(sorted(m for m in set(sys.modules) - before if any("
-            f"m == h or m.startswith(h + '.') for h in {names!r})))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, *flags, "-c", probe],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, check=True,
-        )
-        assert done.stdout.strip() == "[]", flags
+    for csv_run, svg_run, json_run in _new_modules(tmp_path, runs,
+                                                   ("json", "csv", "pilotopt.plot")):
+        assert csv_run == []
+        assert svg_run == ["pilotopt.plot"]
+        assert "json" in json_run and "csv" not in json_run
+
+
+@pytest.mark.parametrize("columns", [None, "60", "100", "0", "wide"])
+def test_help_keeps_argparse_default_width(columns, monkeypatch):
+    # each parser formats at the fixed width its default formatter would
+    # have looked up, so help and usage text keep their bytes
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for p in [parser, *commands.values()]:
+        fixed = p.format_help(), p.format_usage()
+        p.formatter_class = argparse.HelpFormatter
+        assert (p.format_help(), p.format_usage()) == fixed
 
 
 def test_entrypoint_freezes_the_heap(tmp_path):

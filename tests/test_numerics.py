@@ -13,7 +13,7 @@ from pilotopt import (
     solve_hermitian,
 )
 from pilotopt.harness import INIT_STREAM_ID, MAX_TRIALS
-from pilotopt.numerics import unitary_dft
+from pilotopt.numerics import complex_normals, unitary_dft
 
 
 def random_hermitian(n, seed):
@@ -219,6 +219,42 @@ class TestDrawCn:
         s = RandomStream(5, 2)
         with pytest.raises(AttributeError):
             s.seed = 6
+
+
+def _gauss_once(rng):
+    rng.gauss(0.0, 1.0)
+
+
+def _gamma_once(rng):
+    rng.gammavariate(7.5, 1.0)
+
+
+def _pending_negative_zero(rng):
+    rng.gauss_next = -0.0
+
+
+class TestComplexNormals:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 66, 1128])
+    @pytest.mark.parametrize("before", [None, _gauss_once, _gamma_once,
+                                        _pending_negative_zero])
+    def test_bits_and_state_of_the_gauss_loop(self, count, before):
+        # the vector draws are rng.gauss's pairs, bit for bit, and leave the
+        # generator where 2 * count gauss calls leave it, pending draw included
+        for seed in range(4):
+            rng, ref = (RandomStream(seed, 5).generator() for _ in range(2))
+            if before is not None:
+                before(rng)
+                before(ref)
+            re, im = np.zeros(count), np.zeros(count)
+            for i in range(count):
+                re[i] = ref.gauss(0.0, 1.0)
+                im[i] = ref.gauss(0.0, 1.0)
+            expected = (re + 1j * im) / np.sqrt(2.0)
+            z = complex_normals(rng, count)
+            assert z.dtype == np.complex128 and z.shape == (count,)
+            assert z.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+            assert rng.getstate() == ref.getstate()
+            assert type(rng.gauss_next) is type(ref.gauss_next)
 
 
 class TestRandomStream:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pilotopt import ConfigurationError, ExperimentConfig
-from pilotopt.harness import ConvergenceResult, SweepRow, convergence_trace
+from pilotopt.harness import ConvergenceResult, SweepRow, convergence_trace, sweep_snr
 from pilotopt.optimizer import OptimizerTrace
 from pilotopt.report import (
     SWEEP_HEADER,
@@ -164,6 +165,39 @@ class TestEmit:
         root = ET.fromstring((tmp_path / "t.svg").read_text())
         tag = "{http://www.w3.org/2000/svg}polyline"
         assert len(root.findall(f".//{tag}")) == 3
+
+    def test_csv_parses_back_to_the_cells_written(self, tmp_path):
+        # the CSV lines are joined without quoting, so every cell must be
+        # one that csv.reader reads back unchanged and csv.writer would not
+        # quote: the file holds the bytes the csv module would write
+        ecfg = ExperimentConfig(antennas=8, users=4, gains=[0.8, 0.5, 0.3, 0.9],
+                                snr_db_list=[-10.0, 0.0], n_list=[2, 3], trials=10,
+                                seed=2, init="random")
+        rows = sample_rows() + sweep_snr(ecfg)
+        traces = sample_traces() + convergence_trace(
+            ExperimentConfig(antennas=8, users=4, gains=[0.8, 0.5, 0.3, 0.9],
+                             snr_db_list=[0.0], n_list=[2], seed=2))
+        sweep_cells = [SWEEP_HEADER] + [
+            [repr(float(r.snr_db)), str(r.n), r.algorithm, repr(r.wsmse_analytic),
+             repr(r.wsmse_empirical), repr(r.stderr), str(r.trials),
+             "" if r.sweeps is None else str(r.sweeps)]
+            for r in rows
+        ]
+        trace_cells = [TRACE_HEADER] + [
+            [res.init, str(i), repr(float(obj))]
+            for res in traces
+            for i, obj in enumerate([res.trace.initial_objective,
+                                     *res.trace.objective_per_update])
+        ]
+        assert {r.sweeps is None for r in rows} == {True, False}
+        for items, cells in [(rows, sweep_cells), (traces, trace_cells)]:
+            path = tmp_path / "out.csv"
+            emit(items, "csv", path)
+            with open(path, newline="") as fh:
+                assert list(csv.reader(fh)) == cells
+            expected = io.StringIO()
+            csv.writer(expected, lineterminator="\n").writerows(cells)
+            assert path.read_bytes() == expected.getvalue().encode()
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
