@@ -58,8 +58,12 @@ def conventional_estimator(x, cfg):
     contamination; :func:`~pilotopt.optimizer.analytic_wsmse` of ``b``
     counts it.
     """
-    x = _check_pilots(x, cfg)
-    return x * (cfg.gains / (_uniform_power(x) * cfg.gains + cfg.sigma2))
+    return _conventional_estimators(_check_pilots(x, cfg), cfg, cfg.sigma2)
+
+
+def _conventional_estimators(x, cfg, sigma2):
+    """:func:`conventional_estimator` at a column of noise variances, one per point."""
+    return x * (cfg.gains / (_uniform_power(x) * cfg.gains + sigma2))[..., None, :]
 
 
 def conventional_estimate(y, x, cfg):

@@ -1,17 +1,14 @@
 """Monte Carlo experiment drivers: pilot design, trials, sweeps, traces.
 
-Each step has one home: :class:`ExperimentConfig` names a scenario
-once, :meth:`ExperimentConfig.point` resolves each of its (SNR, pilot
-length) points, :func:`design_pilots` maps an algorithm name to pilots
-``x`` and estimator matrix ``b``, the evaluators take that ``(x, b)``
-pair and :func:`sweep_snr` is the grid driver.
-
-The default proposed design is :func:`~pilotopt.optimizer.construct_pilots`,
-the optimum at every noise variance; ``ExperimentConfig.init`` names a
-start for the paper's cyclic optimizer instead. The constructed and the
-baseline pilots depend on the gains, powers and pilot length only, so
-:func:`sweep_snr` builds them once per pilot length and each SNR point
-forms only its estimator.
+:class:`ExperimentConfig` names a scenario once and :func:`sweep_snr`
+runs its grid; :func:`design_pilots` and :func:`run_monte_carlo` are the
+sweep's code at one point. The default proposed design is
+:func:`~pilotopt.optimizer.construct_pilots`, the optimum at every noise
+variance; ``ExperimentConfig.init`` names a start for the paper's cyclic
+optimizer instead. The SNR points of one pilot length differ only in
+the noise variance and the estimator ``b`` (and the pilots, when the
+optimizer runs), so the sweep takes them in one pass along a leading
+point axis.
 
 A design's estimator ``b`` is fixed by its pilots, so it is built once.
 Its error on a trial is linear in the draws: with ``Z = [h, white]``
@@ -34,7 +31,8 @@ dof)``, ``L_ii = sqrt(Gamma(dof - i, 1))`` for ``i < r`` and i.i.d.
 D^(1/2)`` have the Gram matrix ``S``, so they stand in for all ``T
 antennas`` rows: a point's error block is ``E = L^H D^(1/2) F``, user
 ``k``'s mean is ``||E[:, k]||^2 / (T antennas g_k)`` and the row's
-WSMSE is the mean of those. Every factor is drawn from stream id 0: a
+WSMSE is the mean of those; the points' maps ``D^(1/2) F`` side by
+side make one product. Every factor is drawn from stream id 0: a
 run of ``T`` trials draws its one ``L`` with ``dof = T antennas``,
 whatever ``T`` is, so a row costs one factor and one product, and one
 seeded trial is a run at ``T = 1``. The optimizer's random
@@ -52,23 +50,23 @@ D^(1/2)``: mean ``antennas tr(C)``, the analytic WSMSE, and variance
 on it, so a defect that inflates the variance cannot widen its own gate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
-from .conventional import conventional_estimator, design_reuse_pilots
+from .conventional import _conventional_estimators, design_reuse_pilots
 from .errors import ConfigurationError, NumericalError
 from .model import SystemConfig, WsmseReport, sigma2_from_snr
-from .model import _as_dimensions, _as_index, _as_per_user
+from .model import _as_dimensions, _as_index, _as_per_user, _error_maps, _wsmse_terms
 from .numerics import RandomStream, complex_normals
 from .optimizer import (
     INIT_KINDS,
     _check_pilots,
-    analytic_wsmse,
+    _proposed_estimators,
     construct_pilots,
     init_pilots,
     optimize_pilots,
-    proposed_estimator,
 )
 
 # Trial counts stop at 2**32; Monte Carlo draws from stream 0 and the
@@ -204,45 +202,31 @@ def _factor(cfg, seed, dof):
     return low
 
 
-def _error_map(cfg, x, b, dtype):
-    """``D^(1/2) F``, ``F = [x^H b - I; sqrt(sigma2) b]``, evaluated in ``dtype``."""
-    x, b = x.astype(dtype), b.astype(dtype)
-    f = np.concatenate([x.conj().T @ b - np.eye(cfg.users), np.sqrt(cfg.sigma2) * b])
-    root = np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))  # D = diag(g, 1_N)
-    return root[:, None] * f
+def _monte_carlo(cfg, sigma2, designs, trials, seed):
+    """Empirical ``(per_user, wsmse, stderr)`` of each point of the ``(x, b)`` designs.
 
-
-def _monte_carlo(points, trials, seed):
-    """Empirical :class:`WsmseReport` of each ``(cfg, x, b)`` point on one shared draw.
-
-    Every point must have the dimensions and gains of the first; they
-    may differ in noise variance, pilots and estimator matrix ``b``. The
-    Bartlett factor ``L`` of trials ``0 .. trials - 1`` is drawn once,
-    with ``trials * antennas`` degrees of freedom, and each point maps it
-    through its own ``D^(1/2) F`` into the error block ``E`` (module
-    docstring), so a point's values do not depend on the other points.
-    The per-user means are ``E``'s squared column norms over ``trials
-    antennas g_k``, evaluated in ``np.clongdouble`` and rounded to float64
-    once, and the WSMSE is their mean. The standard error is the exact
-    one, ``||C||_F sqrt(antennas / trials)``, with ``||C||_F`` taken in
-    float64 over the largest real or imaginary part of ``C`` so that it
-    cannot underflow.
+    The designs are :func:`_design`'s at the column ``sigma2``, and the
+    results run as ``_error_maps`` runs the points. One factor ``L`` of
+    trials ``0 .. trials - 1``, ``trials * antennas`` degrees of freedom,
+    gives every point's error block ``E`` (module docstring), so a
+    point's values do not depend on the others. The per-user means,
+    ``E``'s squared column norms over ``trials antennas g_k``, are
+    rounded to float64 once. The standard error is the exact ``||C||_F
+    sqrt(antennas / trials)``, with ``||C||_F`` taken in float64 over the
+    largest real or imaginary part of ``C`` so that it cannot underflow.
     """
-    shape = points[0][0]
-    low_h = _factor(shape, seed, trials * shape.antennas).conj().T.astype(np.clongdouble)
-    reports = []
-    for cfg, x, b in points:
-        # numpy's np.dot loop is faster than its matmul on long double
-        err = np.sum(np.abs(np.dot(low_h, _error_map(cfg, x, b, np.clongdouble))) ** 2, axis=0)
-        per_user = (err / (trials * (cfg.antennas * cfg.gains))).astype(np.float64)
-        f = _error_map(cfg, x, b, np.complex128)
-        c = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().T
-        parts = c.view(np.float64)
-        top = np.abs(parts).max()
-        stderr = top * np.linalg.norm(parts / top) * np.sqrt(cfg.antennas / trials)
-        reports.append(WsmseReport(wsmse=float(np.mean(per_user)), per_user=per_user,
-                                   stderr=float(stderr)))
-    return reports
+    low_h = _factor(cfg, seed, trials * cfg.antennas).conj().T.astype(np.clongdouble)
+    # numpy's np.dot loop is faster than its matmul on long double; over the
+    # points' maps side by side it gives every error block, (r, points, K)
+    err = np.abs(np.dot(low_h, _error_maps(designs, cfg, sigma2, np.clongdouble)))
+    err = np.sum(np.square(err, out=err), axis=0) / (trials * (cfg.antennas * cfg.gains))
+    per_user = err.astype(np.float64)
+    f = _error_maps(designs, cfg, sigma2, np.complex128)
+    c = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().swapaxes(-1, -2)
+    parts = c.reshape(len(c), -1).view(np.float64)
+    top = np.abs(parts).max(axis=1)
+    norms = [np.linalg.norm(row) for row in np.divide(parts, top[:, np.newaxis], out=parts)]
+    return per_user, per_user.mean(axis=1), top * norms * np.sqrt(cfg.antennas / trials)
 
 
 def run_monte_carlo(cfg, x, b, trials, seed):
@@ -260,7 +244,8 @@ def run_monte_carlo(cfg, x, b, trials, seed):
     trials = _as_index(trials, "trials", 1, MAX_TRIALS)
     seed = _as_index(seed, "seed", 0)
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
-    return _monte_carlo([(cfg, x, b)], trials, seed)[0]
+    per_user, wsmse, stderr = _monte_carlo(cfg, [[cfg.sigma2]], [(x, b[None])], trials, seed)
+    return WsmseReport(float(wsmse[0]), per_user[0], float(stderr[0]))
 
 
 def design_pilots(algorithm, cfg, ecfg, x=None):
@@ -272,27 +257,39 @@ def design_pilots(algorithm, cfg, ecfg, x=None):
     ``proposed`` constructs the optimum when ``ecfg.init`` is ``None``
     and otherwise runs the cyclic optimizer from ``ecfg.init``;
     ``conventional`` reuses the DFT columns. The trace is ``None`` unless
-    the optimizer ran. Pilots with no trace do not depend on the noise
-    variance: given back as ``x`` at another SNR of the same pilot
-    length, they skip the design and only the estimator is built.
+    the optimizer ran. Pilots given as ``x`` skip the design.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(
             f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
         )
-    trace = None
-    if x is None:
-        if algorithm == "conventional":
-            x = design_reuse_pilots(cfg)
-        elif ecfg.init is None:
-            x = construct_pilots(cfg)
-        else:
-            x, trace = _optimize_from(ecfg.init, cfg, ecfg)
-    if algorithm == "proposed":
-        b = proposed_estimator(x, cfg)
+    x, b, per_user, traces = _design(algorithm, cfg, np.array([[cfg.sigma2]]), ecfg, x)
+    analytic = WsmseReport(float(np.mean(per_user[0])), per_user[0])
+    return x.reshape(b.shape[1:]), b[0], analytic, traces[0]
+
+
+def _design(algorithm, cfg, sigma2, ecfg, x=None):
+    """``(x, b, per_user, traces)`` of :func:`design_pilots` at a column of noise variances.
+
+    ``cfg`` gives the scenario and pilot length, not the noise variance.
+    ``b``, ``per_user`` and ``traces`` have one entry per point. Pilots
+    free of the noise variance are designed once and shared, with
+    ``None`` for a trace; the cyclic optimizer runs once per point.
+    """
+    traces = [None] * len(sigma2)
+    if x is not None:
+        x = _check_pilots(x, cfg)
+    elif algorithm == "conventional":
+        x = design_reuse_pilots(cfg)
+    elif ecfg.init is None:
+        x = construct_pilots(cfg)
     else:
-        b = conventional_estimator(x, cfg)
-    return x, b, analytic_wsmse(x, b, cfg), trace
+        x, traces = zip(*[_optimize_from(ecfg.init, replace(cfg, sigma2=s), ecfg)
+                          for s in sigma2[:, 0].tolist()])
+        x = np.stack(x)
+    b = (_proposed_estimators if algorithm == "proposed" else _conventional_estimators)(
+        x, cfg, sigma2)
+    return x, b, _wsmse_terms(x, b, cfg, sigma2), traces
 
 
 def _optimize_from(kind, cfg, ecfg):
@@ -317,47 +314,34 @@ def _consistency_gate(label, analytic, empirical, stderr):
 def sweep_snr(ecfg):
     """Sweep pilot length, SNR and algorithm.
 
-    Runs every point of ``ecfg`` (:meth:`ExperimentConfig.point`), and
-    at each one every algorithm designs its own pilots. Returns one
-    :class:`SweepRow` per (pilot length, SNR, algorithm), proposed first
-    when both run; at ``n == users`` both algorithms reduce to
-    orthogonal pilots and reach the same analytic WSMSE.
-
-    All points of one pilot length are designed first, each row built
-    with its analytic WSMSE and optimizer sweeps, then evaluated on the
-    pilot length's one summed Monte Carlo draw with the estimator
-    matrices the designs built, which fills in each row's empirical WSMSE
-    and exact standard error; each row equals its own
-    :func:`run_monte_carlo`. A row more than 4 of those standard errors
-    (module docstring) from its analytic WSMSE, or not finite, raises
-    :class:`NumericalError`. Pilots that do not depend on the noise
-    variance are designed once per pilot length, at its first SNR point.
+    Returns one :class:`SweepRow` per (pilot length, SNR, algorithm),
+    proposed first when both run; at ``n == users`` both algorithms
+    reach the same analytic WSMSE. A pilot length is one stacked pass:
+    one :class:`SystemConfig`, each SNR's noise variance from
+    :func:`sigma2_from_snr`, each algorithm's pilots designed once (once
+    per noise variance by the cyclic optimizer) with all its estimators
+    in one stacked solve, and every row on one summed Monte Carlo draw.
+    Each row equals its own :func:`design_pilots` and
+    :func:`run_monte_carlo` bit for bit. A row more than 4 exact standard
+    errors from its analytic WSMSE, or not finite, raises
+    :class:`NumericalError`.
     """
     rows = []
     for n in ecfg.n_list:
-        points, designed, shared = [], [], {}
-        for snr_db in ecfg.snr_db_list:
-            cfg = ecfg.point(snr_db, n)
-            for algorithm in ecfg.algorithms:
-                x, b, ana, trace = design_pilots(algorithm, cfg, ecfg, shared.get(algorithm))
-                if trace is None:  # no optimizer ran, no sigma2 in the pilots
-                    shared[algorithm] = x
-                points.append((cfg, x, b))
-                designed.append(SweepRow(
-                    snr_db=snr_db,
-                    n=cfg.pilot_len,
-                    algorithm=algorithm,
-                    wsmse_analytic=ana.wsmse,
-                    wsmse_empirical=float("nan"),
-                    stderr=float("nan"),
-                    trials=ecfg.trials,
-                    sweeps=None if trace is None else trace.sweeps_completed,
-                ))
-        for row, emp in zip(designed, _monte_carlo(points, ecfg.trials, ecfg.seed)):
-            label = f"{row.algorithm} @ {row.snr_db} dB"
-            _consistency_gate(label, row.wsmse_analytic, emp.wsmse, emp.stderr)
-            row.wsmse_empirical, row.stderr = emp.wsmse, emp.stderr
-        rows += designed
+        cfg = ecfg.point(ecfg.snr_db_list[0], n)
+        sigma2 = np.array([[sigma2_from_snr(snr_db, cfg.powers)] for snr_db in ecfg.snr_db_list])
+        # the baseline first: its equal-power check fails before any proposed work
+        designs = {alg: _design(alg, cfg, sigma2, ecfg) for alg in reversed(ecfg.algorithms)}
+        x, b, per_user, traces = zip(*map(designs.get, ecfg.algorithms))
+        _, empirical, stderr = _monte_carlo(cfg, sigma2, list(zip(x, b)), ecfg.trials, ecfg.seed)
+        # the points SNR by SNR and the algorithms within, as the rows run
+        analytic, traces = (np.concatenate(np.stack(v, 1)) for v in (per_user, traces))
+        for (snr_db, algorithm), *values, trace in zip(
+                product(ecfg.snr_db_list, ecfg.algorithms), analytic.mean(axis=1).tolist(),
+                empirical.tolist(), stderr.tolist(), traces):
+            _consistency_gate(f"{algorithm} @ {snr_db} dB", *values)
+            rows.append(SweepRow(snr_db, cfg.pilot_len, algorithm, *values, ecfg.trials,
+                                 trace and trace.sweeps_completed))
     return rows
 
 

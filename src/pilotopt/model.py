@@ -5,6 +5,8 @@ serves ``users`` single-antenna terminals. During training, every user
 transmits a known pilot sequence of ``pilot_len`` symbols; the base
 station observes the superposition of all users' pilots through their
 channels plus additive noise and estimates the per-user channel vectors.
+The error of a linear estimate ``y @ b`` is written here once, for the
+analytic WSMSE and the Monte Carlo engine, at a column of noise variances.
 """
 
 import math
@@ -240,6 +242,33 @@ def check_received(y, cfg):
             f"y shape {y.shape} does not match (antennas, pilot_len)"
         )
     return y
+
+
+def _error_maps(designs, cfg, sigma2, dtype):
+    """``D^(1/2) F``, ``F = [x^H b - I; sqrt(sigma2) b]``, of each point, in ``dtype``.
+
+    With ``D = diag(g, 1_N)``, rows ``Z = [h, white]`` have the error ``Z F``
+    under the estimate ``y @ b``. Each ``(x, b)`` design has a ``b`` per row
+    of the column ``sigma2`` and ``x`` shared or one per row; the maps run
+    row by row, the designs within.
+    """
+    root = np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))[:, None]
+    maps = []
+    for x, b in designs:
+        x, b = x.astype(dtype), b.astype(dtype)
+        maps.append(root * np.concatenate([x.conj().swapaxes(-1, -2) @ b - np.eye(cfg.users),
+                                           np.sqrt(sigma2)[..., None] * b], axis=-2))
+    return np.stack(maps, 1).reshape((-1,) + maps[0].shape[1:])
+
+
+def _wsmse_terms(x, b, cfg, sigma2):
+    """Per-user MSE over gain of the estimate ``y @ b``: the terms of ``analytic_wsmse``.
+
+    ``x`` and ``b`` may lead with a point axis, when ``sigma2`` is a column.
+    """
+    bias = x.conj().swapaxes(-1, -2) @ b - np.eye(cfg.users)
+    noise = sigma2 * np.sum(np.abs(b) ** 2, axis=-2)
+    return (cfg.gains @ np.abs(bias) ** 2 + noise) / cfg.gains
 
 
 def _mean_power(powers):

@@ -112,22 +112,19 @@ def draw_cn(stream, rows, cols):
     return complex_normals(stream.generator(), rows * cols).reshape(rows, cols)
 
 
-def _require_square(h, name):
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ContractViolation(f"{name} must be square, got shape {h.shape}")
-    return h.astype(np.complex128, copy=False)
-
-
 def _require_hermitian(h, name):
-    h = _require_square(h, name)
-    asym = np.max(np.abs(h - h.conj().T), initial=0.0)
-    scale = np.max(np.abs(h), initial=0.0)
-    if asym > HERMITIAN_TOL * scale:
-        raise ContractViolation(
-            f"{name} is not Hermitian: max |h - h^H| = {asym:.3e} "
-            f"exceeds {HERMITIAN_TOL:.0e} times max |h| = {scale:.3e}"
-        )
+    h = np.asarray(h)
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ContractViolation(f"{name} must be square, got shape {h.shape}")
+    h = h.astype(np.complex128, copy=False)
+    asym = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(h), axis=(-2, -1), initial=0.0)
+    for asym, scale in zip(np.ravel(asym).tolist(), np.ravel(scale).tolist()):
+        if asym > HERMITIAN_TOL * scale:
+            raise ContractViolation(
+                f"{name} is not Hermitian: max |h - h^H| = {asym:.3e} "
+                f"exceeds {HERMITIAN_TOL:.0e} times max |h| = {scale:.3e}"
+            )
     return h
 
 
@@ -165,6 +162,8 @@ def hermitian_eig(h):
     in magnitude, and makes outputs reproducible.
     """
     h = _require_hermitian(h, "h")
+    if h.ndim != 2:
+        raise ContractViolation(f"h must be one matrix, got shape {h.shape}")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
@@ -176,13 +175,14 @@ def require_nonsingular(w, name):
     """Check the ascending eigenvalues ``w`` of the matrix called ``name``.
 
     Raises :class:`SingularMatrixError` unless ``w[-1] > 0`` and
-    ``w[0] > 1e-12 * w[-1]``.
+    ``w[0] > 1e-12 * w[-1]``, each ``w[..., :]`` of a stack's in turn.
     """
-    if w[-1] <= 0 or w[0] <= SINGULARITY_FLOOR * w[-1]:
-        raise SingularMatrixError(
-            f"{name} is singular or not positive definite: smallest eigenvalue "
-            f"{w[0]:.6e} vs largest {w[-1]:.6e}"
-        )
+    for low, high in zip(np.ravel(w[..., 0]).tolist(), np.ravel(w[..., -1]).tolist()):
+        if high <= 0 or low <= SINGULARITY_FLOOR * high:
+            raise SingularMatrixError(
+                f"{name} is singular or not positive definite: smallest eigenvalue "
+                f"{low:.6e} vs largest {high:.6e}"
+            )
 
 
 def inv_sqrt_psd(h):
@@ -205,12 +205,14 @@ def solve_hermitian(a, b):
     ``a`` falls below ``1e-12`` times the largest, then solves by LU
     factorization (``numpy.linalg.solve``): on this package's Gram
     matrices its residual is as small as a Cholesky solve's (< 4e-16).
+    A stack ``a`` is solved matrix by matrix, each with its own bits.
     """
     a = _require_hermitian(a, "a")
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape[0] != a.shape[0]:
-        raise ContractViolation(
-            f"b has {b.shape[0]} rows but a is {a.shape[0]}x{a.shape[1]}"
-        )
+    rows = b.shape[0] if b.ndim == 1 else b.shape[-2]
+    if rows != a.shape[-2]:
+        raise ContractViolation(f"b has {rows} rows but a is {a.shape[-2]}x{a.shape[-1]}")
     require_nonsingular(np.linalg.eigvalsh(a), "a")
+    if b.ndim > 1:  # numpy < 2 reads a matrix b beside a stack a as vectors
+        b = np.broadcast_to(b, np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + b.shape[-2:])
     return np.linalg.solve(a, b)

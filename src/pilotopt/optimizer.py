@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
-from .model import WsmseReport, check_received
+from .model import WsmseReport, _wsmse_terms, check_received
 from .numerics import (
     draw_cn,
     hermitian_eig,
@@ -65,10 +65,13 @@ def _check_pilots(x, cfg, name="x"):
 
 
 def _covariance(x, gains, sigma2):
-    """``x diag(gains) x^H + sigma2 * I``, made exactly Hermitian."""
-    a = (x * gains) @ x.conj().T
-    a[np.diag_indices_from(a)] += sigma2
-    return 0.5 * (a + a.conj().T)
+    """``x diag(gains) x^H + sigma2 * I``, made exactly Hermitian; per row of a column sigma2."""
+    a = (x * gains) @ x.conj().swapaxes(-1, -2)
+    if a.ndim < np.ndim(sigma2) + 1:  # pilots shared by the points
+        a = np.repeat(a[None], len(sigma2), axis=0)
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] += sigma2
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def gram_matrix(x, cfg):
@@ -261,8 +264,12 @@ def proposed_estimator(x, cfg):
     ``y`` is ``y @ b``. It depends on the pilots only, so one design
     needs one solve for all its trials.
     """
-    x = _check_pilots(x, cfg)
-    return solve_hermitian(gram_matrix(x, cfg), x) * cfg.gains
+    return _proposed_estimators(_check_pilots(x, cfg), cfg, cfg.sigma2)
+
+
+def _proposed_estimators(x, cfg, sigma2):
+    """:func:`proposed_estimator` at a column of noise variances, in one stacked solve."""
+    return solve_hermitian(_covariance(x, cfg.gains, sigma2), x) * cfg.gains
 
 
 def proposed_estimate(y, x, cfg):
@@ -291,11 +298,8 @@ def analytic_wsmse(x, b, cfg):
     directly to the design objective; summing nonnegative terms instead
     of subtracting from 1 keeps full relative accuracy at high SNR.
     """
-    x = _check_pilots(x, cfg)
-    b = _check_pilots(b, cfg, name="b")
-    bias = x.conj().T @ b - np.eye(cfg.users)
-    noise = cfg.sigma2 * np.sum(np.abs(b) ** 2, axis=0)
-    per_user = (cfg.gains @ np.abs(bias) ** 2 + noise) / cfg.gains
+    x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
+    per_user = _wsmse_terms(x, b, cfg, cfg.sigma2)
     return WsmseReport(wsmse=float(np.mean(per_user)), per_user=per_user)
 
 

@@ -737,6 +737,36 @@ def test_library_callers_never_freeze(tmp_path):
     assert done.stdout.split() == ["0", "0"]
 
 
+@pytest.mark.parametrize("setup, after", [
+    ("gc.set_threshold(123, 4, 5)", "(123, 4, 5) True"),
+    ("gc.disable()", None),
+    # the default thresholds: the import runs a few collections, not about 30
+    ("", None),
+])
+def test_import_restores_the_callers_collector(setup, after):
+    probe = (
+        f"import gc\n{setup}\n"
+        "before = gc.get_threshold(), gc.isenabled()\n"
+        "runs = []\n"
+        "gc.callbacks.append(lambda phase, info: runs.append(phase == 'start'))\n"
+        "import pilotopt\n"
+        "print(gc.get_threshold(), gc.isenabled())\n"
+        "print(*before)\n"
+        "print(sum(runs))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    got, before, runs = done.stdout.splitlines()
+    assert got == (after or before)
+    if setup == "gc.disable()":
+        assert got.endswith("False") and int(runs) == 0
+    if not setup:
+        assert int(runs) <= 4
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 

@@ -14,6 +14,7 @@ from pilotopt import (
     ExperimentConfig,
     NumericalError,
     RandomStream,
+    SweepRow,
     SystemConfig,
     analytic_wsmse,
     construct_pilots,
@@ -273,19 +274,20 @@ class TestRunMonteCarlo:
             assert rep.wsmse == float(np.mean(rep.per_user))
 
     def test_sweep_rows_are_the_mean_of_per_user(self, monkeypatch):
-        reports = []
+        per_user = []
 
         def kept(*args):
-            reports.extend(_monte_carlo(*args))
-            return reports[-len(args[0]):]
+            result = _monte_carlo(*args)
+            per_user.extend(result[0])
+            return result
 
         monkeypatch.setattr(harness, "_monte_carlo", kept)
         grid = [float(v) for v in range(-10, 21, 2)]
         rows = sweep_snr(ExperimentConfig(antennas=32, users=8, snr_db_list=grid, n_list=[4],
                                           trials=200, seed=1))
-        assert len(rows) == len(reports) == 32
-        for row, rep in zip(rows, reports):
-            assert row.wsmse_empirical == float(np.mean(rep.per_user))
+        assert len(rows) == len(per_user) == 32
+        for row, terms in zip(rows, per_user):
+            assert row.wsmse_empirical == float(np.mean(terms))
 
     def test_per_user_agreement_with_analytic(self):
         cfg = SystemConfig(antennas=32, users=4, pilot_len=2, sigma2=0.5,
@@ -424,16 +426,20 @@ class TestGramEngine:
     def test_point_values_do_not_depend_on_company(self):
         cfg, x, b = gram_case(GRAM_CASES[5], 5)
         other = gram_case(GRAM_CASES[4], 4)[1:]
-        alone = _monte_carlo([(cfg, x, b)], 57, seed=4)[0]
-        shared = _monte_carlo([(cfg, *other), (cfg, x, b), (cfg, *other)], 57, seed=4)[1]
-        assert alone.wsmse == shared.wsmse
-        assert alone.stderr == shared.stderr
-        assert np.array_equal(alone.per_user, shared.per_user)
+        # two designs at three noise variances, a column: the point of (x, b)
+        # at cfg.sigma2 is the fourth, SNR by SNR and the designs within
+        alone = _monte_carlo(cfg, np.array([[cfg.sigma2]]), [(x, b[np.newaxis])], 57, seed=4)
+        shared = _monte_carlo(cfg, np.array([[0.7], [cfg.sigma2], [2.0]]),
+                              [(other[0], np.stack([other[1]] * 3)), (x, np.stack([b] * 3))],
+                              57, seed=4)
+        for one, among in zip(alone, shared):
+            assert one[0].tobytes() == among[3].tobytes()
 
     def test_sweep_counts(self, monkeypatch):
         # a refactor that brings back per-trial or per-point work changes
-        # these counts: one random stream per pilot length, whatever the
-        # trial count, and one solve per proposed design
+        # these counts: one random stream and one stacked solve of the
+        # proposed estimators per pilot length, whatever the trial count and
+        # the number of SNR points
         calls = dict.fromkeys(["draw_cn", "generator", "solve_hermitian"], 0)
 
         def counted(owner, name):
@@ -454,16 +460,16 @@ class TestGramEngine:
             calls.update(dict.fromkeys(calls, 0))
             ecfg = desk_experiment(snr_db_list=[0.0, 10.0], trials=trials)
             assert len(sweep_snr(ecfg)) == 4
-            assert calls == {"draw_cn": 0, "generator": 1, "solve_hermitian": 2}
+            assert calls == {"draw_cn": 0, "generator": 1, "solve_hermitian": 1}
         calls.update(dict.fromkeys(calls, 0))
         assert len(sweep_snr(desk_experiment(n_list=[2, 4], trials=5))) == 8
-        assert calls == {"draw_cn": 0, "generator": 2, "solve_hermitian": 4}
+        assert calls == {"draw_cn": 0, "generator": 2, "solve_hermitian": 2}
 
     def test_desk_sweep_designs_once(self, monkeypatch):
         # the default design and the baseline do not depend on the noise
-        # variance: a 16-point desk sweep builds each once and only forms one
-        # estimator per proposed point (the cyclic optimizer from dft-reuse
-        # made 128 updates across 16 runs here)
+        # variance: a 16-point desk sweep builds each once and forms all 16
+        # proposed estimators in one stacked solve (the cyclic optimizer from
+        # dft-reuse made 128 updates across 16 runs here)
         calls = dict.fromkeys(
             ["construct_pilots", "design_reuse_pilots", "rayleigh_update", "solve_hermitian"], 0)
 
@@ -485,7 +491,7 @@ class TestGramEngine:
                                 trials=200, seed=1)
         assert len(sweep_snr(ecfg)) == 32
         assert calls == {"construct_pilots": 1, "design_reuse_pilots": 1,
-                         "rayleigh_update": 0, "solve_hermitian": 16}
+                         "rayleigh_update": 0, "solve_hermitian": 1}
 
 
 # (antennas, users, pilot_len, trials): T M >= K + N, and T M < K + N at
@@ -545,14 +551,15 @@ class TestFactorLaw:
         m, seeds = cfg.antennas, LAW_SEEDS
         x = construct_pilots(cfg)
         b = proposed_estimator(x, cfg)
-        reports = [_monte_carlo([(cfg, x, b)], trials, seed)[0] for seed in range(seeds)]
-        means = np.array([rep.wsmse for rep in reports])
+        sigma2, stack = np.array([[cfg.sigma2]]), b[np.newaxis]
+        runs = [_monte_carlo(cfg, sigma2, [(x, stack)], trials, seed) for seed in range(seeds)]
+        means = np.array([wsmse[0] for _, wsmse, _ in runs])
         c = np.linalg.eigvalsh(weight_matrix(cfg, x, b))
         mean = analytic_wsmse(x, b, cfg).wsmse
         assert mean == pytest.approx(m * c.sum(), rel=1e-12)
         kappa2 = m * np.sum(c**2) / trials
         kappa4 = 6 * m * np.sum(c**4) / trials**3
-        assert reports[0].stderr == pytest.approx(np.sqrt(kappa2), rel=1e-12)
+        assert runs[0][2][0] == pytest.approx(np.sqrt(kappa2), rel=1e-12)
         assert abs(means.mean() - mean) <= 5 * np.sqrt(kappa2 / seeds)
         se = np.sqrt(kappa4 / seeds + 2 * kappa2**2 / (seeds - 1))
         assert abs(means.var(ddof=1) - kappa2) <= 5 * se
@@ -614,23 +621,40 @@ class TestSweepSnr:
         rows = sweep_snr(ecfg)
         assert [r.algorithm for r in rows] == ["conventional", "conventional"]
 
-    def test_rows_equal_single_point_runs(self):
-        # the sweep evaluates every point of one pilot length on shared
-        # draws; each row must equal its own run_monte_carlo
-        ecfg = desk_experiment(n_list=[2, 4], snr_db_list=[-5.0, 0.0, 10.0])
-        trials = 57
-        ecfg = replace(ecfg, trials=trials)
+    @pytest.mark.parametrize("overrides", [
+        # N = 1, N = K and N > K in one n_list
+        dict(n_list=[1, 8, 12], snr_db_list=[-5.0, 0.0, 10.0]),
+        # pilots designed once per noise variance
+        dict(n_list=[2, 8, 12], snr_db_list=[-5.0, 10.0], init="random"),
+        dict(n_list=[3, 8], snr_db_list=[0.0, 7.0, 20.0], mode="proposed",
+             powers=np.linspace(0.5, 2.0, 8)),
+        dict(n_list=[1, 4, 12], snr_db_list=[3.0]),
+        # one user: each bias x_k^H b_k is a dot product, whose BLAS bits
+        # depend on the strides the stacked pilots give it
+        dict(antennas=3, users=1, gains=DESK_GAINS[:1], n_list=[1, 10],
+             snr_db_list=[-3.0, 7.0, 40.0]),
+    ])
+    def test_rows_equal_single_point_runs(self, overrides):
+        # the sweep designs and evaluates every point of one pilot length in
+        # one stacked pass; each row must equal its own design_pilots and
+        # run_monte_carlo, field by field and bit for bit
+        ecfg = desk_experiment(trials=57, **overrides)
         rows = sweep_snr(ecfg)
-        assert len(rows) == 12
+        points = [(snr_db, n, algorithm) for n in ecfg.n_list for snr_db in ecfg.snr_db_list
+                  for algorithm in ecfg.algorithms]
+        assert [(r.snr_db, r.n, r.algorithm) for r in rows] == points
+        powers = np.ones(ecfg.users) * ecfg.powers
         for row in rows:
-            cfg = SystemConfig(antennas=16, users=8, pilot_len=row.n,
-                               sigma2=sigma2_from_snr(row.snr_db, np.ones(8)), gains=DESK_GAINS)
-            x, b, ana, _ = design_pilots(row.algorithm, cfg, ecfg)
-            emp = run_monte_carlo(cfg, x, b, trials, ecfg.seed)
-            assert row.wsmse_analytic == ana.wsmse
-            assert row.wsmse_empirical == emp.wsmse
-            assert row.stderr == emp.stderr
-
+            cfg = SystemConfig(antennas=ecfg.antennas, users=ecfg.users, pilot_len=row.n,
+                               sigma2=sigma2_from_snr(row.snr_db, powers), powers=powers,
+                               gains=ecfg.gains)
+            x, b, ana, trace = design_pilots(row.algorithm, cfg, ecfg)
+            emp = run_monte_carlo(cfg, x, b, ecfg.trials, ecfg.seed)
+            expected = SweepRow(row.snr_db, row.n, row.algorithm, ana.wsmse, emp.wsmse,
+                                emp.stderr, ecfg.trials,
+                                None if trace is None else trace.sweeps_completed)
+            assert vars(row) == vars(expected)
+            assert (row.sweeps is None) == (ecfg.init is None or row.algorithm != "proposed")
 
     def test_non_finite_wsmse_is_a_numerical_error(self, monkeypatch):
         factor = harness._factor

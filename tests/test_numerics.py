@@ -163,6 +163,29 @@ class TestSolveHermitian:
         with pytest.raises(ContractViolation):
             solve_hermitian(np.eye(3), np.ones(4))
 
+    def test_stack_equals_single_solves(self):
+        # against one b or a stack of them, each solution is that matrix's
+        # own solve bit for bit
+        a = np.stack([random_hpd(8, seed=70 + i) for i in range(3)])
+        b = draw_cn(RandomStream(7, 5), 8, 3)
+        bs = np.stack([draw_cn(RandomStream(7, 6 + i), 8, 3) for i in range(3)])
+        shared, own = solve_hermitian(a, b), solve_hermitian(a, bs)
+        for i in range(3):
+            assert shared[i].tobytes() == solve_hermitian(a[i], b).tobytes()
+            assert own[i].tobytes() == solve_hermitian(a[i], bs[i]).tobytes()
+        a[1] = np.diag([1.0] * 7 + [1e-14])
+        with pytest.raises(SingularMatrixError, match=r"smallest eigenvalue 1\.000000e-14 "):
+            solve_hermitian(a, b)
+
+    def test_stack_members_checked_one_by_one(self):
+        # the small member's asymmetry is far below the large member's
+        # entries, but not below its own
+        bad = np.array([[1e-12, 5e-11], [0.0, 1e-12]])
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            solve_hermitian(np.stack([1e6 * np.eye(2), bad]), np.ones((2, 1)))
+        with pytest.raises(ContractViolation, match="one matrix"):
+            hermitian_eig(np.stack([np.eye(2), np.eye(2)]))
+
 
 class TestDrawCn:
     def test_moments(self):
