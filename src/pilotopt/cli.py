@@ -9,6 +9,7 @@ writes every output.
 """
 
 import argparse
+import atexit
 import gc
 import os
 import sys
@@ -235,11 +236,46 @@ def main(argv=None):
         return 2
 
 
+def _observed():
+    """Whether a tracer, profiler or debugger watches the process, or ``-i`` asked for a prompt.
+
+    Each needs the interpreter's own exit: ``python -m cProfile -o`` writes
+    its file as ``SystemExit`` unwinds, and ``-i`` opens its prompt after it.
+    """
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, tool ids 0-5
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or sys.flags.inspect
+            or (monitoring is not None
+                and any(monitoring.get_tool(i) is not None for i in range(6))))
+
+
 def entrypoint():
-    # the imported modules live until exit, so neither the run's collections
-    # nor the interpreter's exit should traverse or free them
+    """Run :func:`main` on ``sys.argv`` and end the process with its exit code.
+
+    The imported modules live until exit, so ``gc.freeze()`` first keeps
+    the run's collections off them. After ``main`` returns, the exit hooks
+    that are registered run (``atexit._run_exitfuncs`` is what the
+    interpreter's exit calls), the standard streams that exist are
+    flushed, and ``os._exit`` ends the process without tearing down the
+    heap: every file the package writes is closed inside a ``with``, so no
+    buffered output is lost. That exit takes 0.85 ms against 2.5 ms with
+    the teardown (README, Process cost). The interpreter's own exit,
+    ``sys.exit``, is kept while :func:`_observed`, or when a flush fails,
+    so it reports the failure as it always has.
+    """
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    if not _observed():
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

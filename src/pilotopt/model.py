@@ -173,10 +173,10 @@ def reference_gains():
 
 
 def load_gains(path):
-    """Read a gains file: one decimal gain per line, '#' comments allowed.
+    """Read a gains or power file: one decimal value per line, '#' comments allowed.
 
     Raises :class:`ConfigurationError` naming the file and the line of an
-    entry that is not one number.
+    entry that is not one number, or the file when it holds no values.
     """
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -191,7 +191,7 @@ def load_gains(path):
                     f"{path} line {number}: expected one number, got {text!r}"
                 ) from None
     if not values:
-        raise ConfigurationError(f"{path}: gains file contains no values")
+        raise ConfigurationError(f"{path}: file contains no values")
     return np.asarray(values, dtype=np.float64)
 
 

@@ -31,9 +31,13 @@ def _open_out(path):
     """Text stream for writing ``path``, or the open standard output for ``"-"``.
 
     Standard output is written where it already points, so a shell
-    redirection that appends (``>>``) keeps what the file held.
+    redirection that appends (``>>``) keeps what the file held. A process
+    started without one (``>&-``) has ``sys.stdout`` set to ``None``,
+    which raises ``OSError``.
     """
     if path == "-":
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -4,12 +4,15 @@ The public names, the field names of the records a run builds and of
 ``ExperimentConfig``, the number of settable (command, flag) values of
 the command line, the rule that no module reaches into the harness for
 a private name, the rule that only ``model`` opens files to read and
-only ``report`` opens files to write, and the rule that every public
-name has a use outside the tests. A change to any of them is deliberate and updates the pin here.
+only ``report`` opens files to write, the rule that every public
+name has a use outside the tests, and the parser token counts of the
+modules a CSV sweep compiles. A change to any of them is deliberate and
+updates the pin here.
 """
 
 import argparse
 import ast
+import tokenize
 from dataclasses import fields
 from pathlib import Path
 
@@ -172,3 +175,23 @@ def test_every_public_name_has_a_use_outside_the_tests():
     for entry in _layer_functions():
         used.update(entry.split(".")[1:])
     assert set(pilotopt.__all__) - used == UNUSED_KEPT
+
+
+# CPython's parser holds a module's tokens in an array that doubles past
+# 2048, and with no bytecode cache every process compiles what it imports,
+# so a module past the step raises every process's peak RSS by about 0.1 MB.
+# optimizer.py is already past it; the chart module loads only for SVG output.
+PARSER_TOKEN_STEP = 2048
+PAST_THE_STEP = {"optimizer"}
+
+
+def _parser_tokens(path):
+    """The tokens the parser holds for ``path``: ``tokenize``'s, less comments and blank lines."""
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    with open(path, "rb") as fh:
+        return sum(1 for tok in tokenize.tokenize(fh.readline) if tok.type not in skipped)
+
+
+def test_csv_sweep_modules_stay_under_the_parser_token_step():
+    counts = {p.stem: _parser_tokens(p) for p in PACKAGE.glob("*.py") if p.stem != "plot"}
+    assert {name for name, n in counts.items() if n >= PARSER_TOKEN_STEP} == PAST_THE_STEP
