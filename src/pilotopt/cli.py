@@ -259,9 +259,10 @@ def entrypoint():
     flushed, and ``os._exit`` ends the process without tearing down the
     heap: every file the package writes is closed inside a ``with``, so no
     buffered output is lost. That exit takes 0.85 ms against 2.5 ms with
-    the teardown (README, Process cost). The interpreter's own exit,
-    ``sys.exit``, is kept while :func:`_observed`, or when a flush fails,
-    so it reports the failure as it always has.
+    the teardown (README, Process cost). A failed flush is reported as
+    :func:`main` reports a failed write, and ``os._exit(2)`` keeps the
+    exit from flushing that buffer again; ``sys.exit`` is kept while
+    :func:`_observed` and for a closed stream.
     """
     gc.freeze()
     code = main()
@@ -271,8 +272,11 @@ def entrypoint():
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:
                     stream.flush()
-        except (OSError, ValueError):
+        except ValueError:
             pass
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr, flush=True)
+            os._exit(2)
         else:
             os._exit(code)
     sys.exit(code)

@@ -42,12 +42,10 @@ rounded to float64 once, so where long double is wider than float64 a
 result is within about one rounding of the exact value on the drawn
 factor.
 
-A row of ``Z`` is ``u D^(1/2)``, ``u ~ CN(0, I)``, so a trial's WSMSE is
-``sum_m u_m C u_m^H`` with ``C = D^(1/2) F diag(1 / (K M g)) F^H
-D^(1/2)``: mean ``antennas tr(C)``, the analytic WSMSE, and variance
-``antennas ||C||_F^2``. A row's standard error is the exact
-``sqrt(antennas ||C||_F^2 / T)``, and :func:`sweep_snr` gates each row
-on it, so a defect that inflates the variance cannot widen its own gate.
+A trial's mean and sd are read off the same maps by
+:func:`pilotopt.model._error_law`; :func:`sweep_snr` gates each row on
+the exact standard error ``sd / sqrt(T)``, so a defect that inflates
+the variance cannot widen its own gate.
 """
 
 from dataclasses import dataclass, replace
@@ -58,12 +56,13 @@ import numpy as np
 from .conventional import _conventional_estimators, design_reuse_pilots
 from .errors import ConfigurationError, NumericalError
 from .model import SystemConfig, WsmseReport, sigma2_from_snr
-from .model import _as_dimensions, _as_index, _as_per_user, _error_maps, _wsmse_terms
+from .model import _as_dimensions, _as_index, _as_per_user, _error_law, _error_maps
 from .numerics import RandomStream, complex_normals
 from .optimizer import (
     INIT_KINDS,
     _check_pilots,
     _proposed_estimators,
+    analytic_wsmse,
     construct_pilots,
     init_pilots,
     optimize_pilots,
@@ -202,31 +201,22 @@ def _factor(cfg, seed, dof):
     return low
 
 
-def _monte_carlo(cfg, sigma2, designs, trials, seed):
-    """Empirical ``(per_user, wsmse, stderr)`` of each point of the ``(x, b)`` designs.
+def _monte_carlo(cfg, maps, trials, seed):
+    """Empirical ``(per_user, wsmse)`` of each of :func:`~pilotopt.model._error_maps`' maps.
 
-    The designs are :func:`_design`'s at the column ``sigma2``, and the
-    results run as ``_error_maps`` runs the points. One factor ``L`` of
-    trials ``0 .. trials - 1``, ``trials * antennas`` degrees of freedom,
-    gives every point's error block ``E`` (module docstring), so a
-    point's values do not depend on the others. The per-user means,
-    ``E``'s squared column norms over ``trials antennas g_k``, are
-    rounded to float64 once. The standard error is the exact ``||C||_F
-    sqrt(antennas / trials)``, with ``||C||_F`` taken in float64 over the
-    largest real or imaginary part of ``C`` so that it cannot underflow.
+    One factor ``L`` of trials ``0 .. trials - 1``, ``trials * antennas``
+    degrees of freedom, gives every point's error block ``E`` (module
+    docstring), so a point's values do not depend on the others. The
+    per-user means, ``E``'s squared column norms over ``trials antennas
+    g_k``, are rounded to float64 once.
     """
     low_h = _factor(cfg, seed, trials * cfg.antennas).conj().T.astype(np.clongdouble)
     # numpy's np.dot loop is faster than its matmul on long double; over the
     # points' maps side by side it gives every error block, (r, points, K)
-    err = np.abs(np.dot(low_h, _error_maps(designs, cfg, sigma2, np.clongdouble)))
+    err = np.abs(np.dot(low_h, maps))
     err = np.sum(np.square(err, out=err), axis=0) / (trials * (cfg.antennas * cfg.gains))
     per_user = err.astype(np.float64)
-    f = _error_maps(designs, cfg, sigma2, np.complex128)
-    c = (f / (cfg.users * cfg.antennas * cfg.gains)) @ f.conj().swapaxes(-1, -2)
-    parts = c.reshape(len(c), -1).view(np.float64)
-    top = np.abs(parts).max(axis=1)
-    norms = [np.linalg.norm(row) for row in np.divide(parts, top[:, np.newaxis], out=parts)]
-    return per_user, per_user.mean(axis=1), top * norms * np.sqrt(cfg.antennas / trials)
+    return per_user, per_user.mean(axis=1)
 
 
 def run_monte_carlo(cfg, x, b, trials, seed):
@@ -244,11 +234,13 @@ def run_monte_carlo(cfg, x, b, trials, seed):
     trials = _as_index(trials, "trials", 1, MAX_TRIALS)
     seed = _as_index(seed, "seed", 0)
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
-    per_user, wsmse, stderr = _monte_carlo(cfg, [[cfg.sigma2]], [(x, b[None])], trials, seed)
-    return WsmseReport(float(wsmse[0]), per_user[0], float(stderr[0]))
+    maps = _error_maps([(x, b[None])], cfg, np.array([[cfg.sigma2]]))
+    (per_user,), (wsmse,) = _monte_carlo(cfg, maps, trials, seed)
+    (sd,) = _error_law(maps, cfg)[1]
+    return WsmseReport(float(wsmse), per_user, float(sd / np.sqrt(trials)))
 
 
-def design_pilots(algorithm, cfg, ecfg, x=None):
+def design_pilots(algorithm, cfg, ecfg):
     """Pilots of one algorithm at one scenario, with estimator and analytic WSMSE.
 
     Returns ``(x, b, analytic, trace)``: the pilots, the algorithm's
@@ -257,29 +249,25 @@ def design_pilots(algorithm, cfg, ecfg, x=None):
     ``proposed`` constructs the optimum when ``ecfg.init`` is ``None``
     and otherwise runs the cyclic optimizer from ``ecfg.init``;
     ``conventional`` reuses the DFT columns. The trace is ``None`` unless
-    the optimizer ran. Pilots given as ``x`` skip the design.
+    the optimizer ran.
     """
     if algorithm not in ALGORITHMS:
-        raise ConfigurationError(
-            f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}"
-        )
-    x, b, per_user, traces = _design(algorithm, cfg, np.array([[cfg.sigma2]]), ecfg, x)
-    analytic = WsmseReport(float(np.mean(per_user[0])), per_user[0])
-    return x.reshape(b.shape[1:]), b[0], analytic, traces[0]
+        raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    x, b, traces = _design(algorithm, cfg, np.array([[cfg.sigma2]]), ecfg)
+    x, b = x.reshape(b.shape[1:]), b[0]
+    return x, b, analytic_wsmse(x, b, cfg), traces[0]
 
 
-def _design(algorithm, cfg, sigma2, ecfg, x=None):
-    """``(x, b, per_user, traces)`` of :func:`design_pilots` at a column of noise variances.
+def _design(algorithm, cfg, sigma2, ecfg):
+    """``(x, b, traces)`` of :func:`design_pilots` at a column of noise variances.
 
     ``cfg`` gives the scenario and pilot length, not the noise variance.
-    ``b``, ``per_user`` and ``traces`` have one entry per point. Pilots
-    free of the noise variance are designed once and shared, with
-    ``None`` for a trace; the cyclic optimizer runs once per point.
+    ``b`` and ``traces`` have one entry per point. Pilots free of the
+    noise variance are designed once and shared, with ``None`` for a
+    trace; the cyclic optimizer runs once per point.
     """
     traces = [None] * len(sigma2)
-    if x is not None:
-        x = _check_pilots(x, cfg)
-    elif algorithm == "conventional":
+    if algorithm == "conventional":
         x = design_reuse_pilots(cfg)
     elif ecfg.init is None:
         x = construct_pilots(cfg)
@@ -289,7 +277,7 @@ def _design(algorithm, cfg, sigma2, ecfg, x=None):
         x = np.stack(x)
     b = (_proposed_estimators if algorithm == "proposed" else _conventional_estimators)(
         x, cfg, sigma2)
-    return x, b, _wsmse_terms(x, b, cfg, sigma2), traces
+    return x, b, traces
 
 
 def _optimize_from(kind, cfg, ecfg):
@@ -332,13 +320,15 @@ def sweep_snr(ecfg):
         sigma2 = np.array([[sigma2_from_snr(snr_db, cfg.powers)] for snr_db in ecfg.snr_db_list])
         # the baseline first: its equal-power check fails before any proposed work
         designs = {alg: _design(alg, cfg, sigma2, ecfg) for alg in reversed(ecfg.algorithms)}
-        x, b, per_user, traces = zip(*map(designs.get, ecfg.algorithms))
-        _, empirical, stderr = _monte_carlo(cfg, sigma2, list(zip(x, b)), ecfg.trials, ecfg.seed)
+        x, b, traces = zip(*map(designs.get, ecfg.algorithms))
         # the points SNR by SNR and the algorithms within, as the rows run
-        analytic, traces = (np.concatenate(np.stack(v, 1)) for v in (per_user, traces))
+        maps = _error_maps(list(zip(x, b)), cfg, sigma2)
+        per_user, sd = _error_law(maps, cfg)
+        _, empirical = _monte_carlo(cfg, maps, ecfg.trials, ecfg.seed)
         for (snr_db, algorithm), *values, trace in zip(
-                product(ecfg.snr_db_list, ecfg.algorithms), analytic.mean(axis=1).tolist(),
-                empirical.tolist(), stderr.tolist(), traces):
+                product(ecfg.snr_db_list, ecfg.algorithms), per_user.mean(axis=1).tolist(),
+                empirical.tolist(), (sd / np.sqrt(ecfg.trials)).tolist(),
+                np.concatenate(np.stack(traces, 1))):
             _consistency_gate(f"{algorithm} @ {snr_db} dB", *values)
             rows.append(SweepRow(snr_db, cfg.pilot_len, algorithm, *values, ecfg.trials,
                                  trace and trace.sweeps_completed))

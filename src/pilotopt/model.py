@@ -5,8 +5,8 @@ serves ``users`` single-antenna terminals. During training, every user
 transmits a known pilot sequence of ``pilot_len`` symbols; the base
 station observes the superposition of all users' pilots through their
 channels plus additive noise and estimates the per-user channel vectors.
-The error of a linear estimate ``y @ b`` is written here once, for the
-analytic WSMSE and the Monte Carlo engine, at a column of noise variances.
+The error map of a linear estimate ``y @ b`` is formed here once per point,
+and the analytic WSMSE, the Monte Carlo engine and its standard error read it.
 """
 
 import math
@@ -148,10 +148,9 @@ class WsmseReport:
     ``wsmse`` is the weighted sum MSE divided by (users * antennas), so
     ``per_user`` holds each user's MSE per channel coefficient divided
     by that user's gain and ``wsmse`` is their mean, exactly
-    ``float(np.mean(per_user))``. ``stderr`` is
-    ``None`` on analytic evaluations; on a Monte Carlo estimate of ``T``
-    trials it is the exact standard error of the mean, ``sqrt(antennas
-    ||C||_F^2 / T)`` (:mod:`pilotopt.harness`), finite at one trial too.
+    ``float(np.mean(per_user))``. ``stderr`` is ``None`` on analytic
+    evaluations; on ``T`` Monte Carlo trials it is the exact standard
+    error of the mean, :func:`_error_law`'s ``sd / sqrt(T)``.
     """
 
     wsmse: float
@@ -244,8 +243,8 @@ def check_received(y, cfg):
     return y
 
 
-def _error_maps(designs, cfg, sigma2, dtype):
-    """``D^(1/2) F``, ``F = [x^H b - I; sqrt(sigma2) b]``, of each point, in ``dtype``.
+def _error_maps(designs, cfg, sigma2):
+    """``D^(1/2) F``, ``F = [x^H b - I; sqrt(sigma2) b]``, of each point, in long double.
 
     With ``D = diag(g, 1_N)``, rows ``Z = [h, white]`` have the error ``Z F``
     under the estimate ``y @ b``. Each ``(x, b)`` design has a ``b`` per row
@@ -255,20 +254,28 @@ def _error_maps(designs, cfg, sigma2, dtype):
     root = np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))[:, None]
     maps = []
     for x, b in designs:
-        x, b = x.astype(dtype), b.astype(dtype)
+        x, b = x.astype(np.clongdouble), b.astype(np.clongdouble)
         maps.append(root * np.concatenate([x.conj().swapaxes(-1, -2) @ b - np.eye(cfg.users),
                                            np.sqrt(sigma2)[..., None] * b], axis=-2))
     return np.stack(maps, 1).reshape((-1,) + maps[0].shape[1:])
 
 
-def _wsmse_terms(x, b, cfg, sigma2):
-    """Per-user MSE over gain of the estimate ``y @ b``: the terms of ``analytic_wsmse``.
+def _error_law(maps, cfg):
+    """``(per_user, sd)``, the analytic terms and one trial's sd, of each point's map ``G``.
 
-    ``x`` and ``b`` may lead with a point axis, when ``sigma2`` is a column.
+    A trial's WSMSE is ``sum_m u_m C u_m^H``, ``u_m ~ CN(0, I)``, with ``C = G W
+    G^H``, ``W = diag(1 / (K M g))``. ``W^(1/2) H W^(1/2)``, ``H = G^H G`` in
+    float64, has ``C``'s nonzero eigenvalues: user ``k``'s term is ``H_kk / g_k``
+    and the sd ``sqrt(M ||C||_F^2)``, taken over the largest real or imaginary
+    part of ``W^(1/2) H W^(1/2)`` so that it cannot underflow.
     """
-    bias = x.conj().swapaxes(-1, -2) @ b - np.eye(cfg.users)
-    noise = sigma2 * np.sum(np.abs(b) ** 2, axis=-2)
-    return (cfg.gains @ np.abs(bias) ** 2 + noise) / cfg.gains
+    maps = maps.astype(np.complex128)
+    h = maps.conj().swapaxes(-1, -2) @ maps
+    root = np.sqrt(1.0 / (cfg.users * cfg.antennas * cfg.gains))
+    parts = (root[:, None] * h * root).reshape(len(h), -1).view(np.float64)
+    top = np.abs(parts).max(axis=1)
+    norms = [np.linalg.norm(row) for row in np.divide(parts, top[:, None], out=parts)]
+    return h.diagonal(0, -2, -1).real / cfg.gains, top * norms * np.sqrt(cfg.antennas)
 
 
 def _mean_power(powers):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, NumericalError
-from .model import WsmseReport, _wsmse_terms, check_received
+from .model import WsmseReport, _error_law, _error_maps, check_received
 from .numerics import (
     draw_cn,
     hermitian_eig,
@@ -67,10 +67,7 @@ def _check_pilots(x, cfg, name="x"):
 def _covariance(x, gains, sigma2):
     """``x diag(gains) x^H + sigma2 * I``, made exactly Hermitian; per row of a column sigma2."""
     a = (x * gains) @ x.conj().swapaxes(-1, -2)
-    if a.ndim < np.ndim(sigma2) + 1:  # pilots shared by the points
-        a = np.repeat(a[None], len(sigma2), axis=0)
-    diag = np.arange(a.shape[-1])
-    a[..., diag, diag] += sigma2
+    a = a + np.asarray(sigma2)[..., None] * np.eye(a.shape[-1])
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
@@ -299,7 +296,7 @@ def analytic_wsmse(x, b, cfg):
     of subtracting from 1 keeps full relative accuracy at high SNR.
     """
     x, b = _check_pilots(x, cfg), _check_pilots(b, cfg, name="b")
-    per_user = _wsmse_terms(x, b, cfg, cfg.sigma2)
+    per_user = _error_law(_error_maps([(x, b[None])], cfg, np.array([[cfg.sigma2]])), cfg)[0][0]
     return WsmseReport(wsmse=float(np.mean(per_user)), per_user=per_user)
 
 

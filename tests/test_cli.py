@@ -763,22 +763,39 @@ def test_piped_output_keeps_its_last_buffer(tmp_path):
     assert done.stdout == out.read_bytes()
 
 
-def test_failed_flush_takes_the_interpreters_exit(tmp_path):
-    # the output waits in stdout's buffer for the final flush, into a pipe
-    # with no reader: the interpreter's exit reports it and exits 120
+def _failed_final_flush(argv, stdout):
+    """``(exit code, stderr)`` of a run whose output waits in stdout's buffer till the end."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pilotopt", *argv],
+        env={**env, "PYTHONPATH": str(SRC)},
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+    )
+    return done.returncode, done.stderr
+
+
+def test_failed_flush_into_a_closed_pipe_is_an_io_error():
+    # a pipe with no reader: reported as main reports a failed write
     read, write = os.pipe()
     os.close(read)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "pilotopt", "optimize", "--snr-db", "0", "--seed", "1"],
-            env={**env, "PYTHONPATH": str(SRC)},
-            stdout=write, stderr=subprocess.PIPE, text=True,
-        )
+        code, err = _failed_final_flush(["optimize", "--snr-db", "0", "--seed", "1"], write)
     finally:
         os.close(write)
-    assert done.returncode == 120
-    assert done.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert code == 2
+    assert err.count("i/o error") == 1
+    assert err.endswith("\ni/o error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_flush_into_a_full_device_is_an_io_error():
+    # the sweep's rows fit stdout's buffer, so the final flush is the first
+    # write; it reports once, and nothing flushes the buffer again at exit
+    with open("/dev/full", "w") as full:
+        code, err = _failed_final_flush(["sweep-snr", "--trials", "20", "--out", "-"], full)
+    assert code == 2
+    assert len(re.findall(r"^i/o error: \[Errno 28\] ", err, flags=re.MULTILINE)) == 1
+    assert "Exception ignored" not in err
 
 
 def test_profiled_run_writes_its_profile(tmp_path):

@@ -428,10 +428,14 @@ class TestGramEngine:
         other = gram_case(GRAM_CASES[4], 4)[1:]
         # two designs at three noise variances, a column: the point of (x, b)
         # at cfg.sigma2 is the fourth, SNR by SNR and the designs within
-        alone = _monte_carlo(cfg, np.array([[cfg.sigma2]]), [(x, b[np.newaxis])], 57, seed=4)
-        shared = _monte_carlo(cfg, np.array([[0.7], [cfg.sigma2], [2.0]]),
-                              [(other[0], np.stack([other[1]] * 3)), (x, np.stack([b] * 3))],
-                              57, seed=4)
+        def values(sigma2, designs):
+            # the empirical (per_user, wsmse) and the law's (per_user, sd)
+            maps = model._error_maps(designs, cfg, sigma2)
+            return (*_monte_carlo(cfg, maps, 57, seed=4), *model._error_law(maps, cfg))
+
+        alone = values(np.array([[cfg.sigma2]]), [(x, b[np.newaxis])])
+        shared = values(np.array([[0.7], [cfg.sigma2], [2.0]]),
+                        [(other[0], np.stack([other[1]] * 3)), (x, np.stack([b] * 3))])
         for one, among in zip(alone, shared):
             assert one[0].tobytes() == among[3].tobytes()
 
@@ -440,7 +444,7 @@ class TestGramEngine:
         # these counts: one random stream and one stacked solve of the
         # proposed estimators per pilot length, whatever the trial count and
         # the number of SNR points
-        calls = dict.fromkeys(["draw_cn", "generator", "solve_hermitian"], 0)
+        calls = dict.fromkeys(["draw_cn", "generator", "solve_hermitian", "_error_maps"], 0)
 
         def counted(owner, name):
             inner = getattr(owner, name)
@@ -456,14 +460,19 @@ class TestGramEngine:
         counted(optimizer, "draw_cn")
         counted(RandomStream, "generator")
         counted(optimizer, "solve_hermitian")
+        # one error map per point, which the analytic WSMSE, the Monte Carlo
+        # block and the standard error all read
+        counted(model, "_error_maps")
+        counted(harness, "_error_maps")
         for trials in (5, 5000):
             calls.update(dict.fromkeys(calls, 0))
             ecfg = desk_experiment(snr_db_list=[0.0, 10.0], trials=trials)
             assert len(sweep_snr(ecfg)) == 4
-            assert calls == {"draw_cn": 0, "generator": 1, "solve_hermitian": 1}
+            assert calls == {"draw_cn": 0, "generator": 1, "solve_hermitian": 1,
+                             "_error_maps": 1}
         calls.update(dict.fromkeys(calls, 0))
         assert len(sweep_snr(desk_experiment(n_list=[2, 4], trials=5))) == 8
-        assert calls == {"draw_cn": 0, "generator": 2, "solve_hermitian": 2}
+        assert calls == {"draw_cn": 0, "generator": 2, "solve_hermitian": 2, "_error_maps": 2}
 
     def test_desk_sweep_designs_once(self, monkeypatch):
         # the default design and the baseline do not depend on the noise
@@ -551,15 +560,16 @@ class TestFactorLaw:
         m, seeds = cfg.antennas, LAW_SEEDS
         x = construct_pilots(cfg)
         b = proposed_estimator(x, cfg)
-        sigma2, stack = np.array([[cfg.sigma2]]), b[np.newaxis]
-        runs = [_monte_carlo(cfg, sigma2, [(x, stack)], trials, seed) for seed in range(seeds)]
-        means = np.array([wsmse[0] for _, wsmse, _ in runs])
+        maps = model._error_maps([(x, b[np.newaxis])], cfg, np.array([[cfg.sigma2]]))
+        runs = [_monte_carlo(cfg, maps, trials, seed) for seed in range(seeds)]
+        means = np.array([wsmse[0] for _, wsmse in runs])
         c = np.linalg.eigvalsh(weight_matrix(cfg, x, b))
         mean = analytic_wsmse(x, b, cfg).wsmse
         assert mean == pytest.approx(m * c.sum(), rel=1e-12)
         kappa2 = m * np.sum(c**2) / trials
         kappa4 = 6 * m * np.sum(c**4) / trials**3
-        assert runs[0][2][0] == pytest.approx(np.sqrt(kappa2), rel=1e-12)
+        stderr = run_monte_carlo(cfg, x, b, trials, 0).stderr
+        assert stderr == pytest.approx(np.sqrt(kappa2), rel=1e-12)
         assert abs(means.mean() - mean) <= 5 * np.sqrt(kappa2 / seeds)
         se = np.sqrt(kappa4 / seeds + 2 * kappa2**2 / (seeds - 1))
         assert abs(means.var(ddof=1) - kappa2) <= 5 * se

@@ -129,16 +129,20 @@ def test_cyclic_optimizer_meets_the_bound_at_one_symbol_and_from_k_symbols(cfg):
 @settings(PROPERTY, max_examples=100)
 @given(scenarios(), st.booleans(), st.booleans(), st.integers(0, 2**32))
 def test_weight_mean_is_analytic_wsmse(cfg, constructed, matched, seed):
-    # a trial's WSMSE u C u^H summed over the M rows of Z has mean M tr(C);
-    # the pilots are constructed or random, the estimator matched or random
+    # a trial's WSMSE u C u^H summed over the M rows of Z has mean M tr(C)
+    # and sd sqrt(M) ||C||_F, a one-trial run's standard error; the pilots
+    # are constructed or random, the estimator matched or random
     if constructed:
         x = construct_pilots(cfg)
     else:
         x = init_pilots("random", cfg, stream=RandomStream(seed, 2**33))
     b = proposed_estimator(x, cfg) if matched else draw_cn(
         RandomStream(seed, 1), cfg.pilot_len, cfg.users)
-    mean = cfg.antennas * np.trace(weight_matrix(cfg, x, b)).real
+    c = weight_matrix(cfg, x, b)
+    mean = cfg.antennas * np.trace(c).real
     assert mean == pytest.approx(analytic_wsmse(x, b, cfg).wsmse, rel=1e-12, abs=0.0)
+    sd = np.sqrt(cfg.antennas) * np.linalg.norm(c)
+    assert run_monte_carlo(cfg, x, b, 1, seed).stderr == pytest.approx(sd, rel=1e-12, abs=0.0)
 
 
 @st.composite
