@@ -102,17 +102,19 @@ def build_parser():
         "mode": {"choices": MODES},
         "format": {"default": "csv", "choices": FORMATS},
     }
-    for name, aliases, extra, text in [
-        ("sweep-snr", ["sweep-n"], tuple(optional),
+    for name, aliases, run, extra, text in [
+        ("sweep-snr", ["sweep-n"], _cmd_sweep, tuple(optional),
          "normalized WSMSE across SNR points and pilot lengths"),
-        ("convergence", [], ("format",),
+        ("convergence", [], _cmd_convergence, ("format",),
          "optimizer objective traces from all three initializations"),
-        ("optimize", [], ("init",), "emit one optimized pilot matrix in the text format"),
-        ("estimate", [], ("init", "mode"),
+        ("optimize", [], _cmd_optimize, ("init",),
+         "emit one optimized pilot matrix in the text format"),
+        ("estimate", [], _cmd_estimate, ("init", "mode"),
          "one seeded Monte Carlo trial of each design (JSON report)"),
     ]:
         sp = sub.add_parser(name, aliases=aliases, help=text, parents=[common],
                             formatter_class=formatter)
+        sp.set_defaults(run=run)
         for flag in extra:
             sp.add_argument(f"--{flag}", **optional[flag])
     return parser
@@ -206,16 +208,6 @@ def _cmd_estimate(ecfg, args):
     return 0
 
 
-# keyed by every name the parser accepts, the alias included
-_COMMANDS = {
-    "sweep-snr": _cmd_sweep,
-    "sweep-n": _cmd_sweep,
-    "convergence": _cmd_convergence,
-    "optimize": _cmd_optimize,
-    "estimate": _cmd_estimate,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -224,7 +216,7 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         ecfg = _resolve_scenario(args)
-        return _COMMANDS[args.command](ecfg, args)
+        return args.run(ecfg, args)
     except (ConfigurationError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

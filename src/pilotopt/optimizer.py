@@ -55,7 +55,7 @@ DEGENERACY_GAP = 1e-10
 
 
 def _check_pilots(x, cfg, name="x"):
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.ascontiguousarray(x, dtype=np.complex128)
     if x.shape != (cfg.pilot_len, cfg.users):
         raise ContractViolation(
             f"{name} shape {x.shape} does not match (pilot_len, users) = "
@@ -322,7 +322,8 @@ def init_pilots(kind, cfg, stream=None):
     """
     scale = np.sqrt(cfg.powers)[np.newaxis, :]
     if kind == "dft-reuse":
-        return unitary_dft(cfg.pilot_len)[:, np.arange(cfg.users) % cfg.pilot_len] * scale
+        frame = unitary_dft(cfg.pilot_len)[:, np.arange(cfg.users) % cfg.pilot_len]
+        return np.ascontiguousarray(frame) * scale
     if kind == "dft-k":
         rows = np.eye(cfg.pilot_len, cfg.users) @ unitary_dft(cfg.users)
         return rows / np.linalg.norm(rows, axis=0)[np.newaxis, :] * scale

@@ -1,6 +1,6 @@
 """The SVG line chart of sweep rows and convergence traces.
 
-:func:`svg` returns the chart as text; :func:`pilotopt.report.write_svg`
+:func:`svg` returns the chart as text; :func:`pilotopt.report.emit`
 writes it, and imports this module only when a chart is asked for, so a
 CSV or JSON run never compiles it.
 """

@@ -124,18 +124,6 @@ def save_pilots(path, x):
                 fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
 
 
-def write_svg(path, series, x_label="", y_label="", title=""):
-    """Write :func:`pilotopt.plot.svg`'s line chart of ``series`` to ``path``.
-
-    ``series`` is a list of ``(label, xs, ys)``.
-    """
-    from .plot import svg
-
-    text = svg(series, x_label, y_label, title)
-    with _open_out(path) as fh:
-        fh.write(text)
-
-
 def emit(items, fmt, path):
     """Write sweep rows or convergence results in the requested format.
 
@@ -157,12 +145,13 @@ def emit(items, fmt, path):
     elif fmt == "json":
         write_json([_trace_dict(i) if is_trace else asdict(i) for i in items], path)
     else:
-        from .plot import sweep_series, trace_series
+        from .plot import svg, sweep_series, trace_series
 
         if is_trace:
-            write_svg(path, trace_series(items), x_label="update index",
-                      y_label="design objective", title="optimizer convergence")
+            text = svg(trace_series(items), "update index", "design objective",
+                       "optimizer convergence")
         else:
             x_label, series = sweep_series(items)
-            write_svg(path, series, x_label=x_label, y_label="normalized WSMSE",
-                      title="normalized WSMSE")
+            text = svg(series, x_label, "normalized WSMSE", "normalized WSMSE")
+        with _open_out(path) as fh:
+            fh.write(text)

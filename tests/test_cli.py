@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ from pilotopt import (
     save_pilots,
     sigma2_from_snr,
 )
+
+
+def subcommands(parser):
+    """Each name ``parser`` accepts as a command, the alias included, mapped to its parser."""
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+COMMANDS = sorted(subcommands(cli.build_parser()))
+
 
 def read_csv(path):
     """The rows of a CSV output as dicts of text cells."""
@@ -519,7 +531,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_user_count(self, command, tmp_path, capsys):
         out = tmp_path / "out.txt"
         assert cli.main([command, "--k", "-1", "--snr-db", "0", "--out", str(out)]) == 2
@@ -573,12 +585,13 @@ class TestExperimentOptions:
     def resolve(monkeypatch, argv):
         """The :class:`ExperimentConfig` that ``pilotopt argv`` hands its command."""
         seen = []
-        monkeypatch.setitem(cli._COMMANDS, argv[0], lambda ecfg, _: seen.append(ecfg) or 0)
+        run = subcommands(cli.build_parser())[argv[0]].get_default("run")
+        monkeypatch.setattr(cli, run.__name__, lambda ecfg, _: seen.append(ecfg) or 0)
         assert cli.main(argv) == 0
         return seen[0]
 
     @pytest.mark.parametrize("profile", ["desk", "paper"])
-    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_unset_options_take_the_field_defaults(self, command, profile, monkeypatch):
         ecfg = self.resolve(monkeypatch, [command, "--profile", profile, "--snr-db", "0"])
         defaults = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -717,10 +730,7 @@ def test_help_keeps_argparse_default_width(columns, monkeypatch):
     else:
         monkeypatch.setenv("COLUMNS", columns)
     parser = cli.build_parser()
-    commands = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
-    for p in [parser, *commands.values()]:
+    for p in [parser, *subcommands(parser).values()]:
         fixed = p.format_help(), p.format_usage()
         p.formatter_class = argparse.HelpFormatter
         assert (p.format_help(), p.format_usage()) == fixed
@@ -820,6 +830,23 @@ def test_inspect_flag_opens_the_prompt(tmp_path):
         input="print('prompted')\n", capture_output=True, text=True, check=True,
     )
     assert done.stdout == "prompted\n"
+
+
+@pytest.mark.parametrize("tools, observed", [({}, False), ({5: "coverage"}, True)])
+def test_monitoring_tools_keep_the_interpreters_exit(tools, observed, monkeypatch):
+    # Python 3.12+ registers a tool such as coverage under one of the ids
+    # 0-5 of sys.monitoring; a stand-in runs the check on any version
+    asked = []
+
+    def get_tool(tool_id):
+        asked.append(tool_id)
+        return tools.get(tool_id)
+
+    monkeypatch.setattr(sys, "monitoring", SimpleNamespace(get_tool=get_tool), raising=False)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    assert cli._observed() is observed
+    assert asked == list(range(6))
 
 
 def test_library_callers_never_freeze(tmp_path):

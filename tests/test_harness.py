@@ -895,3 +895,19 @@ class TestExperimentConfig:
     def test_non_finite_snr_rejected_before_any_design(self, snr_db):
         with pytest.raises(ConfigurationError, match="snr_db must be finite"):
             small_experiment(snr_db_list=[0.0, snr_db])
+
+
+def test_pilot_memory_layout_leaves_the_bits():
+    # the desk K = N = 8 reuse frame at -2 dB, whose conventional rows moved
+    # with the layout while the frame came Fortran-ordered from fancy indexing
+    cfg = SystemConfig(antennas=32, users=8, pilot_len=8, powers=1.0, gains=1.0,
+                       sigma2=sigma2_from_snr(-2.0, 1.0))
+    frame = init_pilots("dft-reuse", cfg)
+    assert frame.flags.c_contiguous
+    seen = []
+    for x in (np.asfortranarray(frame), np.ascontiguousarray(frame)):
+        b = conventional_estimator(x, cfg)
+        report = run_monte_carlo(cfg, x, np.asfortranarray(b), 50, 1)
+        seen.append((b.tobytes(), analytic_wsmse(x, b, cfg).wsmse,
+                     report.wsmse, report.stderr))
+    assert seen[0] == seen[1]

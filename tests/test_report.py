@@ -9,12 +9,12 @@ import pytest
 from pilotopt import ConfigurationError, ExperimentConfig
 from pilotopt.harness import ConvergenceResult, SweepRow, convergence_trace, sweep_snr
 from pilotopt.optimizer import OptimizerTrace
+from pilotopt.plot import svg
 from pilotopt.report import (
     SWEEP_HEADER,
     TRACE_HEADER,
     emit,
     write_json,
-    write_svg,
     write_sweep_csv,
     write_trace_csv,
 )
@@ -112,14 +112,12 @@ class TestJson:
 
 
 class TestSvg:
-    def test_wellformed_one_polyline_per_series(self, tmp_path):
-        path = tmp_path / "chart.svg"
+    def test_wellformed_one_polyline_per_series(self):
         series = [
             ("proposed", [0, 10, 20], [0.76, 0.55, 0.51]),
             ("conventional", [0, 10, 20], [0.79, 1.04, 2.49]),
         ]
-        write_svg(path, series, x_label="SNR (dB)", y_label="normalized WSMSE")
-        root = ET.fromstring(path.read_text())
+        root = ET.fromstring(svg(series, x_label="SNR (dB)", y_label="normalized WSMSE"))
         tag = "{http://www.w3.org/2000/svg}polyline"
         polylines = root.findall(f".//{tag}")
         assert len(polylines) == 2
@@ -139,10 +137,8 @@ class TestSvg:
         assert len(root.findall(f"{ns}polyline")) == 2
         assert root.findall(f"{ns}circle") == []
 
-    def test_nonpositive_values_fall_back_to_linear(self, tmp_path):
-        path = tmp_path / "linear.svg"
-        write_svg(path, [("zero", [0, 1], [0.0, 1.0])])
-        ET.fromstring(path.read_text())
+    def test_nonpositive_values_fall_back_to_linear(self):
+        ET.fromstring(svg([("zero", [0, 1], [0.0, 1.0])]))
 
 
 class TestEmit:
