@@ -428,6 +428,21 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_singular_gram_matrix_exits_3(self):
+        # at N = 4 > K = 2 the proposed design's Gram matrix has two
+        # eigenvalues at sigma2, 1e-13 of the largest at 130 dB: the discs
+        # cannot prove the floor, and the eigensolve names it
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pilotopt", "sweep-snr", "--k", "2", "--n",
+             "4", "--snr-db", "130", "--trials", "5", "--out", "-"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            "numerical failure: a is singular or not positive definite: smallest eigenvalue "
+            "9.999928e-14 vs largest 1.000000e+00\n"
+        )
+
     @pytest.mark.parametrize("command", ["optimize", "convergence"])
     @pytest.mark.parametrize("sweeps", ["0", "-1"])
     def test_sweep_budget_below_one(self, command, sweeps, tmp_path, capsys):

@@ -37,6 +37,8 @@ from pilotopt import (
 from pilotopt.harness import _factor, _monte_carlo
 
 DESK_GAINS = reference_gains()[:8]
+# the command line's SNR grid, -10 to 20 dB
+DESK_GRID = [float(v) for v in range(-10, 21, 2)]
 ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimate}
 ESTIMATORS = {"proposed": proposed_estimator, "conventional": conventional_estimator}
 
@@ -501,6 +503,32 @@ class TestGramEngine:
         assert len(sweep_snr(ecfg)) == 32
         assert calls == {"construct_pilots": 1, "design_reuse_pilots": 1,
                          "rayleigh_update": 0, "solve_hermitian": 1}
+
+    @pytest.mark.parametrize("profile, n, snr_db_list, eigensolves", [
+        ("desk", 4, DESK_GRID, 0), ("paper", 16, [0.0], 0), ("paper", 32, DESK_GRID, 1),
+    ], ids=["desk-sweep", "paper-point", "paper-n32"])
+    def test_stacked_solve_skips_the_eigensolve(self, monkeypatch, profile, n, snr_db_list,
+                                                eigensolves):
+        # the benchmark sweeps' Gram matrices are diag(lambda*) + sigma2 I (the
+        # constructed design) and c I (the desk reuse frame), whose Gershgorin
+        # discs prove the singularity floor; at N = K = 32, over the default
+        # grid, some of the paper's do not, and the one stacked eigensolve runs
+        calls = []
+        inner = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        if profile == "desk":
+            scenario = dict(antennas=32, users=8)
+        else:
+            scenario = dict(antennas=128, users=32, gains=reference_gains())
+        ecfg = ExperimentConfig(**scenario, snr_db_list=snr_db_list, n_list=[n], trials=200,
+                                seed=1)
+        assert len(sweep_snr(ecfg)) == 2 * len(snr_db_list)
+        assert len(calls) == eigensolves
 
 
 # (antennas, users, pilot_len, trials): T M >= K + N, and T M < K + N at

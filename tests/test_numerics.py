@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pilotopt import (
     solve_hermitian,
 )
 from pilotopt.harness import INIT_STREAM_ID, MAX_TRIALS
-from pilotopt.numerics import complex_normals, unitary_dft
+from pilotopt.numerics import complex_normals, require_nonsingular, unitary_dft
 
 
 def random_hermitian(n, seed):
@@ -24,6 +25,34 @@ def random_hermitian(n, seed):
 def random_hpd(n, seed, floor=0.1):
     z = draw_cn(RandomStream(seed, 1), n, n)
     return z @ z.conj().T + floor * np.eye(n)
+
+
+def outcome(solve, a, b):
+    """The bytes ``solve(a, b)`` returns, or the type and message of what it raises."""
+    try:
+        return solve(a, b).tobytes()
+    except (SingularMatrixError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def eigensolve_route(a, b):
+    """The floor checked on every matrix's eigenvalues, then the LU solve."""
+    require_nonsingular(np.linalg.eigvalsh(a), "a")
+    return np.linalg.solve(a, b)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The shapes ``numpy.linalg.eigvalsh`` is called with, in order."""
+    calls = []
+    inner = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
 
 
 class TestHermitianEig:
@@ -155,9 +184,37 @@ class TestSolveHermitian:
             x = solve_hermitian(a, b)
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-9
 
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve_hermitian(np.diag([1.0, 0.0]), np.ones(2))
+    def test_singular_raises(self, eigensolves):
+        # the discs cannot prove the floor: the eigensolve runs and raises
+        for low in (0.0, 1e-13):
+            message = (f"a is singular or not positive definite: smallest eigenvalue {low:.6e} "
+                       "vs largest 1.000000e+00")
+            with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
+                solve_hermitian(np.diag([1.0, low]), np.ones(2))
+        assert eigensolves == [(2, 2)] * 2
+
+    @pytest.mark.parametrize("low, calls", [(1e-11, 1), (1e-9, 0)])
+    def test_discs_above_the_margin_skip_the_eigensolve(self, low, calls, eigensolves):
+        # 1e-11 clears the floor but not the discs' 1e-10 margin; 1e-9 clears both
+        a, b = np.diag([1.0, low]), np.ones(2)
+        assert solve_hermitian(a, b).tobytes() == np.linalg.solve(a, b + 0j).tobytes()
+        assert len(eigensolves) == calls
+
+    def test_stack_names_its_singular_member(self, eigensolves):
+        # one member's discs prove the floor, the other's cannot: the whole
+        # stack takes the eigensolve, which names the singular member
+        a = np.stack([2.0 * np.eye(2), np.diag([1.0, 1e-14])])
+        with pytest.raises(SingularMatrixError, match=r"smallest eigenvalue 1\.000000e-14 "
+                                                      r"vs largest 1\.000000e\+00$"):
+            solve_hermitian(a, np.ones((2, 2, 1)))
+        assert eigensolves == [(2, 2, 2)]
+
+    @pytest.mark.parametrize("entry", [(1, 1), (1, 0)], ids=["diagonal", "off-diagonal"])
+    def test_nan_entry_takes_the_eigensolve(self, entry, eigensolves):
+        a, b = np.eye(3, dtype=complex), np.ones(3, dtype=complex)
+        a[entry] = a[entry[::-1]] = np.nan
+        assert outcome(solve_hermitian, a, b) == outcome(eigensolve_route, a, b)
+        assert len(eigensolves) == 2
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):

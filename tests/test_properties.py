@@ -6,8 +6,10 @@ with powers from 0.1 to 10 and SNRs from -10 to 30 dB, and up to
 3000 dB (a noise variance down to 1e-300 of the power) where only the
 singularity rule may stop a design. Monte Carlo scenarios cover 1 to 12
 antennas, also fewer than users plus pilot symbols, with unequal gains
-and varied seeds. Command lines are built from the parser's own flag
-table with edge values. The examples are derandomized, so every run
+and varied seeds. Hermitian solves cover Gram matrices from diagonal to
+far from diagonally dominant, with noise variances from 1e-16 to 1e2
+and eigenvalue ratios near the singularity floor. Command lines are
+built from the parser's own flag table with edge values. The examples are derandomized, so every run
 checks the same scenarios.
 """
 
@@ -38,10 +40,12 @@ from pilotopt import (
     proposed_estimator,
     run_monte_carlo,
     sigma2_from_snr,
+    solve_hermitian,
 )
 from pilotopt.numerics import SINGULARITY_FLOOR
-from pilotopt.optimizer import INIT_KINDS, _optimal_spectrum
+from pilotopt.optimizer import INIT_KINDS, _covariance, _optimal_spectrum
 from test_harness import summed_direct_route, weight_matrix
+from test_numerics import eigensolve_route, outcome
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -172,6 +176,44 @@ def test_gram_evaluation_equals_the_direct_route(scenario):
         gram = run_monte_carlo(cfg, x, b, 1, seed).per_user
         direct = summed_direct_route(cfg, x, b, 1, seed, np.clongdouble)
         assert np.allclose(gram, direct, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def gram_stacks(draw):
+    """``a = X diag(g) X^H + sigma2 I``, one matrix or a stack, and a right-hand side.
+
+    ``X`` is the leading columns of the identity plus ``spread`` times
+    CN(0, 1) entries: a diagonal ``a`` at spread 0, a diagonally dominant
+    one at small spreads, a far from dominant one at 1. ``sigma2`` is
+    log-uniform over 1e-16 ... 1e2, or puts each matrix's eigenvalue
+    ratio near the floor, up to ten times either side of it and of the
+    discs' 1e-10 margin, as do gains spread down to 1e-14.
+    """
+    n, users = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    stack = draw(st.sampled_from([(), (1,), (3,)]))
+    spread = draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 1.0]))
+    seed = draw(st.integers(0, 2**32))
+    x = np.eye(n, users) + spread * draw_cn(RandomStream(seed, 1), int(np.prod(stack)) * n,
+                                            users).reshape(stack + (n, users))
+    least = draw(st.sampled_from([-3.0, -14.0]))
+    gains = 10.0 ** np.array(draw(st.lists(st.floats(least, 0.0), min_size=users,
+                                           max_size=users)))
+    if draw(st.booleans()):
+        sigma2 = 10.0 ** draw(st.floats(-16.0, 2.0))
+    else:
+        largest = np.linalg.eigvalsh(_covariance(x, gains, 0.0))[..., -1:]
+        sigma2 = 10.0 ** draw(st.floats(-13.0, -9.0)) * largest
+    b = draw_cn(RandomStream(seed, 2), int(np.prod(stack)) * n, 2).reshape(stack + (n, 2))
+    return _covariance(x, gains, sigma2), b
+
+
+@settings(PROPERTY, max_examples=300)
+@given(gram_stacks())
+def test_solve_raises_exactly_when_the_eigenvalue_floor_does(case):
+    # the Gershgorin discs only skip an eigensolve whose floor cannot raise:
+    # the same bytes or the same SingularMatrixError, message included
+    a, b = case
+    assert outcome(solve_hermitian, a, b) == outcome(eigensolve_route, a, b)
 
 
 # every flag of every command, by dest; --out is pinned to a file
