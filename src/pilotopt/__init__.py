@@ -49,21 +49,18 @@ try:
         finally:
             del os.environ["OPENBLAS_NUM_THREADS"]
 
-    from .conventional import conventional_estimate, conventional_estimator, design_reuse_pilots
+    from .conventional import conventional_estimator, design_reuse_pilots
     from .errors import ConfigurationError, ContractViolation, NumericalError, SingularMatrixError
     from .harness import (
         ExperimentConfig, ConvergenceResult, SweepRow, convergence_trace, design_pilots,
         run_monte_carlo, sweep_snr,
     )
-    from .model import (
-        SystemConfig, WsmseReport, generate_channel, load_gains, received_pilot_signal,
-        reference_gains, sigma2_from_snr,
-    )
-    from .numerics import RandomStream, draw_cn, hermitian_eig, inv_sqrt_psd, solve_hermitian
+    from .model import SystemConfig, WsmseReport, load_gains, reference_gains, sigma2_from_snr
+    from .numerics import RandomStream, draw_cn, hermitian_eig, solve_hermitian
     from .optimizer import (
         OptimizerTrace, analytic_wsmse, combiner, construct_pilots, gram_matrix, init_pilots,
-        leave_one_out, objective, optimality_bound, optimize_pilots, proposed_estimate,
-        proposed_estimator, rayleigh_update, receiver_scalar,
+        leave_one_out, objective, optimality_bound, optimize_pilots, proposed_estimator,
+        rayleigh_update, receiver_scalar,
     )
     from .report import save_pilots
 finally:
@@ -92,26 +89,21 @@ __all__ = [
     "analytic_wsmse",
     "combiner",
     "construct_pilots",
-    "conventional_estimate",
     "conventional_estimator",
     "convergence_trace",
     "design_pilots",
     "design_reuse_pilots",
     "draw_cn",
-    "generate_channel",
     "gram_matrix",
     "hermitian_eig",
     "init_pilots",
-    "inv_sqrt_psd",
     "leave_one_out",
     "load_gains",
     "objective",
     "optimality_bound",
     "optimize_pilots",
-    "proposed_estimate",
     "proposed_estimator",
     "rayleigh_update",
-    "received_pilot_signal",
     "receiver_scalar",
     "reference_gains",
     "run_monte_carlo",

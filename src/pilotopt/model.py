@@ -175,20 +175,25 @@ def load_gains(path):
     """Read a gains or power file: one decimal value per line, '#' comments allowed.
 
     Raises :class:`ConfigurationError` naming the file and the line of an
-    entry that is not one number, or the file when it holds no values.
+    entry that is not one number, or the file when it is not UTF-8 text or
+    holds no values.
     """
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path} line {number}: expected one number, got {text!r}"
-                ) from None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"{path}: file is not UTF-8 text") from None
+    for number, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ConfigurationError(
+                f"{path} line {number}: expected one number, got {text!r}"
+            ) from None
     if not values:
         raise ConfigurationError(f"{path}: file contains no values")
     return np.asarray(values, dtype=np.float64)

@@ -120,9 +120,11 @@ def _require_hermitian(h, name):
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ContractViolation(f"{name} must be square, got shape {h.shape}")
     h = h.astype(np.complex128, copy=False)
-    asym = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
     mags = np.abs(h)
     scale = np.max(mags, axis=(-2, -1), initial=0.0)
+    if not np.all(np.isfinite(scale)):
+        raise ContractViolation(f"{name} has an entry that is not finite")
+    asym = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
     for asym, scale in zip(np.ravel(asym).tolist(), np.ravel(scale).tolist()):
         if asym > HERMITIAN_TOL * scale:
             raise ContractViolation(
@@ -179,10 +181,11 @@ def require_nonsingular(w, name):
     """Check the ascending eigenvalues ``w`` of the matrix called ``name``.
 
     Raises :class:`SingularMatrixError` unless ``w[-1] > 0`` and
-    ``w[0] > 1e-12 * w[-1]``, each ``w[..., :]`` of a stack's in turn.
+    ``w[0] > 1e-12 * w[-1]``, each ``w[..., :]`` of a stack's in turn;
+    NaN meets neither.
     """
     for low, high in zip(np.ravel(w[..., 0]).tolist(), np.ravel(w[..., -1]).tolist()):
-        if high <= 0 or low <= SINGULARITY_FLOOR * high:
+        if not (high > 0 and low > SINGULARITY_FLOOR * high):
             raise SingularMatrixError(
                 f"{name} is singular or not positive definite: smallest eigenvalue "
                 f"{low:.6e} vs largest {high:.6e}"
@@ -216,7 +219,8 @@ def solve_hermitian(a, b):
     least and greatest ``Re a_ii -/+ sum_{j != i} |a_ij|``, read from the
     lower triangle as ``eigvalsh`` reads it; when every matrix of the
     stack has ``lo > 1e-10 * hi`` the check is skipped, and otherwise
-    (NaN and inf entries included) ``eigvalsh`` runs on the whole stack.
+    ``eigvalsh`` runs on the whole stack. A NaN or inf entry raises
+    :class:`ContractViolation`.
     """
     a, mags = _require_hermitian(a, "a")
     b = np.asarray(b, dtype=np.complex128)
@@ -225,8 +229,8 @@ def solve_hermitian(a, b):
         raise ContractViolation(f"b has {rows} rows but a is {a.shape[-2]}x{a.shape[-1]}")
     # eigvalsh is backward stable: its eigenvalues are within a small multiple
     # of n * eps * hi of the true ones, far inside the 99e-12 * hi that the
-    # 100-fold margin over the floor leaves; a NaN or overflowed bound fails
-    # the comparison, and the eigensolve runs
+    # 100-fold margin over the floor leaves; an overflowed bound fails the
+    # comparison, and the eigensolve runs
     lower = np.tril(mags, -1)
     centers = a.diagonal(0, -2, -1).real
     with np.errstate(all="ignore"):
@@ -235,7 +239,11 @@ def solve_hermitian(a, b):
         hi = np.max(centers + radii, axis=-1, initial=-np.inf)
     # an empty a takes the eigensolve too, and fares as it always has
     if not (a.size and np.all(lo > 100 * SINGULARITY_FLOOR * hi)):
-        require_nonsingular(np.linalg.eigvalsh(a), "a")
+        try:
+            w = np.linalg.eigvalsh(a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Hermitian eigenvalues failed: {exc}") from exc
+        require_nonsingular(w, "a")
     if b.ndim > 1:  # numpy < 2 reads a matrix b beside a stack a as vectors
         b = np.broadcast_to(b, np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + b.shape[-2:])
     return np.linalg.solve(a, b)

@@ -61,6 +61,8 @@ def _check_pilots(x, cfg, name="x"):
             f"{name} shape {x.shape} does not match (pilot_len, users) = "
             f"({cfg.pilot_len}, {cfg.users})"
         )
+    if not np.all(np.isfinite(x)):
+        raise ContractViolation(f"{name} has an entry that is not finite")
     return x
 
 

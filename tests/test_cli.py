@@ -411,6 +411,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {values}: file contains no values\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--gains", "--power"])
+    def test_number_file_not_utf8(self, flag, tmp_path, capsys):
+        # a UTF-16 byte order mark before "bad"
+        values = tmp_path / "utf16.txt"
+        values.write_bytes(bytes.fromhex("fffe006261640a"))
+        out = tmp_path / "rows.csv"
+        code = cli.main(["sweep-snr", "--snr-db", "0", "--trials", "5",
+                         flag, str(values), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {values}: file is not UTF-8 text\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep-snr", "optimize", "estimate"])
     def test_closed_standard_output(self, command, capsys, monkeypatch):
         # a process started with stdout closed (`>&-`) has sys.stdout None

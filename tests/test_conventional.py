@@ -9,15 +9,14 @@ from pilotopt import (
     RandomStream,
     SystemConfig,
     analytic_wsmse,
-    conventional_estimate,
     conventional_estimator,
     design_reuse_pilots,
-    generate_channel,
-    received_pilot_signal,
+    draw_cn,
     reference_gains,
     run_monte_carlo,
     sigma2_from_snr,
 )
+from pilotopt.conventional import conventional_estimate
 
 
 def reuse_cfg(users, pilot_len, powers=1.0, sigma2=1.0, gains=1.0):
@@ -75,9 +74,8 @@ class TestConventionalEstimate:
     def test_noiseless_orthogonal_recovery(self):
         cfg = SystemConfig(antennas=8, users=4, pilot_len=4, sigma2=0.0)
         x = design_reuse_pilots(cfg)
-        h = generate_channel(cfg, RandomStream(1, 0))
-        y = received_pilot_signal(h, x, np.zeros((8, 4)))
-        h_hat = conventional_estimate(y, x, cfg)
+        h = draw_cn(RandomStream(1, 0), 8, 4)
+        h_hat = conventional_estimate(h @ x.conj().T, x, cfg)
         assert np.max(np.abs(h_hat - h)) < 1e-12
 
     def test_unit_case_scalar(self):
@@ -102,6 +100,8 @@ class TestConventionalEstimate:
         with pytest.raises(Exception):
             conventional_estimate(np.zeros((2, 2)), x, cfg)
 
+
+class TestConventionalEstimator:
     def test_rejects_pilots_of_the_wrong_shape_by_dimensions(self):
         cfg = SystemConfig(antennas=2, users=3, pilot_len=2, sigma2=1.0)
         message = "x shape (3, 2) does not match (pilot_len, users) = (2, 3)"
@@ -177,9 +177,8 @@ class TestDecoupledStatistic:
         cfg = SystemConfig(antennas=8, users=4, pilot_len=2, sigma2=0.0,
                            powers=2.0)
         x = design_reuse_pilots(cfg)
-        h = generate_channel(cfg, RandomStream(4, 0))
-        y = received_pilot_signal(h, x, np.zeros((8, 2)))
-        z = y @ x
+        h = draw_cn(RandomStream(4, 0), 8, 4)
+        z = (h @ x.conj().T) @ x
         for k in range(4):
             # user k and its clash partners share column k mod 2
             expect = 2.0 * sum(h[:, j] for j in range(k % 2, 4, 2))
@@ -191,13 +190,8 @@ class TestDecoupledStatistic:
         acc = np.zeros(2, dtype=complex)
         trials = 10000
         for t in range(trials):
-            h = generate_channel(cfg, RandomStream(88, t))
-            noise = np.sqrt(cfg.sigma2) * np.asarray(
-                generate_channel(
-                    SystemConfig(antennas=1, users=1, pilot_len=1, sigma2=1.0),
-                    RandomStream(88, 2**32 + t),
-                )
-            )
-            y = received_pilot_signal(h, x, noise)
+            h = draw_cn(RandomStream(88, t), 1, 2)
+            noise = np.sqrt(cfg.sigma2) * draw_cn(RandomStream(88, 2**32 + t), 1, 1)
+            y = h @ x.conj().T + noise
             acc += (y @ x).ravel()
         assert np.all(np.abs(acc / trials) < 0.05)

@@ -18,7 +18,6 @@ from pilotopt import (
     SystemConfig,
     analytic_wsmse,
     construct_pilots,
-    conventional_estimate,
     conventional_estimator,
     convergence_trace,
     design_pilots,
@@ -26,9 +25,7 @@ from pilotopt import (
     init_pilots,
     objective,
     optimize_pilots,
-    proposed_estimate,
     proposed_estimator,
-    received_pilot_signal,
     reference_gains,
     run_monte_carlo,
     sigma2_from_snr,
@@ -39,7 +36,6 @@ from pilotopt.harness import _factor, _monte_carlo
 DESK_GAINS = reference_gains()[:8]
 # the command line's SNR grid, -10 to 20 dB
 DESK_GRID = [float(v) for v in range(-10, 21, 2)]
-ESTIMATES = {"proposed": proposed_estimate, "conventional": conventional_estimate}
 ESTIMATORS = {"proposed": proposed_estimator, "conventional": conventional_estimator}
 
 
@@ -73,22 +69,22 @@ def root_scale(cfg):
     return np.sqrt(np.concatenate([cfg.gains, np.ones(cfg.pilot_len)]))
 
 
-def direct_errors(cfg, x, estimate, low):
-    """Per-user squared errors summed over the rows of ``Z = L^H D^(1/2)``.
+def direct_errors(cfg, x, b, low):
+    """Per-user squared errors of ``y @ b`` summed over the rows of ``Z = L^H D^(1/2)``.
 
     ``Z``'s Gram matrix is ``D^(1/2) L L^H D^(1/2)``; for the factor of
     ``T`` trials, ``dof = T M``, the sums are ``T M g_k`` times the
-    per-user means. ``estimate`` maps an ``(M, N)`` block ``y`` to the
-    channel estimate, so ``Z``'s rows go through it ``M`` at a time,
-    the last block padded with zero rows, which add no error.
+    per-user means. ``Z``'s rows are split ``M`` at a time into the
+    channel ``h`` and the noise of a received block ``y = h x^H +
+    noise``, the last block padded with zero rows, which add no error.
     """
     z = low.conj().T * root_scale(cfg)
     z = np.concatenate([z, np.zeros((-len(z) % cfg.antennas, z.shape[1]))])
     err = 0.0
     for block in z.reshape(-1, cfg.antennas, z.shape[1]):
         h = block[:, : cfg.users]
-        y = received_pilot_signal(h, x, np.sqrt(cfg.sigma2) * block[:, cfg.users :])
-        err = err + np.sum(np.abs(estimate(y) - h) ** 2, axis=0)
+        y = h @ x.conj().T + np.sqrt(cfg.sigma2) * block[:, cfg.users :]
+        err = err + np.sum(np.abs(y @ b - h) ** 2, axis=0)
     return err
 
 
@@ -107,15 +103,14 @@ def exact_stderr(cfg, x, b, trials):
 
 
 def reference_monte_carlo(cfg, x, algorithm, trials, seed):
-    """A run's ``(wsmse, stderr, per_user)`` over the public layer functions.
+    """A run's ``(wsmse, stderr, per_user)`` on the direct route.
 
     Draws the summed factor of ``trials`` trials entry by entry and
     takes the estimator's error on its ``r`` rows of ``Z``.
     """
-    low = bartlett_factor(cfg, seed, trials * cfg.antennas)
-    err = direct_errors(cfg, x, lambda y: ESTIMATES[algorithm](y, x, cfg), low)
-    per_user = err / (trials * cfg.antennas * cfg.gains)
     b = ESTIMATORS[algorithm](x, cfg)
+    low = bartlett_factor(cfg, seed, trials * cfg.antennas)
+    per_user = direct_errors(cfg, x, b, low) / (trials * cfg.antennas * cfg.gains)
     return float(per_user.mean()), float(exact_stderr(cfg, x, b, trials)), per_user
 
 
@@ -372,7 +367,7 @@ def summed_direct_route(cfg, x, b, trials, seed, dtype=np.complex128):
     within about one rounding of the exact values on that factor.
     """
     low = _factor(cfg, seed, trials * cfg.antennas).astype(dtype)
-    err = direct_errors(cfg, x, lambda y: y @ b, low)
+    err = direct_errors(cfg, x, b, low)
     return (err / (trials * cfg.antennas * cfg.gains)).astype(np.float64)
 
 

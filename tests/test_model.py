@@ -7,12 +7,11 @@ from pilotopt import (
     RandomStream,
     SystemConfig,
     draw_cn,
-    generate_channel,
     load_gains,
-    received_pilot_signal,
     reference_gains,
     sigma2_from_snr,
 )
+from pilotopt.model import generate_channel, received_pilot_signal
 
 
 class TestReferenceGains:

@@ -6,15 +6,22 @@ import pytest
 
 from pilotopt import (
     ContractViolation,
+    NumericalError,
     RandomStream,
     SingularMatrixError,
+    SystemConfig,
+    analytic_wsmse,
+    design_reuse_pilots,
     draw_cn,
     hermitian_eig,
-    inv_sqrt_psd,
+    objective,
+    optimize_pilots,
+    proposed_estimator,
+    run_monte_carlo,
     solve_hermitian,
 )
 from pilotopt.harness import INIT_STREAM_ID, MAX_TRIALS
-from pilotopt.numerics import complex_normals, require_nonsingular, unitary_dft
+from pilotopt.numerics import complex_normals, inv_sqrt_psd, require_nonsingular, unitary_dft
 
 
 def random_hermitian(n, seed):
@@ -209,12 +216,23 @@ class TestSolveHermitian:
             solve_hermitian(a, np.ones((2, 2, 1)))
         assert eigensolves == [(2, 2, 2)]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", [(1, 1), (1, 0)], ids=["diagonal", "off-diagonal"])
-    def test_nan_entry_takes_the_eigensolve(self, entry, eigensolves):
+    def test_non_finite_entry_is_a_contract_violation(self, entry, value, eigensolves):
         a, b = np.eye(3, dtype=complex), np.ones(3, dtype=complex)
-        a[entry] = a[entry[::-1]] = np.nan
-        assert outcome(solve_hermitian, a, b) == outcome(eigensolve_route, a, b)
-        assert len(eigensolves) == 2
+        a[entry] = a[entry[::-1]] = value
+        for matrix in (a, np.stack([np.eye(3), a]), np.diag([value, value])):
+            with pytest.raises(ContractViolation, match="^a has an entry that is not finite$"):
+                solve_hermitian(matrix, b)
+        assert eigensolves == []
+
+    def test_failed_eigensolve_is_a_numerical_error(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(NumericalError, match="Eigenvalues did not converge$"):
+            solve_hermitian(np.diag([1.0, 1e-13]), np.ones(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractViolation):
@@ -242,6 +260,55 @@ class TestSolveHermitian:
             solve_hermitian(np.stack([1e6 * np.eye(2), bad]), np.ones((2, 1)))
         with pytest.raises(ContractViolation, match="one matrix"):
             hermitian_eig(np.stack([np.eye(2), np.eye(2)]))
+
+
+class TestRequireNonsingular:
+    @pytest.mark.parametrize("w", [[np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan]])
+    def test_nan_eigenvalues_raise(self, w):
+        with pytest.raises(SingularMatrixError):
+            require_nonsingular(np.array(w), "a")
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The names of the ``numpy.linalg`` decompositions called, in order."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(*args, _name=name, _inner=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+# public entry points and the argument each is given one non-finite entry in,
+# with the name it reports: the pilots x or the estimator b of a K = 3, N = 2
+# reuse design, or a Hermitian matrix a (TestSolveHermitian has solve_hermitian)
+NON_FINITE_CALLS = {
+    "proposed_estimator": ("x", "x", lambda cfg, x, b, a: proposed_estimator(x, cfg)),
+    "analytic_wsmse-x": ("x", "x", lambda cfg, x, b, a: analytic_wsmse(x, b, cfg)),
+    "analytic_wsmse-b": ("b", "b", lambda cfg, x, b, a: analytic_wsmse(x, b, cfg)),
+    "run_monte_carlo-x": ("x", "x", lambda cfg, x, b, a: run_monte_carlo(cfg, x, b, 5, 1)),
+    "run_monte_carlo-b": ("b", "b", lambda cfg, x, b, a: run_monte_carlo(cfg, x, b, 5, 1)),
+    "objective": ("x", "x", lambda cfg, x, b, a: objective(x, cfg)),
+    "optimize_pilots": ("x", "init", lambda cfg, x, b, a: optimize_pilots(cfg, x)),
+    "hermitian_eig": ("a", "h", lambda cfg, x, b, a: hermitian_eig(a)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imaginary"])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_input_is_a_contract_violation(call, value, decompositions):
+    arg, name, run = NON_FINITE_CALLS[call]
+    cfg = SystemConfig(antennas=4, users=3, pilot_len=2, sigma2=0.5)
+    x = design_reuse_pilots(cfg)
+    args = {"x": x, "b": x.copy(), "a": np.eye(2, dtype=complex)}
+    args[arg][1, 1] = value
+    with pytest.raises(ContractViolation, match=f"^{name} has an entry that is not finite$"):
+        run(cfg, **args)
+    assert decompositions == []
 
 
 class TestDrawCn:

@@ -4,17 +4,22 @@ The public names, the field names of the records a run builds and of
 ``ExperimentConfig``, the number of settable (command, flag) values of
 the command line, the rule that no module reaches into the harness for
 a private name, the rule that only ``model`` opens files to read and
-only ``report`` opens files to write, the rule that every public
-name has a use outside the tests, and the parser token counts of the
+only ``report`` opens files to write, the rule that the package binds
+no public attribute it does not export and that every public name has
+a use in a package module or a demo, and the parser token counts of the
 modules a CSV sweep compiles. A change to any of them is deliberate and
-updates the pin here.
+updates the pin here. A guard keeps every function the benchmark's
+tracer names one that it can wrap.
 """
 
 import argparse
 import ast
+import importlib
+import inspect
 import tokenize
 from dataclasses import fields
 from pathlib import Path
+from types import ModuleType
 
 import pilotopt
 from pilotopt.cli import build_parser
@@ -41,26 +46,21 @@ PUBLIC_NAMES = {
     "analytic_wsmse",
     "combiner",
     "construct_pilots",
-    "conventional_estimate",
     "conventional_estimator",
     "convergence_trace",
     "design_pilots",
     "design_reuse_pilots",
     "draw_cn",
-    "generate_channel",
     "gram_matrix",
     "hermitian_eig",
     "init_pilots",
-    "inv_sqrt_psd",
     "leave_one_out",
     "load_gains",
     "objective",
     "optimality_bound",
     "optimize_pilots",
-    "proposed_estimate",
     "proposed_estimator",
     "rayleigh_update",
-    "received_pilot_signal",
     "receiver_scalar",
     "reference_gains",
     "run_monte_carlo",
@@ -72,8 +72,15 @@ PUBLIC_NAMES = {
 
 
 def test_public_names():
-    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 41
+    assert len(pilotopt.__all__) == len(PUBLIC_NAMES) == 36
     assert set(pilotopt.__all__) == PUBLIC_NAMES
+
+
+def test_package_attributes_are_the_public_names():
+    # an import in __init__ binds its name in the package, exported or not
+    names = {name for name, value in vars(pilotopt).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert names == set(pilotopt.__all__)
 
 
 # the fields of the records a run builds: a field nothing reads is no
@@ -153,16 +160,15 @@ def test_only_model_reads_and_only_report_writes_files():
     assert set(opens) == {("model", "r"), ("report", "w")}
 
 
-def _layer_functions():
-    for node in _tree(ROOT / "bench" / "run.py").body:
-        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYER_FUNCTIONS":
+def _bench_constant(script, name):
+    for node in _tree(ROOT / "bench" / script).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == name:
             return ast.literal_eval(node.value)
-    raise AssertionError("bench/run.py has no LAYER_FUNCTIONS")
+    raise AssertionError(f"bench/{script} has no {name}")
 
 
 def test_every_public_name_has_a_use_outside_the_tests():
-    # a use is a reference in a package module other than __init__ or in a
-    # demo, or a function the benchmark traces
+    # a use is a reference in a package module other than __init__ or in a demo
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += sorted((ROOT / "demos").glob("*.py"))
     used = set()
@@ -172,9 +178,25 @@ def test_every_public_name_has_a_use_outside_the_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    for entry in _layer_functions():
-        used.update(entry.split(".")[1:])
     assert set(pilotopt.__all__) - used == UNUSED_KEPT
+
+
+def test_benchmark_traces_only_existing_functions():
+    # bench/tracer.py wraps each public function defined in a LAYERS module,
+    # and RandomStream.generator on its class; bench/run.py reads the figures
+    # of every LAYER_FUNCTIONS entry, so each must be one of those
+    layers = _bench_constant("tracer.py", "LAYERS")
+    for entry in _bench_constant("run.py", "LAYER_FUNCTIONS"):
+        layer, *path = entry.split(".")
+        assert layer in layers, entry
+        module = importlib.import_module(f"pilotopt.{layer}")
+        if path == ["RandomStream", "generator"]:
+            assert inspect.isfunction(vars(module.RandomStream).get("generator")), entry
+            continue
+        (attr,) = path
+        obj = vars(module).get(attr)
+        assert not attr.startswith("_") and inspect.isfunction(obj), entry
+        assert obj.__module__ == module.__name__, entry
 
 
 # CPython's parser holds a module's tokens in an array that doubles past
