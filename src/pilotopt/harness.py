@@ -8,7 +8,9 @@ variance; ``ExperimentConfig.init`` names a start for the paper's cyclic
 optimizer instead. The SNR points of one pilot length differ only in
 the noise variance and the estimator ``b`` (and the pilots, when the
 optimizer runs), so the sweep takes them in one pass along a leading
-point axis.
+point axis. The constructed design's estimators are one broadcast
+division by its known spectrum; the optimizer's pilots take one stacked
+Hermitian solve.
 
 A design's estimator ``b`` is fixed by its pilots, so it is built once.
 Its error on a trial is linear in the draws: with ``Z = [h, white]``
@@ -61,6 +63,7 @@ from .numerics import RandomStream, complex_normals
 from .optimizer import (
     INIT_KINDS,
     _check_pilots,
+    _constructed_estimators,
     _proposed_estimators,
     analytic_wsmse,
     construct_pilots,
@@ -268,16 +271,14 @@ def _design(algorithm, cfg, sigma2, ecfg):
     """
     traces = [None] * len(sigma2)
     if algorithm == "conventional":
-        x = design_reuse_pilots(cfg)
+        x, estimators = design_reuse_pilots(cfg), _conventional_estimators
     elif ecfg.init is None:
-        x = construct_pilots(cfg)
+        x, estimators = construct_pilots(cfg), _constructed_estimators
     else:
         x, traces = zip(*[_optimize_from(ecfg.init, replace(cfg, sigma2=s), ecfg)
                           for s in sigma2[:, 0].tolist()])
-        x = np.stack(x)
-    b = (_proposed_estimators if algorithm == "proposed" else _conventional_estimators)(
-        x, cfg, sigma2)
-    return x, b, traces
+        x, estimators = np.stack(x), _proposed_estimators
+    return x, estimators(x, cfg, sigma2), traces
 
 
 def _optimize_from(kind, cfg, ecfg):
@@ -308,7 +309,8 @@ def sweep_snr(ecfg):
     one :class:`SystemConfig`, each SNR's noise variance from
     :func:`sigma2_from_snr`, each algorithm's pilots designed once (once
     per noise variance by the cyclic optimizer) with all its estimators
-    in one stacked solve, and every row on one summed Monte Carlo draw.
+    at once (a broadcast, or one stacked solve for the optimizer's
+    pilots), and every row on one summed Monte Carlo draw.
     Each row equals its own :func:`design_pilots` and
     :func:`run_monte_carlo` bit for bit. A row more than 4 exact standard
     errors from its analytic WSMSE, or not finite, raises

@@ -9,8 +9,9 @@ contracts and determinism over large-scale performance:
 * Hermitian solves go through a factorization (numpy's LU solve) rather
   than explicit inverse entries, and check the singularity floor with
   Gershgorin's discs first: only a stack whose discs reach near the floor
-  runs the eigensolve, which the Gram matrices of the constructed design
-  and of the equal-gain reuse frame never do,
+  runs the eigensolve. The solves serve the optimizer's pilots and
+  library callers; the constructed design's estimators divide by its
+  known spectrum and never reach them,
 * random draws are pure functions of a ``(seed, stream_id)`` pair, so a
   Monte Carlo run's draws do not depend on which other runs came before
   it. They come from the standard library's ``random.Random``, which

@@ -267,7 +267,11 @@ def proposed_estimator(x, cfg):
 
 
 def _proposed_estimators(x, cfg, sigma2):
-    """:func:`proposed_estimator` at a column of noise variances, in one stacked solve."""
+    """:func:`proposed_estimator` at a column of noise variances, in one stacked solve.
+
+    For any pilots, one matrix or one per point; the sweeps take it for the
+    optimizer's, as :func:`_constructed_estimators` needs no solve.
+    """
     return solve_hermitian(_covariance(x, cfg.gains, sigma2), x) * cfg.gains
 
 
@@ -373,6 +377,23 @@ def optimality_bound(cfg):
         return float(np.sum(1.0 / (_optimal_spectrum(cfg) + cfg.sigma2)))
 
 
+def _construction_spectra(cfg):
+    """``(lambda*, frame)`` of :func:`construct_pilots`.
+
+    ``lambda*`` is :func:`_optimal_spectrum`. ``frame`` holds the reuse
+    frame's bin energies, the sums of ``e_k = g_k P_k`` over the users of
+    each DFT column, when they match ``lambda*`` to ``1e-12`` relative per
+    eigenvalue, so that the frame is the construction; otherwise it is
+    ``None``.
+    """
+    spectrum = _optimal_spectrum(cfg)
+    frame = np.bincount(np.arange(cfg.users) % cfg.pilot_len, weights=cfg.gains * cfg.powers,
+                        minlength=cfg.pilot_len)
+    if np.all(np.abs(np.sort(frame)[::-1] - spectrum) <= 1e-12 * spectrum):
+        return spectrum, frame
+    return spectrum, None
+
+
 def construct_pilots(cfg):
     """Full-power pilots that attain :func:`optimality_bound` at every ``sigma2``.
 
@@ -393,18 +414,17 @@ def construct_pilots(cfg):
     is. Then ``x_k = V[:pilot_len, k] / sqrt(g_k)``, rescaled to the
     energy ``P_k`` exactly, which keeps full relative accuracy for
     energies far below the others. Depends on the gains, powers and
-    pilot length only.
+    pilot length only. Either way each entry of ``x`` sees one known
+    eigenvalue of ``S``, so :func:`_constructed_estimators` forms its
+    estimators without a solve.
     """
-    spectrum = _optimal_spectrum(cfg)
-    energies = cfg.gains * cfg.powers
-    frame = np.bincount(
-        np.arange(cfg.users) % cfg.pilot_len, weights=energies, minlength=cfg.pilot_len
-    )
-    if np.all(np.abs(np.sort(frame)[::-1] - spectrum) <= 1e-12 * spectrum):
+    spectrum, frame = _construction_spectra(cfg)
+    if frame is not None:
         return init_pilots("dft-reuse", cfg)
 
     # the frame's spectrum is the energies themselves when pilot_len >= users,
     # so here pilot_len < users
+    energies = cfg.gains * cfg.powers
     level = np.concatenate([spectrum, np.zeros(cfg.users - cfg.pilot_len)])
     basis = np.eye(cfg.users)
     free = np.ones(cfg.users, dtype=bool)
@@ -434,3 +454,21 @@ def construct_pilots(cfg):
     x[0, ~np.any(x, axis=0)] = 1.0
     x *= np.sqrt(cfg.powers) / np.linalg.norm(x, axis=0)
     return x.astype(np.complex128)
+
+
+def _constructed_estimators(x, cfg, sigma2):
+    """:func:`proposed_estimator` of ``x = construct_pilots(cfg)`` at a column of noise variances.
+
+    The construction knows the eigenvalue of ``S = x diag(g) x^H`` that
+    each entry of ``x`` sees. Column ``k`` of the reuse frame is an
+    eigenvector of ``S`` with its bin's energy, and the Givens pilots make
+    ``S = diag(lambda*)``, so row ``i`` sees ``lambda*_i``. Hence ``A^{-1}
+    x = x / (lam + sigma2)``, one broadcast division with no Gram matrix
+    formed and no solve. The singularity floor is checked on ``A``'s
+    spectrum ``lambda* + sigma2``, as :func:`solve_hermitian` checks it,
+    with the same error.
+    """
+    spectrum, frame = _construction_spectra(cfg)
+    lam = spectrum[:, np.newaxis] if frame is None else frame[np.arange(cfg.users) % cfg.pilot_len]
+    require_nonsingular(spectrum[::-1] + sigma2, "a")
+    return x * cfg.gains / (lam + sigma2[..., np.newaxis])

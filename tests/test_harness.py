@@ -438,9 +438,10 @@ class TestGramEngine:
 
     def test_sweep_counts(self, monkeypatch):
         # a refactor that brings back per-trial or per-point work changes
-        # these counts: one random stream and one stacked solve of the
-        # proposed estimators per pilot length, whatever the trial count and
-        # the number of SNR points
+        # these counts: one random stream per pilot length, whatever the
+        # trial count and the number of SNR points; the constructed design's
+        # estimators are a broadcast division, with no solve, and the cyclic
+        # optimizer's take one stacked solve per pilot length
         calls = dict.fromkeys(["draw_cn", "generator", "solve_hermitian", "_error_maps"], 0)
 
         def counted(owner, name):
@@ -465,17 +466,23 @@ class TestGramEngine:
             calls.update(dict.fromkeys(calls, 0))
             ecfg = desk_experiment(snr_db_list=[0.0, 10.0], trials=trials)
             assert len(sweep_snr(ecfg)) == 4
-            assert calls == {"draw_cn": 0, "generator": 1, "solve_hermitian": 1,
+            assert calls == {"draw_cn": 0, "generator": 1, "solve_hermitian": 0,
                              "_error_maps": 1}
         calls.update(dict.fromkeys(calls, 0))
         assert len(sweep_snr(desk_experiment(n_list=[2, 4], trials=5))) == 8
-        assert calls == {"draw_cn": 0, "generator": 2, "solve_hermitian": 2, "_error_maps": 2}
+        assert calls == {"draw_cn": 0, "generator": 2, "solve_hermitian": 0, "_error_maps": 2}
+        # from a random start: four optimizer runs, each drawing its start
+        # from a fresh stream, and one stacked solve per pilot length
+        calls.update(dict.fromkeys(calls, 0))
+        ecfg = desk_experiment(n_list=[2, 4], trials=5, init="random", max_sweeps=3)
+        assert len(sweep_snr(ecfg)) == 8
+        assert calls == {"draw_cn": 4, "generator": 6, "solve_hermitian": 2, "_error_maps": 2}
 
     def test_desk_sweep_designs_once(self, monkeypatch):
         # the default design and the baseline do not depend on the noise
         # variance: a 16-point desk sweep builds each once and forms all 16
-        # proposed estimators in one stacked solve (the cyclic optimizer from
-        # dft-reuse made 128 updates across 16 runs here)
+        # proposed estimators by one broadcast division, with no solve (the
+        # cyclic optimizer from dft-reuse made 128 updates across 16 runs here)
         calls = dict.fromkeys(
             ["construct_pilots", "design_reuse_pilots", "rayleigh_update", "solve_hermitian"], 0)
 
@@ -497,17 +504,17 @@ class TestGramEngine:
                                 trials=200, seed=1)
         assert len(sweep_snr(ecfg)) == 32
         assert calls == {"construct_pilots": 1, "design_reuse_pilots": 1,
-                         "rayleigh_update": 0, "solve_hermitian": 1}
+                         "rayleigh_update": 0, "solve_hermitian": 0}
 
-    @pytest.mark.parametrize("profile, n, snr_db_list, eigensolves", [
-        ("desk", 4, DESK_GRID, 0), ("paper", 16, [0.0], 0), ("paper", 32, DESK_GRID, 1),
+    @pytest.mark.parametrize("profile, n, snr_db_list", [
+        ("desk", 4, DESK_GRID), ("paper", 16, [0.0]), ("paper", 32, DESK_GRID),
     ], ids=["desk-sweep", "paper-point", "paper-n32"])
-    def test_stacked_solve_skips_the_eigensolve(self, monkeypatch, profile, n, snr_db_list,
-                                                eigensolves):
-        # the benchmark sweeps' Gram matrices are diag(lambda*) + sigma2 I (the
-        # constructed design) and c I (the desk reuse frame), whose Gershgorin
-        # discs prove the singularity floor; at N = K = 32, over the default
-        # grid, some of the paper's do not, and the one stacked eigensolve runs
+    def test_stacked_solve_skips_the_eigensolve(self, monkeypatch, profile, n, snr_db_list):
+        # the constructed design checks the singularity floor on its known
+        # spectrum lambda* + sigma2, so no constructed sweep runs an
+        # eigensolve, not even at N = K = 32 over the default grid, where the
+        # Gershgorin discs of the paper's Gram matrices cannot prove the floor
+        # and solve_hermitian would run one
         calls = []
         inner = np.linalg.eigvalsh
 
@@ -523,7 +530,7 @@ class TestGramEngine:
         ecfg = ExperimentConfig(**scenario, snr_db_list=snr_db_list, n_list=[n], trials=200,
                                 seed=1)
         assert len(sweep_snr(ecfg)) == 2 * len(snr_db_list)
-        assert len(calls) == eigensolves
+        assert len(calls) == 0
 
 
 # (antennas, users, pilot_len, trials): T M >= K + N, and T M < K + N at

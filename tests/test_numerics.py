@@ -438,6 +438,19 @@ class TestRandomStream:
         draws = [RandomStream(*pair).generator().random() for pair in (one, other)]
         assert draws[0] != draws[1]
 
+    @pytest.mark.parametrize("dof, draws", [
+        (6400, ["0x1.931bb71c390c4p+12", "0x1.8914f69bad43fp+12", "0x1.89f5763b232c4p+12"]),
+        (25600, ["0x1.918d1379079e9p+14", "0x1.8c8aa991dae22p+14", "0x1.8cffd7818e92cp+14"]),
+    ], ids=["desk", "paper"])
+    def test_gamma_draws_are_pinned(self, dof, draws):
+        # the summed factor's diagonal starts with Gamma(dof - i, 1) draws, at
+        # dof = 200 trials times 32 (desk) or 128 (paper) antennas. The
+        # standard library promises the same bits only for random(): a Python
+        # whose gamma sampler changes fails here instead of moving every
+        # empirical cell
+        rng = RandomStream(7, 0).generator()
+        assert [rng.gammavariate(float(dof - i), 1.0).hex() for i in range(3)] == draws
+
     def test_gamma_law_at_the_trial_limit(self):
         # the summed factor's first diagonal entry squared is Gamma(T M, 1);
         # at T = 2**32 and the paper's M = 128 the shape is 5.5e11, where
