@@ -122,7 +122,7 @@ class SystemConfig:
         # adds two of them, tr(A^-1) <= pilot_len / sigma2, and the WSMSE
         # weighs user k by 1 / (users * antennas * g_k)
         with np.errstate(over="ignore"):
-            entry_bound = float(np.dot(self.gains, self.powers)) + self.sigma2
+            entry_bound = float(np.sum(self.gains * self.powers)) + self.sigma2
         if math.isinf(2.0 * entry_bound):
             _mean_power(self.powers)  # powers whose mean overflows say so first
             raise ConfigurationError(
@@ -269,17 +269,19 @@ def _error_law(maps, cfg):
     """``(per_user, sd)``, the analytic terms and one trial's sd, of each point's map ``G``.
 
     A trial's WSMSE is ``sum_m u_m C u_m^H``, ``u_m ~ CN(0, I)``, with ``C = G W
-    G^H``, ``W = diag(1 / (K M g))``. ``W^(1/2) H W^(1/2)``, ``H = G^H G`` in
-    float64, has ``C``'s nonzero eigenvalues: user ``k``'s term is ``H_kk / g_k``
-    and the sd ``sqrt(M ||C||_F^2)``, taken over the largest real or imaginary
-    part of ``W^(1/2) H W^(1/2)`` so that it cannot underflow.
+    G^H``, ``W = diag(1 / (K M g))``. ``W^(1/2) H W^(1/2)``, ``H = G^H G`` summed in
+    long double and rounded to complex128 once, has ``C``'s nonzero eigenvalues:
+    user ``k``'s term is ``H_kk / g_k`` and the sd ``sqrt(M ||C||_F^2)``, taken over
+    the largest real or imaginary part of ``W^(1/2) H W^(1/2)`` so that it cannot
+    underflow.
     """
-    maps = maps.astype(np.complex128)
-    h = maps.conj().swapaxes(-1, -2) @ maps
+    # numpy's long-double np.dot loop, as in the Monte Carlo block, calls no BLAS
+    h = np.stack([np.dot(g.conj().T, g) for g in maps]).astype(np.complex128)
     root = np.sqrt(1.0 / (cfg.users * cfg.antennas * cfg.gains))
     parts = (root[:, None] * h * root).reshape(len(h), -1).view(np.float64)
     top = np.abs(parts).max(axis=1)
-    norms = [np.linalg.norm(row) for row in np.divide(parts, top[:, None], out=parts)]
+    scaled = np.divide(parts, top[:, None], out=parts)
+    norms = np.sqrt(np.square(scaled, out=scaled).sum(axis=1))
     return h.diagonal(0, -2, -1).real / cfg.gains, top * norms * np.sqrt(cfg.antennas)
 
 

@@ -756,6 +756,44 @@ def test_gated_sweeps_call_no_solve_or_decomposition(workload, tmp_path, monkeyp
     assert {row["algorithm"] for row in read_csv(out)} == {"proposed", "conventional"}
 
 
+def test_gated_sweeps_page_in_no_blas_code(tmp_path):
+    # the error law sums its Gram matrix in numpy's long-double loop and the
+    # norms and the overflow guard are plain sums, so neither gated sweep nor
+    # the paper estimate runs an OpenBLAS kernel: the resident pages of the
+    # library's code stay those that importing numpy touched
+    if not os.path.exists("/proc/self/smaps"):
+        pytest.skip("no /proc/self/smaps to read resident pages from")
+    runs = [[*argv, "--seed", "1"] for argv in GATED_SWEEPS.values()]
+    runs.append(["estimate", "--profile", "paper", "--snr-db", "0"])
+    probe = (
+        "import pilotopt.cli\n"
+        "def blas_code_kb():\n"
+        "    kb, code = None, False\n"
+        "    with open('/proc/self/smaps') as fh:\n"
+        "        for line in fh:\n"
+        "            head, *rest = line.split()\n"
+        "            if not head.endswith(':'):\n"
+        "                code = 'x' in rest[0] and 'openblas' in line\n"
+        "            elif code and head == 'Rss:':\n"
+        "                kb = (kb or 0) + int(rest[0])\n"
+        "    return kb\n"
+        "print(blas_code_kb())\n"
+        f"for i, argv in enumerate({runs!r}):\n"
+        f"    out = {str(tmp_path)!r} + '/out%d' % i\n"
+        "    assert pilotopt.cli.main([*argv, '--out', out]) == 0, argv\n"
+        "    print(blas_code_kb())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    before, *after = map(ast.literal_eval, done.stdout.split())
+    if before is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS library mapped into the process")
+    assert after == [before] * len(runs)
+
+
 def test_csv_sweep_loads_no_chart_json_or_csv(tmp_path):
     # a CSV sweep compiles and imports only what it writes with: the chart
     # module and json load with the first SVG and JSON outputs

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from pilotopt import (
     reference_gains,
     sigma2_from_snr,
 )
-from pilotopt.model import generate_channel, received_pilot_signal
+from pilotopt.model import _error_law, generate_channel, received_pilot_signal
 
 
 class TestReferenceGains:
@@ -227,3 +230,62 @@ class TestSigma2FromSnr:
         with pytest.raises(ConfigurationError, match="powers"):
             sigma2_from_snr(0.0, np.full(8, 1e308))
         assert sigma2_from_snr(0.0, [1e308]) == 1e308
+
+
+def _exact(value):
+    """A float or long double as the exact rational it stores."""
+    return Fraction(*np.longdouble(value).as_integer_ratio())
+
+
+def _gamma(n, unit):
+    """Higham's ``gamma_n``: ``n`` roundings of unit ``unit`` lie within it, relatively."""
+    return n * unit / (1 - n * unit)
+
+
+class TestErrorLaw:
+    def test_matches_exact_arithmetic(self):
+        # random long-double maps G, scaled by D^(1/2) at gains spread over six
+        # decades, against H = G^H G, H_kk / g_k and M ||W^(1/2) H W^(1/2)||_F^2
+        # in exact rationals; u and v are float64's and long double's unit
+        # roundoff, and a long-double entry of H sums R products in at most
+        # R + 2 roundings, so it is within gamma_(R+2)(v) of its exact value
+        users, rows, points, antennas = 4, 7, 32, 16
+        rng = np.random.default_rng(11)
+        gains = 10.0 ** rng.uniform(-6.0, 0.0, users)
+        cfg = SystemConfig(antennas, users, rows - users, 0.1, gains=gains)
+        draws = rng.standard_normal((2, 2, points, rows, users)).astype(np.longdouble)
+        # below float64's last digit, so the maps use long double's width
+        parts = draws[0] + draws[1] * np.longdouble(2.0**-40)
+        root = np.sqrt(np.concatenate([gains, np.ones(rows - users)])).astype(np.longdouble)
+        maps = (parts[0] + 1j * parts[1]) * root[:, None]
+        per_user, sd = _error_law(maps, cfg)
+
+        u, v = Fraction(1, 2**53), _exact(np.finfo(np.longdouble).eps) / 2
+        in_h = _gamma(rows + 2, v)
+        # per_user: H_kk, a sum of non-negative terms, rounded once and divided once
+        user_bound = (1 + u) ** 2 * (1 + in_h) - 1
+        # sd: each of the 2 K^2 parts of W^(1/2) H W^(1/2) takes nine roundings
+        # (H's, two per-user roots of three, two products) and one in the scaling
+        # by the largest part, all doubled by the square; the square adds one and
+        # the sum at most 2 K^2 - 1, so 2 K^2 + 20 reach the sum of squares. Four
+        # more act on sd (its root, the product with the largest part, sqrt(M)
+        # and the product with it). |H~_jk - H_jk| <= sqrt(2) gamma_(R+2)(v)
+        # sqrt(H_jj H_kk) moves ||W^(1/2) H W^(1/2)||_F by at most sqrt(2 K)
+        # gamma_(R+2)(v) of it, since tr(X) <= sqrt(K) ||X||_F
+        in_norm = (math.isqrt(2 * users) + 1) * in_h
+        in_sum, out = _gamma(2 * users**2 + 20, u), _gamma(4, u)
+        sd_high = (1 + in_norm) ** 2 * (1 + in_sum) * (1 + out) ** 2
+        sd_low = (1 - in_norm) ** 2 * (1 - in_sum) * (1 - out) ** 2
+        g = [_exact(gain) for gain in gains]
+        for point, got_per_user, got_sd in zip(maps, per_user, sd):
+            z = [[(_exact(e.real), _exact(e.imag)) for e in row] for row in point]
+            h = [[(sum(a[j][0] * a[k][0] + a[j][1] * a[k][1] for a in z),
+                   sum(a[j][0] * a[k][1] - a[j][1] * a[k][0] for a in z))
+                  for k in range(users)] for j in range(users)]
+            for k in range(users):
+                want = h[k][k][0] / g[k]
+                assert abs(_exact(got_per_user[k]) - want) <= user_bound * want
+            want = antennas * sum(
+                (h[j][k][0] ** 2 + h[j][k][1] ** 2) / (users * antennas) ** 2 / (g[j] * g[k])
+                for j in range(users) for k in range(users))
+            assert sd_low * want <= _exact(got_sd) ** 2 <= sd_high * want
