@@ -35,6 +35,7 @@ saddle above the bound, since the per-user update keeps every pilot on
 one of the frame's directions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,14 +355,15 @@ def _optimal_spectrum(cfg):
     dimension of its own and spreads the others evenly over the rest.
     Returns ``pilot_len`` values; past ``users`` they are zero.
     """
-    energies = np.sort(cfg.gains * cfg.powers)[::-1]
-    dims = cfg.pilot_len
-    oversized = []
-    while dims > 1 and energies.size and energies[0] > energies[1:].sum() / (dims - 1):
-        oversized.append(energies[0])
-        energies = energies[1:]
+    energies = sorted((cfg.gains * cfg.powers).tolist(), reverse=True)
+    # numpy sums the energies left pairwise; a Python sum would round them otherwise
+    tail = np.array(energies)
+    dims, top = cfg.pilot_len, 0
+    while dims > 1 and top < len(energies) and (
+            energies[top] > tail[top + 1:].sum().item() / (dims - 1)):
+        top += 1
         dims -= 1
-    return np.concatenate([oversized, np.full(dims, energies.sum() / dims)])
+    return np.concatenate([energies[:top], np.full(dims, tail[top:].sum().item() / dims)])
 
 
 def optimality_bound(cfg):
@@ -389,7 +391,8 @@ def _construction_spectra(cfg):
     spectrum = _optimal_spectrum(cfg)
     frame = np.bincount(np.arange(cfg.users) % cfg.pilot_len, weights=cfg.gains * cfg.powers,
                         minlength=cfg.pilot_len)
-    if np.all(np.abs(np.sort(frame)[::-1] - spectrum) <= 1e-12 * spectrum):
+    if all(abs(f - l) <= 1e-12 * l
+           for f, l in zip(sorted(frame.tolist(), reverse=True), spectrum.tolist())):
         return spectrum, frame
     return spectrum, None
 
@@ -406,11 +409,12 @@ def construct_pilots(cfg):
     ``V = diag(sqrt(l)) W``, whose Gram matrix ``W^T diag(l) W`` has
     ``l = (lambda*, 0, ...)`` as its spectrum and needs ``e_k = g_k P_k``
     on its diagonal (Chan & Li, J. Math. Anal. Appl. 1983). The users
-    take a coordinate each in decreasing ``e_k``: a Givens rotation of
-    the free coordinates ``i`` with the smallest ``l_i >= e_k`` and ``j``
-    with the largest ``l_j <= e_k`` gives user k the value ``e_k``, and
-    ``j`` stays free with ``l_i + l_j - e_k``. Where rounding leaves no
-    free value on one side of ``e_k`` the nearest one is taken as it
+    take a coordinate each in decreasing ``e_k``, tied users in index
+    order: a Givens rotation of the free coordinates ``i`` with the
+    smallest ``l_i >= e_k`` and ``j`` with the largest ``l_j <= e_k``, the
+    lowest coordinate among tied values, gives user k the value ``e_k``,
+    and ``j`` stays free with ``l_i + l_j - e_k``. Where rounding leaves
+    no free value on one side of ``e_k`` the nearest one is taken as it
     is. Then ``x_k = V[:pilot_len, k] / sqrt(g_k)``, rescaled to the
     energy ``P_k`` exactly, which keeps full relative accuracy for
     energies far below the others. Depends on the gains, powers and
@@ -424,30 +428,30 @@ def construct_pilots(cfg):
 
     # the frame's spectrum is the energies themselves when pilot_len >= users,
     # so here pilot_len < users
-    energies = cfg.gains * cfg.powers
-    level = np.concatenate([spectrum, np.zeros(cfg.users - cfg.pilot_len)])
+    energies = (cfg.gains * cfg.powers).tolist()
+    level = spectrum.tolist() + [0.0] * (cfg.users - cfg.pilot_len)
     basis = np.eye(cfg.users)
-    free = np.ones(cfg.users, dtype=bool)
+    free = list(range(cfg.users))
     w = np.empty((cfg.users, cfg.users))
-    for k in np.argsort(-energies, kind="stable"):
+    for k in sorted(range(cfg.users), key=energies.__getitem__, reverse=True):
         e = energies[k]
-        idx = np.flatnonzero(free)
-        vals = level[idx]
-        above, below = vals >= e, vals <= e
-        if above.any() and below.any():
-            i = idx[above][np.argmin(vals[above])]
-            j = idx[below][np.argmax(vals[below])]
+        above = [f for f in free if level[f] >= e]
+        below = [f for f in free if level[f] <= e]
+        if above and below:
+            # min and max return the first of tied values, as argmin and argmax do
+            i = min(above, key=level.__getitem__)
+            j = max(below, key=level.__getitem__)
         else:
-            i = j = idx[np.argmin(np.abs(vals - e))]
+            i = j = min(free, key=lambda f: abs(level[f] - e))
         span = level[i] - level[j]
         if span > 0:
-            c, s = np.sqrt((e - level[j]) / span), np.sqrt((level[i] - e) / span)
+            c, s = math.sqrt((e - level[j]) / span), math.sqrt((level[i] - e) / span)
             w[:, k] = c * basis[:, i] + s * basis[:, j]
             basis[:, j] = c * basis[:, j] - s * basis[:, i]
             level[j] = level[i] + level[j] - e
         else:
             w[:, k] = basis[:, i]
-        free[i] = False
+        free.remove(i)
     x = np.sqrt(spectrum)[:, np.newaxis] * w[: cfg.pilot_len] / np.sqrt(cfg.gains)
     # an energy below the rounding of the others' can be left without a
     # direction; at full power any one leaves the spectrum as it is

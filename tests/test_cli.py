@@ -756,6 +756,23 @@ def test_gated_sweeps_call_no_solve_or_decomposition(workload, tmp_path, monkeyp
     assert {row["algorithm"] for row in read_csv(out)} == {"proposed", "conventional"}
 
 
+@pytest.mark.parametrize("argv", [
+    *GATED_SWEEPS.values(),
+    ["estimate", "--profile", "paper", "--snr-db", "0"],
+    ["optimize", "--profile", "paper", "--snr-db", "0"],
+], ids=[*GATED_SWEEPS, "paper-estimate", "paper-optimize"])
+def test_constructed_commands_call_no_numpy_sort(argv, tmp_path, monkeypatch):
+    # the closed form sorts its K energies and bins and picks its Givens
+    # coordinates on Python floats and lists, so no constructed command pages
+    # in numpy's sort code
+    def fails(*args, **kwargs):
+        raise AssertionError("a constructed command called numpy's sort")
+
+    for name in ("sort", "argsort"):
+        monkeypatch.setattr(np, name, fails)
+    assert cli.main([*argv, "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+
+
 def test_gated_sweeps_page_in_no_blas_code(tmp_path):
     # the error law sums its Gram matrix in numpy's long-double loop and the
     # norms and the overflow guard are plain sums, so neither gated sweep nor

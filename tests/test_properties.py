@@ -7,7 +7,9 @@ with powers from 0.1 to 10 and SNRs from -10 to 30 dB, and up to
 singularity rule may stop a design. The constructed route's own
 scenarios take pilot lengths up to eight past the user count, gains over
 six decades and noise variances from 1e-8 to 1e3 or at the singularity
-floor. Monte Carlo scenarios cover 1 to 12 antennas, also fewer than
+floor. The closed form's bookkeeping is compared bit for bit with
+numpy's sorts on 1 to 40 users with gains and powers tied or spread up
+to 1e12. Monte Carlo scenarios cover 1 to 12 antennas, also fewer than
 users plus pilot symbols, with unequal gains
 and varied seeds. Hermitian solves cover Gram matrices from diagonal to
 far from diagonally dominant, with noise variances from 1e-16 to 1e2
@@ -49,7 +51,12 @@ from pilotopt import (
     solve_hermitian,
 )
 from pilotopt.numerics import SINGULARITY_FLOOR
-from pilotopt.optimizer import INIT_KINDS, _covariance, _optimal_spectrum
+from pilotopt.optimizer import (
+    INIT_KINDS,
+    _construction_spectra,
+    _covariance,
+    _optimal_spectrum,
+)
 from test_harness import summed_direct_route, weight_matrix
 from test_numerics import eigensolve_route, outcome
 
@@ -165,6 +172,97 @@ def test_constructed_route_matches_the_solve_route(scenario):
     if not near_floor:
         reference = analytic_wsmse(x, proposed_estimator(x, cfg), cfg).wsmse
         assert abs(analytic.wsmse - reference) <= CONSTRUCTED_WSMSE_RTOL * reference
+
+
+def _numpy_optimal_spectrum(cfg):
+    # the closed form's bookkeeping as it was on numpy's sort and scalars,
+    # the reference for the bits of the plain Python one
+    energies = np.sort(cfg.gains * cfg.powers)[::-1]
+    dims = cfg.pilot_len
+    oversized = []
+    while dims > 1 and energies.size and energies[0] > energies[1:].sum() / (dims - 1):
+        oversized.append(energies[0])
+        energies = energies[1:]
+        dims -= 1
+    return np.concatenate([oversized, np.full(dims, energies.sum() / dims)])
+
+
+def _numpy_construction_spectra(cfg):
+    spectrum = _numpy_optimal_spectrum(cfg)
+    frame = np.bincount(np.arange(cfg.users) % cfg.pilot_len, weights=cfg.gains * cfg.powers,
+                        minlength=cfg.pilot_len)
+    if np.all(np.abs(np.sort(frame)[::-1] - spectrum) <= 1e-12 * spectrum):
+        return spectrum, frame
+    return spectrum, None
+
+
+def _numpy_construct_pilots(cfg):
+    spectrum, frame = _numpy_construction_spectra(cfg)
+    if frame is not None:
+        return init_pilots("dft-reuse", cfg)
+    energies = cfg.gains * cfg.powers
+    level = np.concatenate([spectrum, np.zeros(cfg.users - cfg.pilot_len)])
+    basis = np.eye(cfg.users)
+    free = np.ones(cfg.users, dtype=bool)
+    w = np.empty((cfg.users, cfg.users))
+    for k in np.argsort(-energies, kind="stable"):
+        e = energies[k]
+        idx = np.flatnonzero(free)
+        vals = level[idx]
+        above, below = vals >= e, vals <= e
+        if above.any() and below.any():
+            i = idx[above][np.argmin(vals[above])]
+            j = idx[below][np.argmax(vals[below])]
+        else:
+            i = j = idx[np.argmin(np.abs(vals - e))]
+        span = level[i] - level[j]
+        if span > 0:
+            c, s = np.sqrt((e - level[j]) / span), np.sqrt((level[i] - e) / span)
+            w[:, k] = c * basis[:, i] + s * basis[:, j]
+            basis[:, j] = c * basis[:, j] - s * basis[:, i]
+            level[j] = level[i] + level[j] - e
+        else:
+            w[:, k] = basis[:, i]
+        free[i] = False
+    x = np.sqrt(spectrum)[:, np.newaxis] * w[: cfg.pilot_len] / np.sqrt(cfg.gains)
+    x[0, ~np.any(x, axis=0)] = 1.0
+    x *= np.sqrt(cfg.powers) / np.linalg.norm(x, axis=0)
+    return x.astype(np.complex128)
+
+
+@st.composite
+def tied_spread_scenarios(draw):
+    """1 to 40 users, ``1 <= pilot_len <= users + 8``, gains and powers tied or spread up to 1e12.
+
+    Each of the gains and the powers spans 1, 10, 1e6 or 1e12, and is
+    drawn from a pool of at most three values half the time, so that
+    energies tie.
+    """
+    users = draw(st.integers(1, 40))
+    pilot_len = draw(st.integers(1, users + 8))
+
+    def values():
+        exponent = st.floats(-draw(st.sampled_from([0.0, 1.0, 6.0, 12.0])), 0.0)
+        if draw(st.booleans()):
+            exponent = st.sampled_from(draw(st.lists(exponent, min_size=1, max_size=3)))
+        return 10.0 ** np.array(draw(st.lists(exponent, min_size=users, max_size=users)))
+
+    return SystemConfig(antennas=4, users=users, pilot_len=pilot_len, sigma2=1.0,
+                        gains=values(), powers=values())
+
+
+@settings(PROPERTY, max_examples=300)
+@given(tied_spread_scenarios())
+def test_closed_form_keeps_the_bits_of_numpy_sorting(cfg):
+    # the sorts, tie orders, coordinate choices and rotation angles run on
+    # Python floats and lists; every sum and rotation stays numpy's
+    assert _optimal_spectrum(cfg).tobytes() == _numpy_optimal_spectrum(cfg).tobytes()
+    (spectrum, frame), (spectrum_ref, frame_ref) = (_construction_spectra(cfg),
+                                                    _numpy_construction_spectra(cfg))
+    assert spectrum.tobytes() == spectrum_ref.tobytes()
+    assert (frame is None) == (frame_ref is None)
+    assert frame is None or frame.tobytes() == frame_ref.tobytes()
+    assert construct_pilots(cfg).tobytes() == _numpy_construct_pilots(cfg).tobytes()
 
 
 @settings(PROPERTY, max_examples=60)
