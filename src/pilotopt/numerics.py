@@ -7,10 +7,8 @@ contracts and determinism over large-scale performance:
 * eigenvectors carry a fixed phase convention so repeated runs are
   bit-identical,
 * Hermitian solves go through a factorization (numpy's LU solve) rather
-  than explicit inverse entries, and check the singularity floor with
-  Gershgorin's discs first: only a stack whose discs reach near the floor
-  runs the eigensolve. The solves serve the optimizer's pilots and
-  library callers; the constructed design's estimators divide by its
+  than explicit inverse entries. The solves serve the optimizer's pilots
+  and library callers; the constructed design's estimators divide by its
   known spectrum and never reach them,
 * random draws are pure functions of a ``(seed, stream_id)`` pair, so a
   Monte Carlo run's draws do not depend on which other runs came before
@@ -121,8 +119,7 @@ def _require_hermitian(h, name):
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
         raise ContractViolation(f"{name} must be square, got shape {h.shape}")
     h = h.astype(np.complex128, copy=False)
-    mags = np.abs(h)
-    scale = np.max(mags, axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(h), axis=(-2, -1), initial=0.0)
     if not np.all(np.isfinite(scale)):
         raise ContractViolation(f"{name} has an entry that is not finite")
     asym = np.max(np.abs(h - h.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
@@ -132,7 +129,7 @@ def _require_hermitian(h, name):
                 f"{name} is not Hermitian: max |h - h^H| = {asym:.3e} "
                 f"exceeds {HERMITIAN_TOL:.0e} times max |h| = {scale:.3e}"
             )
-    return h, mags
+    return h
 
 
 def unitary_dft(n):
@@ -168,7 +165,7 @@ def hermitian_eig(h):
     This pins the otherwise arbitrary phase, also when components tie
     in magnitude, and makes outputs reproducible.
     """
-    h, _ = _require_hermitian(h, "h")
+    h = _require_hermitian(h, "h")
     if h.ndim != 2:
         raise ContractViolation(f"h must be one matrix, got shape {h.shape}")
     try:
@@ -213,38 +210,26 @@ def solve_hermitian(a, b):
     ``a`` falls below ``1e-12`` times the largest, then solves by LU
     factorization (``numpy.linalg.solve``): on this package's Gram
     matrices its residual is as small as a Cholesky solve's (< 4e-16).
-    A stack ``a`` is solved matrix by matrix, each with its own bits.
-
-    The eigenvalues are computed only when Gershgorin's discs cannot
-    prove the floor. Each matrix's eigenvalues lie in ``[lo, hi]``, the
-    least and greatest ``Re a_ii -/+ sum_{j != i} |a_ij|``, read from the
-    lower triangle as ``eigvalsh`` reads it; when every matrix of the
-    stack has ``lo > 1e-10 * hi`` the check is skipped, and otherwise
-    ``eigvalsh`` runs on the whole stack. A NaN or inf entry raises
-    :class:`ContractViolation`.
+    A small residual is not a small error: the solution loses accuracy
+    as ``a``'s condition number grows. For the constructed pilots at
+    ``K = 1``, ``N = 2`` and ``sigma2 = 1e-11``, the proposed estimator
+    formed this way gives an analytic WSMSE 1.2e-13 relative off the
+    exact ``sigma2 / (1 + sigma2)``; the constructed design's division
+    by its known spectrum is exact to rounding there.
+    A stack ``a`` is solved matrix by matrix, each with its own bits,
+    after one ``eigvalsh`` on the whole stack checks the floor. A NaN
+    or inf entry raises :class:`ContractViolation`.
     """
-    a, mags = _require_hermitian(a, "a")
+    a = _require_hermitian(a, "a")
     b = np.asarray(b, dtype=np.complex128)
     rows = b.shape[0] if b.ndim == 1 else b.shape[-2]
     if rows != a.shape[-2]:
         raise ContractViolation(f"b has {rows} rows but a is {a.shape[-2]}x{a.shape[-1]}")
-    # eigvalsh is backward stable: its eigenvalues are within a small multiple
-    # of n * eps * hi of the true ones, far inside the 99e-12 * hi that the
-    # 100-fold margin over the floor leaves; an overflowed bound fails the
-    # comparison, and the eigensolve runs
-    lower = np.tril(mags, -1)
-    centers = a.diagonal(0, -2, -1).real
-    with np.errstate(all="ignore"):
-        radii = lower.sum(-1) + lower.sum(-2)
-        lo = np.min(centers - radii, axis=-1, initial=np.inf)
-        hi = np.max(centers + radii, axis=-1, initial=-np.inf)
-    # an empty a takes the eigensolve too, and fares as it always has
-    if not (a.size and np.all(lo > 100 * SINGULARITY_FLOOR * hi)):
-        try:
-            w = np.linalg.eigvalsh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Hermitian eigenvalues failed: {exc}") from exc
-        require_nonsingular(w, "a")
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Hermitian eigenvalues failed: {exc}") from exc
+    require_nonsingular(w, "a")
     if b.ndim > 1:  # numpy < 2 reads a matrix b beside a stack a as vectors
         b = np.broadcast_to(b, np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + b.shape[-2:])
     return np.linalg.solve(a, b)

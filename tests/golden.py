@@ -64,6 +64,14 @@ COMMANDS = [
                         "--out", "{out}"], ["out"]),
     ("singular-sweep", ["sweep-snr", "--k", "2", "--n", "4", "--snr-db", "130", "--trials", "5",
                         "--out", "-"], ["stdout", "stderr"]),
+    ("desk-sweep-json", ["sweep-snr", "--profile", "desk", "--trials", "200", "--format", "json",
+                         "--seed", "1", "--out", "{out}"], _ALL),
+    ("paper-chart", ["sweep-snr", "--profile", "paper", "--snr-db", "0", "--format", "svg",
+                     "--seed", "1", "--out", "{out}"], _ALL),
+    # three trials at M = 2 are too few for the consistency gate: a false
+    # alarm that exits 3
+    ("false-alarm", ["sweep-snr", "--k", "2", "--m", "2", "--n", "1", "--trials", "3", "--seed",
+                     "336"], ["stdout", "stderr"]),
 ]
 
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

@@ -509,12 +509,10 @@ class TestGramEngine:
     @pytest.mark.parametrize("profile, n, snr_db_list", [
         ("desk", 4, DESK_GRID), ("paper", 16, [0.0]), ("paper", 32, DESK_GRID),
     ], ids=["desk-sweep", "paper-point", "paper-n32"])
-    def test_stacked_solve_skips_the_eigensolve(self, monkeypatch, profile, n, snr_db_list):
+    def test_constructed_sweeps_run_no_eigensolve(self, monkeypatch, profile, n, snr_db_list):
         # the constructed design checks the singularity floor on its known
         # spectrum lambda* + sigma2, so no constructed sweep runs an
-        # eigensolve, not even at N = K = 32 over the default grid, where the
-        # Gershgorin discs of the paper's Gram matrices cannot prove the floor
-        # and solve_hermitian would run one
+        # eigensolve, not even at N = K = 32 over the default grid
         calls = []
         inner = np.linalg.eigvalsh
 
@@ -531,6 +529,22 @@ class TestGramEngine:
                                 seed=1)
         assert len(sweep_snr(ecfg)) == 2 * len(snr_db_list)
         assert len(calls) == 0
+
+    def test_random_start_sweep_checks_the_floor_once_per_pilot_length(self, monkeypatch):
+        # the cyclic optimizer's estimators take one stacked solve per pilot
+        # length, and that solve checks the floor with one stacked eigensolve
+        calls = []
+        for name in ("eigvalsh", "solve"):
+            def counted(a, *args, _name=name, _inner=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _inner(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        ecfg = ExperimentConfig(antennas=32, users=8, n_list=[1, 4, 8, 12],
+                                snr_db_list=DESK_GRID, init="random", trials=200, seed=1)
+        assert len(sweep_snr(ecfg)) == 2 * 4 * len(DESK_GRID)
+        assert calls == [(name, (len(DESK_GRID), n, n))
+                         for n in (1, 4, 8, 12) for name in ("eigvalsh", "solve")]
 
 
 # (antennas, users, pilot_len, trials): T M >= K + N, and T M < K + N at

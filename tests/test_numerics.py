@@ -192,7 +192,6 @@ class TestSolveHermitian:
             assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-9
 
     def test_singular_raises(self, eigensolves):
-        # the discs cannot prove the floor: the eigensolve runs and raises
         for low in (0.0, 1e-13):
             message = (f"a is singular or not positive definite: smallest eigenvalue {low:.6e} "
                        "vs largest 1.000000e+00")
@@ -200,16 +199,17 @@ class TestSolveHermitian:
                 solve_hermitian(np.diag([1.0, low]), np.ones(2))
         assert eigensolves == [(2, 2)] * 2
 
-    @pytest.mark.parametrize("low, calls", [(1e-11, 1), (1e-9, 0)])
-    def test_discs_above_the_margin_skip_the_eigensolve(self, low, calls, eigensolves):
-        # 1e-11 clears the floor but not the discs' 1e-10 margin; 1e-9 clears both
-        a, b = np.diag([1.0, low]), np.ones(2)
+    def test_one_stacked_eigensolve_per_call(self, eigensolves):
+        # a matrix far above the floor is checked like one near it, and a
+        # stack by one eigensolve of the whole stack
+        a, b = np.diag([1.0, 1e-9]), np.ones(2)
         assert solve_hermitian(a, b).tobytes() == np.linalg.solve(a, b + 0j).tobytes()
-        assert len(eigensolves) == calls
+        stack = np.stack([a, 2.0 * np.eye(2), np.diag([1.0, 1e-11])])
+        assert solve_hermitian(stack, b[:, None]).shape == (3, 2, 1)
+        assert eigensolves == [(2, 2), (3, 2, 2)]
 
     def test_stack_names_its_singular_member(self, eigensolves):
-        # one member's discs prove the floor, the other's cannot: the whole
-        # stack takes the eigensolve, which names the singular member
+        # the whole stack takes one eigensolve, which names the singular member
         a = np.stack([2.0 * np.eye(2), np.diag([1.0, 1e-14])])
         with pytest.raises(SingularMatrixError, match=r"smallest eigenvalue 1\.000000e-14 "
                                                       r"vs largest 1\.000000e\+00$"):

@@ -348,8 +348,8 @@ def gram_stacks(draw):
     CN(0, 1) entries: a diagonal ``a`` at spread 0, a diagonally dominant
     one at small spreads, a far from dominant one at 1. ``sigma2`` is
     log-uniform over 1e-16 ... 1e2, or puts each matrix's eigenvalue
-    ratio near the floor, up to ten times either side of it and of the
-    discs' 1e-10 margin, as do gains spread down to 1e-14.
+    ratio near the floor, from ten times below it to a thousand times
+    above, as do gains spread down to 1e-14.
     """
     n, users = draw(st.integers(1, 8)), draw(st.integers(1, 10))
     stack = draw(st.sampled_from([(), (1,), (3,)]))
@@ -372,8 +372,8 @@ def gram_stacks(draw):
 @settings(PROPERTY, max_examples=300)
 @given(gram_stacks())
 def test_solve_raises_exactly_when_the_eigenvalue_floor_does(case):
-    # the Gershgorin discs only skip an eigensolve whose floor cannot raise:
-    # the same bytes or the same SingularMatrixError, message included
+    # the same bytes as the reference route, or the same SingularMatrixError,
+    # message included
     a, b = case
     assert outcome(solve_hermitian, a, b) == outcome(eigensolve_route, a, b)
 
