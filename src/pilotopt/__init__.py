@@ -5,10 +5,11 @@ The package provides three layers:
 * :mod:`pilotopt.numerics` and :mod:`pilotopt.model` — small complex
   linear algebra kernels, reproducible Gaussian streams, the uplink
   training signal model and its input files (gains and powers),
-* :mod:`pilotopt.conventional` and :mod:`pilotopt.optimizer` — the
-  reused-orthogonal-pilot MMSE baseline and the WSMSE-optimal pilot
-  design (constructed in closed form, or by the paper's cyclic
-  updates) with its matched estimator,
+* :mod:`pilotopt.conventional`, :mod:`pilotopt.closedform` and
+  :mod:`pilotopt.optimizer` — the reused-orthogonal-pilot MMSE baseline,
+  the WSMSE-optimal pilot design constructed in closed form (with the
+  optimizer's starting points), and the paper's cyclic updates with the
+  matched estimator,
 * :mod:`pilotopt.harness`, :mod:`pilotopt.report`, :mod:`pilotopt.plot`,
   :mod:`pilotopt.cli` — Monte Carlo experiment drivers, every output file
   (CSV/JSON/SVG results and the pilot text file), the SVG chart that
@@ -19,6 +20,12 @@ matrices are too small for a second thread to do anything but spin. The
 pin applies only when numpy is not loaded yet and none of
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
 set; setting any of them chooses the count instead.
+
+:mod:`pilotopt.optimizer` loads on first use: the package resolves its
+ten public names (``OptimizerTrace``, ``objective``, ``optimize_pilots``
+and the rest) through a module ``__getattr__`` and keeps them, and the
+harness and command line import it inside the functions that run it. A
+constructed sweep, the default design, never compiles it.
 
 numpy and the modules import with automatic collection off, so no
 collection walks the roughly 23 000 objects they leave (it took 1.8-1.9
@@ -49,6 +56,7 @@ try:
         finally:
             del os.environ["OPENBLAS_NUM_THREADS"]
 
+    from .closedform import construct_pilots, init_pilots, optimality_bound
     from .conventional import conventional_estimator, design_reuse_pilots
     from .errors import ConfigurationError, ContractViolation, NumericalError, SingularMatrixError
     from .harness import (
@@ -57,11 +65,6 @@ try:
     )
     from .model import SystemConfig, WsmseReport, load_gains, reference_gains, sigma2_from_snr
     from .numerics import RandomStream, draw_cn, hermitian_eig, solve_hermitian
-    from .optimizer import (
-        OptimizerTrace, analytic_wsmse, combiner, construct_pilots, gram_matrix, init_pilots,
-        leave_one_out, objective, optimality_bound, optimize_pilots, proposed_estimator,
-        rayleigh_update, receiver_scalar,
-    )
     from .report import save_pilots
 finally:
     # before collection resumes: generation 0 counts the whole import, so
@@ -73,6 +76,22 @@ finally:
         gc.enable()
 
 __version__ = "0.1.0"
+
+_OPTIMIZER_NAMES = frozenset({
+    "OptimizerTrace", "analytic_wsmse", "combiner", "gram_matrix", "leave_one_out",
+    "objective", "optimize_pilots", "proposed_estimator", "rayleigh_update", "receiver_scalar",
+})
+
+
+def __getattr__(name):
+    """Resolve a :mod:`pilotopt.optimizer` name on first access, then keep it (PEP 562)."""
+    if name not in _OPTIMIZER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import optimizer
+
+    value = globals()[name] = getattr(optimizer, name)
+    return value
+
 
 __all__ = [
     "ConfigurationError",

@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import fields
 
+from .closedform import INIT_KINDS, optimality_bound
 from .errors import ConfigurationError, ContractViolation, NumericalError
 from .harness import (
     MODES,
@@ -25,7 +26,6 @@ from .harness import (
     sweep_snr,
 )
 from .model import load_gains, reference_gains
-from .optimizer import INIT_KINDS, objective, optimality_bound
 from .report import FORMATS, emit, save_pilots, write_json
 
 DEFAULT_SNR_GRID = [float(v) for v in range(-10, 21, 2)]
@@ -177,6 +177,8 @@ def _cmd_convergence(ecfg, args):
 
 
 def _cmd_optimize(ecfg, args):
+    from .optimizer import objective
+
     _, cfg = ecfg.single_point()
     x_opt, _, _, trace = design_pilots("proposed", cfg, ecfg)
     save_pilots(args.out, x_opt)

@@ -11,9 +11,9 @@ the contamination-ignorant MMSE scalar.
 
 import numpy as np
 
+from .closedform import init_pilots
 from .errors import ConfigurationError, ContractViolation
-from .model import check_received
-from .optimizer import _check_pilots, init_pilots
+from .model import _check_pilots, check_received
 
 
 def design_reuse_pilots(cfg):
@@ -21,7 +21,7 @@ def design_reuse_pilots(cfg):
 
     Column k is ``sqrt(P)`` times column ``k mod pilot_len`` of the
     unitary ``pilot_len``-point DFT matrix (the ``dft-reuse`` start of
-    :func:`~pilotopt.optimizer.init_pilots`), so every column has squared
+    :func:`~pilotopt.closedform.init_pilots`), so every column has squared
     norm exactly P and columns are orthogonal whenever they are not
     identical. Requires a uniform power budget: the baseline's scalar
     assumes one common pilot energy P for every user.

@@ -3,9 +3,10 @@
 :class:`ExperimentConfig` names a scenario once and :func:`sweep_snr`
 runs its grid; :func:`design_pilots` and :func:`run_monte_carlo` are the
 sweep's code at one point. The default proposed design is
-:func:`~pilotopt.optimizer.construct_pilots`, the optimum at every noise
+:func:`~pilotopt.closedform.construct_pilots`, the optimum at every noise
 variance; ``ExperimentConfig.init`` names a start for the paper's cyclic
-optimizer instead. The SNR points of one pilot length differ only in
+optimizer instead, which :mod:`pilotopt.optimizer` runs, imported by the
+functions that call it. The SNR points of one pilot length differ only in
 the noise variance and the estimator ``b`` (and the pilots, when the
 optimizer runs), so the sweep takes them in one pass along a leading
 point axis. The constructed design's estimators are one broadcast
@@ -55,21 +56,12 @@ from itertools import product
 
 import numpy as np
 
+from .closedform import INIT_KINDS, _constructed_estimators, construct_pilots, init_pilots
 from .conventional import _conventional_estimators, design_reuse_pilots
 from .errors import ConfigurationError, NumericalError
 from .model import SystemConfig, WsmseReport, sigma2_from_snr
-from .model import _as_dimensions, _as_index, _as_per_user, _error_law, _error_maps
+from .model import _as_dimensions, _as_index, _as_per_user, _check_pilots, _error_law, _error_maps
 from .numerics import RandomStream, complex_normals
-from .optimizer import (
-    INIT_KINDS,
-    _check_pilots,
-    _constructed_estimators,
-    _proposed_estimators,
-    analytic_wsmse,
-    construct_pilots,
-    init_pilots,
-    optimize_pilots,
-)
 
 # Trial counts stop at 2**32; Monte Carlo draws from stream 0 and the
 # optimizer's random start from stream 2**33.
@@ -94,8 +86,8 @@ class ExperimentConfig:
     non-empty; :meth:`point` is where every driver turns one into a
     :class:`SystemConfig`, and each point is checked on construction.
     ``init`` ``None`` designs the proposed pilots by
-    :func:`~pilotopt.optimizer.construct_pilots`; a kind of
-    :data:`~pilotopt.optimizer.INIT_KINDS` runs the cyclic optimizer from
+    :func:`~pilotopt.closedform.construct_pilots`; a kind of
+    :data:`~pilotopt.closedform.INIT_KINDS` runs the cyclic optimizer from
     that start.
     """
 
@@ -254,6 +246,8 @@ def design_pilots(algorithm, cfg, ecfg):
     ``conventional`` reuses the DFT columns. The trace is ``None`` unless
     the optimizer ran.
     """
+    from .optimizer import analytic_wsmse
+
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
     x, b, traces = _design(algorithm, cfg, np.array([[cfg.sigma2]]), ecfg)
@@ -275,6 +269,8 @@ def _design(algorithm, cfg, sigma2, ecfg):
     elif ecfg.init is None:
         x, estimators = construct_pilots(cfg), _constructed_estimators
     else:
+        from .optimizer import _proposed_estimators
+
         x, traces = zip(*[_optimize_from(ecfg.init, replace(cfg, sigma2=s), ecfg)
                           for s in sigma2[:, 0].tolist()])
         x, estimators = np.stack(x), _proposed_estimators
@@ -283,6 +279,8 @@ def _design(algorithm, cfg, sigma2, ecfg):
 
 def _optimize_from(kind, cfg, ecfg):
     """Optimize from the ``kind`` start; a random one draws from stream ``2**33``."""
+    from .optimizer import optimize_pilots
+
     x0 = init_pilots(kind, cfg, stream=RandomStream(ecfg.seed, INIT_STREAM_ID))
     return optimize_pilots(cfg, x0, tol=ecfg.tol, max_sweeps=ecfg.max_sweeps)
 

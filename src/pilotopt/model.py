@@ -234,6 +234,18 @@ def received_pilot_signal(h, x, noise):
     return h @ x.conj().T + noise
 
 
+def _check_pilots(x, cfg, name="x"):
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    if x.shape != (cfg.pilot_len, cfg.users):
+        raise ContractViolation(
+            f"{name} shape {x.shape} does not match (pilot_len, users) = "
+            f"({cfg.pilot_len}, {cfg.users})"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ContractViolation(f"{name} has an entry that is not finite")
+    return x
+
+
 def check_received(y, cfg):
     """Return ``y`` as an array after checking it is one training block.
 

@@ -3,7 +3,7 @@
 Each test prints one ``ACCEPTANCE <n> PASS/FAIL`` line (visible with
 ``pytest -s``) and enforces its stated tolerance. Criterion 3 measures
 every optimizer run against the Schur-Horn lower bound on the objective,
-:func:`~pilotopt.optimizer.optimality_bound`: off-frame starts reach
+:func:`~pilotopt.closedform.optimality_bound`: off-frame starts reach
 it, while the DFT-reuse start stays inside its orthogonal direction set
 and stops on a saddle above it (a small perturbation of that endpoint
 descends to the bound). The default design, constructed pilots, meets

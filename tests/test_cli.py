@@ -741,6 +741,20 @@ GATED_SWEEPS = {
 }
 
 
+def test_only_the_cyclic_routes_load_the_optimizer(tmp_path):
+    # the constructed design and the baseline are closed forms, so neither
+    # gated sweep compiles pilotopt.optimizer; a cyclic start, the convergence
+    # traces and optimize, which reports the objective, each load it
+    gated = [[*argv, "--seed", "1"] for argv in GATED_SWEEPS.values()]
+    for found in _new_modules(tmp_path, gated, ("pilotopt.optimizer",)):
+        assert found == [[]] * len(gated)
+    small = ["--m", "8", "--k", "4", "--n", "2", "--snr-db", "0", "--seed", "1"]
+    for argv in (["sweep-snr", *small, "--trials", "20", "--init", "random"],
+                 ["convergence", *small], ["optimize", *small]):
+        for found in _new_modules(tmp_path, [argv], ("pilotopt.optimizer",)):
+            assert found == [["pilotopt.optimizer"]], argv
+
+
 @pytest.mark.parametrize("workload", sorted(GATED_SWEEPS))
 def test_gated_sweeps_call_no_solve_or_decomposition(workload, tmp_path, monkeypatch):
     # the constructed design's estimators are one broadcast division on its

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pilotopt.closedform as closedform
 import pilotopt.harness as harness
 import pilotopt.model as model
 import pilotopt.numerics as numerics
@@ -455,7 +456,7 @@ class TestGramEngine:
 
         counted(numerics, "draw_cn")
         counted(model, "draw_cn")
-        counted(optimizer, "draw_cn")
+        counted(closedform, "draw_cn")
         counted(RandomStream, "generator")
         counted(optimizer, "solve_hermitian")
         # one error map per point, which the analytic WSMSE, the Monte Carlo

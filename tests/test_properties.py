@@ -50,13 +50,9 @@ from pilotopt import (
     sigma2_from_snr,
     solve_hermitian,
 )
+from pilotopt.closedform import INIT_KINDS, _construction_spectra, _optimal_spectrum
 from pilotopt.numerics import SINGULARITY_FLOOR
-from pilotopt.optimizer import (
-    INIT_KINDS,
-    _construction_spectra,
-    _covariance,
-    _optimal_spectrum,
-)
+from pilotopt.optimizer import _covariance
 from test_harness import summed_direct_route, weight_matrix
 from test_numerics import eigensolve_route, outcome
 

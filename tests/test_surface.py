@@ -6,23 +6,30 @@ the command line, the rule that no module reaches into the harness for
 a private name, the rule that only ``model`` opens files to read and
 only ``report`` opens files to write, the rule that the package binds
 no public attribute it does not export and that every public name has
-a use in a package module or a demo, and the parser token counts of the
-modules a CSV sweep compiles. A change to any of them is deliberate and
-updates the pin here. A guard keeps every function the benchmark's
-tracer names one that it can wrap.
+a use in a package module or a demo, the names the package resolves from
+the optimizer on first access, and the parser token counts of the modules
+a gated sweep compiles. A change to any of them is deliberate and updates
+the pin here. Two guards keep every function the benchmark's tracer names
+one that it can wrap, and its wrappers seen where the optimizer is
+imported on first use.
 """
 
 import argparse
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import tokenize
 from dataclasses import fields
 from pathlib import Path
 from types import ModuleType
 
 import pilotopt
+import pilotopt.optimizer as optimizer
 from pilotopt.cli import build_parser
+from test_cli import GATED_SWEEPS, _new_modules
 
 PACKAGE = Path(pilotopt.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,8 +83,48 @@ def test_public_names():
     assert set(pilotopt.__all__) == PUBLIC_NAMES
 
 
+# the public names the package resolves from pilotopt.optimizer on first
+# access, so that importing the package does not compile the cyclic optimizer
+OPTIMIZER_NAMES = {
+    "OptimizerTrace",
+    "analytic_wsmse",
+    "combiner",
+    "gram_matrix",
+    "leave_one_out",
+    "objective",
+    "optimize_pilots",
+    "proposed_estimator",
+    "rayleigh_update",
+    "receiver_scalar",
+}
+
+
+def _run_python(code):
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    return [ast.literal_eval(line) for line in done.stdout.splitlines()]
+
+
 def test_package_attributes_are_the_public_names():
-    # an import in __init__ binds its name in the package, exported or not
+    # an import in __init__ binds its name in the package, exported or not;
+    # a fresh import binds the eager names and leaves the optimizer unloaded
+    eager, loaded = _run_python(
+        "import sys, types, pilotopt\n"
+        "print(sorted(n for n, v in vars(pilotopt).items()\n"
+        "             if not n.startswith('_') and not isinstance(v, types.ModuleType)))\n"
+        "print('pilotopt.optimizer' in sys.modules)\n"
+    )
+    assert not loaded
+    assert set(eager) | OPTIMIZER_NAMES == set(pilotopt.__all__)
+    assert not set(eager) & OPTIMIZER_NAMES
+    # each lazy name is the optimizer's own object, and kept once resolved
+    for name in OPTIMIZER_NAMES:
+        obj = getattr(pilotopt, name)
+        assert obj is vars(optimizer)[name] and obj.__module__ == "pilotopt.optimizer", name
+        assert vars(pilotopt)[name] is obj, name
     names = {name for name, value in vars(pilotopt).items()
              if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert names == set(pilotopt.__all__)
@@ -199,12 +246,36 @@ def test_benchmark_traces_only_existing_functions():
         assert obj.__module__ == module.__name__, entry
 
 
+def test_function_level_imports_see_the_tracer_wrappers():
+    # harness imports the optimizer inside the functions that run it, so the
+    # benchmark's tracer, which wraps the optimizer module's globals before
+    # the run, still counts its calls. The probe drives bench/tracer.py's
+    # install and aggregate as its main does, without the BLAS probe, which
+    # imports scipy
+    argv = ["sweep-snr", "--profile", "desk", "--snr-db", "0", "--n", "2", "--init", "random",
+            "--trials", "20", "--seed", "1", "--out", os.devnull]
+    (calls,) = _run_python(
+        f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "import tracer\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "from pilotopt import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "stats = tracer.aggregate(t.names, t.spans)\n"
+        "print({name: entry['calls'] for name, entry in stats.items()})\n"
+    )
+    assert calls["optimizer.rayleigh_update"] == 16
+    assert calls["optimizer.optimize_pilots"] == 1
+    assert calls["cli.main"] == 1
+
+
 # CPython's parser holds a module's tokens in an array that doubles past
 # 2048, and with no bytecode cache every process compiles what it imports,
 # so a module past the step raises every process's peak RSS by about 0.1 MB.
-# optimizer.py is already past it; the chart module loads only for SVG output.
+# No module a gated sweep loads is past it; the cyclic optimizer and the
+# chart module load only on their own routes.
 PARSER_TOKEN_STEP = 2048
-PAST_THE_STEP = {"optimizer"}
+PAST_THE_STEP = set()
 
 
 def _parser_tokens(path):
@@ -214,6 +285,12 @@ def _parser_tokens(path):
         return sum(1 for tok in tokenize.tokenize(fh.readline) if tok.type not in skipped)
 
 
-def test_csv_sweep_modules_stay_under_the_parser_token_step():
-    counts = {p.stem: _parser_tokens(p) for p in PACKAGE.glob("*.py") if p.stem != "plot"}
-    assert {name for name, n in counts.items() if n >= PARSER_TOKEN_STEP} == PAST_THE_STEP
+def test_csv_sweep_modules_stay_under_the_parser_token_step(tmp_path):
+    # the package modules each gated sweep loads, read from sys.modules
+    runs = [[*argv, "--seed", "1"] for argv in GATED_SWEEPS.values()]
+    for found in _new_modules(tmp_path, runs, ("pilotopt",)):
+        for loaded in found:
+            assert {"pilotopt.cli", "pilotopt.closedform", "pilotopt.harness"} <= set(loaded)
+            counts = {name: _parser_tokens(importlib.import_module(name).__file__)
+                      for name in loaded}
+            assert {n for n, c in counts.items() if c >= PARSER_TOKEN_STEP} == PAST_THE_STEP
